@@ -3,9 +3,12 @@
 unity circled, matching the defaults used throughout the project.
 
 Usage: python scripts/reproduce_figure.py [radius] [out.svg]
+
+The radius is a rational such as 6, 3.5 or 7/2; it is squared exactly.
 """
 
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from pentaset.modelset import enumerate_points
@@ -13,9 +16,9 @@ from pentaset.io_render import RenderOptions, render_svg
 
 
 def main() -> None:
-    radius = float(sys.argv[1]) if len(sys.argv) > 1 else 6.0
+    radius = Fraction(sys.argv[1]) if len(sys.argv) > 1 else Fraction(6)
     out = Path(sys.argv[2]) if len(sys.argv) > 2 else Path("figure.svg")
-    snap = enumerate_points(round(radius * radius))
+    snap = enumerate_points(radius * radius)  # exact, as the CLI's --radius
     svg = render_svg(snap, RenderOptions(highlight_roots=True))
     out.write_text(svg, encoding="utf-8")
     print(f"wrote {out} with {len(snap.points)} points")

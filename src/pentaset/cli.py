@@ -10,7 +10,6 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
@@ -23,20 +22,6 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_OVERFLOW = 4
-
-
-@dataclass
-class CliConfig:
-    subcommand: str
-    radius_sq: Fraction
-    window_sq: Fraction = Fraction(1)
-    format: str = "jsonl"
-    out: str | None = None
-    check: str = "all"
-    highlight_roots: bool = False
-    color_classes: bool = False
-    canvas: int = 1000
-    threads: int = 1
 
 
 def _rational(text: str) -> Fraction:
@@ -62,8 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--window-sq", type=_rational, default=Fraction(1),
                        help="internal window squared radius w (default 1)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker count for analysis; results are independent of it")
         if fmt:
             p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
 
@@ -84,25 +67,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_config(argv) -> CliConfig:
-    ns = build_parser().parse_args(argv)
-    radius_sq = ns.radius_sq if ns.radius_sq is not None else ns.radius * ns.radius
-    if radius_sq < 0:
-        build_parser().error("radius must be nonnegative")
+def parse_config(argv) -> argparse.Namespace:
+    """Parsed arguments, with radius_sq filled in exactly from --radius."""
+    parser = build_parser()
+    ns = parser.parse_args(argv)
+    if ns.radius_sq is None:
+        ns.radius_sq = ns.radius * ns.radius
+    if ns.radius_sq < 0:
+        parser.error("radius must be nonnegative")
     if ns.window_sq <= 0:
-        build_parser().error("window squared radius must be positive")
-    return CliConfig(
-        subcommand=ns.subcommand,
-        radius_sq=radius_sq,
-        window_sq=ns.window_sq,
-        format=getattr(ns, "format", "jsonl"),
-        out=ns.out,
-        check=getattr(ns, "check", "all"),
-        highlight_roots=getattr(ns, "highlight_roots", False),
-        color_classes=getattr(ns, "color_classes", False),
-        canvas=getattr(ns, "canvas", 1000),
-        threads=ns.threads,
-    )
+        parser.error("window squared radius must be positive")
+    return ns
 
 
 @contextmanager
@@ -130,7 +105,7 @@ def run_cli(argv) -> int:
         return EXIT_IO
 
 
-def _dispatch(cfg: CliConfig) -> int:
+def _dispatch(cfg: argparse.Namespace) -> int:
     window = Window(cfg.window_sq)
     print(f"pentaset {cfg.subcommand}: radius_sq={cfg.radius_sq} "
           f"window_sq={cfg.window_sq}", file=sys.stderr)
@@ -142,15 +117,14 @@ def _dispatch(cfg: CliConfig) -> int:
         return EXIT_OK
 
     if cfg.subcommand == "analyze":
-        snap = analyze(enumerate_points(cfg.radius_sq, window), threads=cfg.threads)
+        snap = analyze(enumerate_points(cfg.radius_sq, window))
         with _open_out(cfg.out) as out:
             write_snapshot(snap, cfg.format, out)
         return EXIT_OK
 
     if cfg.subcommand == "verify":
         checks = CHECK_NAMES if cfg.check == "all" else (cfg.check,)
-        reports = verify_all(cfg.radius_sq, cfg.window_sq, checks,
-                             threads=cfg.threads)
+        reports = verify_all(cfg.radius_sq, cfg.window_sq, checks)
         all_pass = all(r.passed for r in reports)
         doc = {"parameters": {"radius_sq": str(cfg.radius_sq),
                               "window_sq": str(cfg.window_sq)},
@@ -160,7 +134,7 @@ def _dispatch(cfg: CliConfig) -> int:
         return EXIT_OK if all_pass else EXIT_VIOLATION
 
     if cfg.subcommand == "stats":
-        snap = analyze(enumerate_points(cfg.radius_sq, window), threads=cfg.threads)
+        snap = analyze(enumerate_points(cfg.radius_sq, window))
         summary = stats(snap)
         summary["radius_sq"] = str(cfg.radius_sq)
         summary["window_sq"] = str(cfg.window_sq)
@@ -171,7 +145,7 @@ def _dispatch(cfg: CliConfig) -> int:
     if cfg.subcommand == "render":
         snap = enumerate_points(cfg.radius_sq, window)
         if cfg.color_classes:
-            snap = analyze(snap, threads=cfg.threads)
+            snap = analyze(snap)
         opts = RenderOptions(canvas=cfg.canvas,
                              highlight_roots=cfg.highlight_roots,
                              color_classes=cfg.color_classes)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -130,7 +129,12 @@ class GoldenInt:
         return sqrt5_sign(2 * self.p + self.q, self.q)
 
     def to_float(self) -> float:
-        return float(self.p) + float(self.q) * PHI
+        p, q = self.p, self.q
+        if (p >= 0) == (q >= 0):
+            return float(p) + float(q) * PHI
+        # p and q*phi nearly cancel; divide the exact norm by the conjugate
+        # p + q*(1 - phi), whose two terms share a sign
+        return (p * p + p * q - q * q) / (p + q * (1.0 - PHI))
 
 
 GOLDEN_ZERO = GoldenInt(0, 0)
@@ -154,12 +158,15 @@ def sqrt5_sign(a: int, b: int) -> int:
     return 1 if 5 * b * b > a * a else -1
 
 
-def golden_cmp(g: GoldenInt, r: Fraction | int) -> int:
-    """Exact comparison of p + q*phi against a rational; -1, 0, or 1."""
-    r = Fraction(r)
-    num, den = r.numerator, r.denominator
+def golden_cmp(p: int, q: int, num: int, den: int = 1) -> int:
+    """Exact comparison of p + q*phi against num/den (den > 0); -1, 0, or 1.
+
+    Takes raw integers so the enumeration and pair loops allocate nothing
+    per call; callers split a Fraction into numerator and denominator once.
+    """
     # den*(p + q*phi) - num = (2*den*p + den*q - 2*num + den*q*sqrt(5)) / 2
-    return sqrt5_sign(2 * den * g.p + den * g.q - 2 * num, den * g.q)
+    dq = den * q
+    return sqrt5_sign(2 * den * p + dq - 2 * num, dq)
 
 
 def golden_cmp_golden(g: GoldenInt, h: GoldenInt) -> int:

@@ -8,7 +8,6 @@ snapshots and options give identical bytes.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -187,9 +186,3 @@ def render_svg(snapshot: Snapshot, options: RenderOptions | None = None) -> str:
                          f'class="highlight"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
-
-
-def snapshot_to_jsonl_bytes(snapshot: Snapshot) -> bytes:
-    buf = io.StringIO()
-    write_snapshot(snapshot, "jsonl", buf)
-    return buf.getvalue().encode("utf-8")

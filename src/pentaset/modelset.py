@@ -9,8 +9,7 @@ form, which confines the search to finitely many coordinate vectors.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cmp_to_key
@@ -18,7 +17,6 @@ from functools import cmp_to_key
 from .cyclotomic import (
     CycInt,
     GoldenInt,
-    abs_sq,
     abs_sq_coords,
     embed_approx,
     golden_cmp,
@@ -28,6 +26,8 @@ from .cyclotomic import (
     LONG_DIST_SQ,
     SHORT_DIST_SQ,
 )
+
+Coords = tuple[int, int, int, int]
 
 DIST_SHORT = "short"
 DIST_LONG = "long"
@@ -69,22 +69,21 @@ class Snapshot:
     points: list[PointRecord] = field(default_factory=list)
     class_counts: dict[str, int] | None = None
 
-    def coord_set(self) -> set[tuple[int, int, int, int]]:
+    def coord_set(self) -> set[Coords]:
         return {p.z.coords() for p in self.points}
 
 
 def contains(z: CycInt, window: Window) -> bool:
     """Exact membership test; the window boundary is included."""
-    return golden_cmp(abs_sq(z, "internal"), window.w) <= 0
+    return _in_window(z.coords(), window.w)
 
 
-def _golden_le_frac(p: int, q: int, r: Fraction) -> bool:
-    # p + q*phi <= num/den, all exact
-    num, den = r.numerator, r.denominator
-    return sqrt5_sign(2 * den * p + den * q - 2 * num, den * q) <= 0
+def _in_window(c: Coords, w: Fraction) -> bool:
+    p, q = abs_sq_coords(*c)[1]
+    return golden_cmp(p, q, w.numerator, w.denominator) <= 0
 
 
-def _make_record(coords: tuple[int, int, int, int],
+def _make_record(coords: Coords,
                  phys: tuple[int, int], intr: tuple[int, int]) -> PointRecord:
     z = CycInt(*coords)
     e = embed_approx(z, "physical")
@@ -118,94 +117,71 @@ def _form_bounded_vectors(cb: int):
                         yield (a0, a1, a2, a3)
 
 
-def _sorted_snapshot(window: Window, radius_sq: Fraction,
-                     records: list[PointRecord]) -> Snapshot:
-    records.sort(key=lambda p: (quad_form(*p.z.coords()), p.z.coords()))
-    return Snapshot(window, radius_sq, records)
-
-
-def enumerate_points(radius_sq: Fraction | int, window: Window | None = None,
-                     method: str = "fast") -> Snapshot:
+def enumerate_points(radius_sq: Fraction | int, window: Window | None = None) -> Snapshot:
     """All z with |z|^2 <= radius_sq and |sigma(z)|^2 <= w, exactly.
 
-    method "fast" prunes with the quadratic form Q layer by layer; "box" is
-    the naive baseline scanning the full coordinate box with ||a||^2 bounded
-    by 2*(R^2 + w).  Both filter every candidate exactly and must agree.
+    The quadratic form Q prunes the search layer by layer; every candidate
+    is then filtered exactly.
     """
     window = window or Window()
     radius_sq = Fraction(radius_sq)
     if radius_sq < 0:
         raise ValueError(f"radius_sq must be nonnegative, got {radius_sq}")
-    bound = radius_sq + window.w
-    cb = math.floor(bound)
-
+    rn, rd = radius_sq.numerator, radius_sq.denominator
+    wn, wd = window.w.numerator, window.w.denominator
     records = []
-    if method == "fast":
-        candidates = _form_bounded_vectors(cb)
-    elif method == "box":
-        candidates = _box_vectors(math.floor(2 * bound))
-    else:
-        raise ValueError(f"unknown enumeration method {method!r}")
-
-    for coords in candidates:
+    for coords in _form_bounded_vectors(math.floor(radius_sq + window.w)):
         phys, intr = abs_sq_coords(*coords)
-        if _golden_le_frac(phys[0], phys[1], radius_sq) and \
-           _golden_le_frac(intr[0], intr[1], window.w):
+        if golden_cmp(phys[0], phys[1], rn, rd) <= 0 and \
+           golden_cmp(intr[0], intr[1], wn, wd) <= 0:
             records.append(_make_record(coords, phys, intr))
-    return _sorted_snapshot(window, radius_sq, records)
+    records.sort(key=lambda p: (quad_form(*p.z.coords()), p.z.coords()))
+    return Snapshot(window, radius_sq, records)
 
 
-def _box_vectors(norm_bound: int):
-    if norm_bound < 0:
-        return
-    m = math.isqrt(norm_bound)
-    for a0 in range(-m, m + 1):
-        n0 = a0 * a0
-        for a1 in range(-m, m + 1):
-            n1 = n0 + a1 * a1
-            if n1 > norm_bound:
-                continue
-            for a2 in range(-m, m + 1):
-                n2 = n1 + a2 * a2
-                if n2 > norm_bound:
-                    continue
-                for a3 in range(-m, m + 1):
-                    if n2 + a3 * a3 <= norm_bound:
-                        yield (a0, a1, a2, a3)
+_DISPLACEMENT_CACHE: dict[Fraction, list[tuple[Coords, GoldenInt]]] = {}
 
 
-_DISPLACEMENT_CACHE: dict[Fraction, list[tuple[CycInt, GoldenInt]]] = {}
-
-
-def displacement_candidates(window: Window) -> list[tuple[CycInt, GoldenInt]]:
-    """All nonzero d that can separate two window members at distance <= 1.
+def displacement_candidates(window: Window) -> list[tuple[Coords, GoldenInt]]:
+    """All nonzero d, as coordinate tuples with |d|^2, that can separate two
+    window members at distance <= 1.
 
     Both endpoints in the window force |sigma(d)|^2 <= 4w, and the nearest
-    neighbor is at distance <= 1, so Q(d) <= 1 + 4w confines the search.
+    neighbor is at distance <= 1, so Q(d) <= 1 + 4w confines the search;
+    the list is finite because model sets have finite local complexity.
     Sorted by exact squared length, then lexicographic coordinates, so a
     scan hits the minimal candidate first.
     """
     cached = _DISPLACEMENT_CACHE.get(window.w)
     if cached is not None:
         return cached
+    diam_sq = window.diam_sq
     out = []
-    for coords in _form_bounded_vectors(math.floor(1 + 4 * window.w)):
+    for coords in _form_bounded_vectors(math.floor(1 + diam_sq)):
         if coords == (0, 0, 0, 0):
             continue
         phys, intr = abs_sq_coords(*coords)
-        if _golden_le_frac(phys[0], phys[1], Fraction(1)) and \
-           _golden_le_frac(intr[0], intr[1], 4 * window.w):
-            out.append((CycInt(*coords), GoldenInt(*phys)))
+        if golden_cmp(phys[0], phys[1], 1) <= 0 and \
+           golden_cmp(intr[0], intr[1], diam_sq.numerator, diam_sq.denominator) <= 0:
+            out.append((coords, GoldenInt(*phys)))
 
     def cmp(a, b):
-        c = golden_cmp_golden(a[1], b[1])
-        if c:
-            return c
-        return -1 if a[0].coords() < b[0].coords() else 1
+        return golden_cmp_golden(a[1], b[1]) or (-1 if a[0] < b[0] else 1)
 
     out.sort(key=cmp_to_key(cmp))
     _DISPLACEMENT_CACHE[window.w] = out
     return out
+
+
+def _scan(c: Coords, window: Window, hit):
+    """The first displacement d of the sorted list with hit(c + d), as
+    (|d|^2, c + d), or None when no d up to length 1 hits."""
+    a0, a1, a2, a3 = c
+    for (d0, d1, d2, d3), dsq in displacement_candidates(window):
+        t = (a0 + d0, a1 + d1, a2 + d2, a3 + d3)
+        if hit(t):
+            return dsq, t
+    return None
 
 
 def min_distance(z: CycInt, window: Window) -> tuple[GoldenInt, CycInt]:
@@ -213,11 +189,11 @@ def min_distance(z: CycInt, window: Window) -> tuple[GoldenInt, CycInt]:
     (infinite) set, with the lexicographically smallest witness on ties."""
     if not contains(z, window):
         raise ValueError(f"{z.coords()} is not in the set for this window")
-    for d, dsq in displacement_candidates(window):
-        if contains(z + d, window):
-            return dsq, z + d
-    raise RuntimeError(
-        "no neighbor within distance 1; window too small for the step bound")
+    found = _scan(z.coords(), window, lambda t: _in_window(t, window.w))
+    if found is None:
+        raise RuntimeError(
+            "no neighbor within distance 1; window too small for the step bound")
+    return found[0], CycInt(*found[1])
 
 
 def classify_distance(d_sq: GoldenInt) -> str:
@@ -247,84 +223,60 @@ def is_inner(abs_sq_physical: GoldenInt, radius_sq: Fraction) -> bool:
     return sqrt5_sign(2 * sp + sq, sq) >= 0
 
 
-def _min_over_candidates(i: int, pts_coords, xs, ys, neighbor_idx) -> GoldenInt | None:
-    best = None
-    xi, yi = xs[i], ys[i]
-    ci = pts_coords[i]
-    for j in neighbor_idx:
-        if j == i:
-            continue
-        dx = xs[j] - xi
-        dy = ys[j] - yi
-        if dx * dx + dy * dy > 1.0 + 1e-6:
-            continue  # true minimum is <= 1; float slack keeps this safe
-        cj = pts_coords[j]
-        p, q = abs_sq_coords(ci[0] - cj[0], ci[1] - cj[1],
-                             ci[2] - cj[2], ci[3] - cj[3])[0]
-        d = GoldenInt(p, q)
-        if best is None or golden_cmp_golden(d, best) < 0:
-            best = d
+def _closest(c: Coords, others, best: tuple[int, int] | None):
+    """The exact minimum of best and the squared distances from c to others,
+    as a (p, q) pair, or None when both are empty."""
+    a0, a1, a2, a3 = c
+    for o in others:
+        p, q = abs_sq_coords(a0 - o[0], a1 - o[1], a2 - o[2], a3 - o[3])[0]
+        if best is None or golden_cmp(p - best[0], q - best[1], 0) < 0:
+            best = (p, q)
     return best
 
 
-def _classify_range(args):
-    lo, hi, pts_coords, xs, ys, radius_sq, w = args
-    grid = defaultdict(list)
-    for j, (x, y) in enumerate(zip(xs, ys)):
-        grid[(math.floor(x), math.floor(y))].append(j)
-    window = Window(w)
-    out = []
-    for i in range(lo, hi):
-        phys = GoldenInt(*abs_sq_coords(*pts_coords[i])[0])
-        if not is_inner(phys, radius_sq):
-            out.append((i, None, DIST_UNKNOWN))
-            continue
-        cx, cy = math.floor(xs[i]), math.floor(ys[i])
-        neigh = []
-        for gx in (cx - 1, cx, cx + 1):
-            for gy in (cy - 1, cy, cy + 1):
-                neigh.extend(grid.get((gx, gy), ()))
-        best = _min_over_candidates(i, pts_coords, xs, ys, neigh)
-        if best is None:
-            # grid came up empty; fall back to the exact displacement scan
-            best, _ = min_distance(CycInt(*pts_coords[i]), window)
-        out.append((i, (best.p, best.q), classify_distance(best)))
-    return out
-
-
-def analyze(snapshot: Snapshot, threads: int = 1) -> Snapshot:
+def analyze(snapshot: Snapshot) -> Snapshot:
     """Fill min_dist_sq and dist_class for every inner point.
 
-    Inner means |z| <= R - 1 (exact); other points stay "unknown".  A unit
-    spatial grid over the float coordinates prefilters neighbor candidates;
-    the minimum itself is chosen by exact comparison only.
-    """
-    pts_coords = [p.z.coords() for p in snapshot.points]
-    xs = [p.x for p in snapshot.points]
-    ys = [p.y for p in snapshot.points]
-    n = len(pts_coords)
+    Inner means |z| <= R - 1 (exact); other points stay "unknown", as does
+    an inner point that is the snapshot's only point.  min_dist_sq is the
+    exact squared distance to the nearest other point of this snapshot,
+    whatever the snapshot holds.  A repeated inner point raises ValueError.
 
-    if threads <= 1 or n < 64:
-        results = _classify_range((0, n, pts_coords, xs, ys,
-                                   snapshot.radius_sq, snapshot.window.w))
-    else:
-        step = -(-n // threads)
-        chunks = [(lo, min(lo + step, n), pts_coords, xs, ys,
-                   snapshot.radius_sq, snapshot.window.w)
-                  for lo in range(0, n, step)]
-        results = []
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(_classify_range, chunks):
-                results.extend(part)
-        results.sort(key=lambda r: r[0])
+    The displacement list holds every difference of two window members up
+    to length 1, so a scan from a window member, looking its neighbors up
+    in the snapshot, can miss only snapshot points outside the window.
+    Those are compared with every inner point directly; an inner point
+    outside the window, or one whose scan finds nothing, is compared with
+    the whole snapshot.
+    """
+    window = snapshot.window
+    radius_sq = snapshot.radius_sq
+    coords = [p.z.coords() for p in snapshot.points]
+    members = Counter(coords)
+    outside = {j for j, c in enumerate(coords) if not _in_window(c, window.w)}
+    loose = [coords[j] for j in sorted(outside)]
 
     new_points = []
     counts = {DIST_SHORT: 0, DIST_LONG: 0, DIST_OTHER: 0, DIST_UNKNOWN: 0}
-    for (i, pq, cls), rec in zip(results, snapshot.points):
-        mds = GoldenInt(*pq) if pq is not None else None
+    for i, (c, rec) in enumerate(zip(coords, snapshot.points)):
+        best = None
+        if is_inner(GoldenInt(*abs_sq_coords(*c)[0]), radius_sq):
+            if members[c] > 1:
+                raise ValueError(f"point {c} appears more than once in the snapshot")
+            found = None if i in outside else _scan(c, window, members.__contains__)
+            if found is None:
+                others = (o for j, o in enumerate(coords) if j != i)
+                best = _closest(c, others, None)
+            else:
+                best = _closest(c, loose, (found[0].p, found[0].q))
+        if best is None:
+            mds, cls = None, DIST_UNKNOWN
+        else:
+            mds = GoldenInt(*best)
+            cls = classify_distance(mds)
         new_points.append(replace(rec, min_dist_sq=mds, dist_class=cls))
         counts[cls] += 1
-    return Snapshot(snapshot.window, snapshot.radius_sq, new_points, counts)
+    return Snapshot(window, radius_sq, new_points, counts)
 
 
 def stats(snapshot: Snapshot) -> dict:

@@ -16,8 +16,8 @@ from .cyclotomic import (
     TENTH_ROOTS,
     abs_sq_coords,
     field_norm,
+    golden_cmp,
     golden_cmp_golden,
-    sqrt5_sign,
     LONG_DIST_SQ,
     SHORT_DIST_SQ,
 )
@@ -62,11 +62,6 @@ def _params(snapshot: Snapshot) -> dict:
     return {"radius_sq": str(snapshot.radius_sq), "window_sq": str(snapshot.window.w)}
 
 
-def _golden_lt_frac(p: int, q: int, r: Fraction) -> bool:
-    num, den = r.numerator, r.denominator
-    return sqrt5_sign(2 * den * p + den * q - 2 * num, den * q) < 0
-
-
 def _pair_dist_sq(ci, cj) -> tuple[int, int]:
     return abs_sq_coords(ci[0] - cj[0], ci[1] - cj[1],
                          ci[2] - cj[2], ci[3] - cj[3])[0]
@@ -87,6 +82,8 @@ def verify_separation(snapshot: Snapshot) -> VerificationReport:
     w = snapshot.window.w
     weak = Fraction(1, 16) / w
     strong = Fraction(1, 4) / w
+    weak_num, weak_den = weak.numerator, weak.denominator
+    strong_num, strong_den = strong.numerator, strong.denominator
     coords = [p.z.coords() for p in snapshot.points]
     n = len(coords)
     violations = []
@@ -98,10 +95,10 @@ def verify_separation(snapshot: Snapshot) -> VerificationReport:
         for j in range(i + 1, n):
             tested += 1
             p, q = _pair_dist_sq(ci, coords[j])
-            if _golden_lt_frac(p, q, weak):
+            if golden_cmp(p, q, weak_num, weak_den) < 0:
                 violations.append({"pair": [list(ci), list(coords[j])],
                                    "dist_sq": [p, q]})
-            if _golden_lt_frac(p, q, strong):
+            if golden_cmp(p, q, strong_num, strong_den) < 0:
                 strong_violations += 1
             if min_pq is None or golden_cmp_golden(GoldenInt(p, q), GoldenInt(*min_pq)) < 0:
                 min_pq = (p, q)
@@ -136,7 +133,6 @@ def verify_unit_lemma(snapshot: Snapshot) -> VerificationReport:
     _require_unit_window(snapshot, "unit lemma")
     coords = [p.z.coords() for p in snapshot.points]
     n = len(coords)
-    threshold = Fraction(5, 4)
     violations = []
     tested = 0
     close_pairs = 0
@@ -148,7 +144,7 @@ def verify_unit_lemma(snapshot: Snapshot) -> VerificationReport:
             p, q = _pair_dist_sq(ci, cj)
             norm = field_norm(CycInt(ci[0] - cj[0], ci[1] - cj[1],
                                      ci[2] - cj[2], ci[3] - cj[3]))
-            close = _golden_lt_frac(p, q, threshold)
+            close = golden_cmp(p, q, 5, 4) < 0
             if close:
                 close_pairs += 1
             if close and norm != 1:
@@ -230,9 +226,8 @@ def run_check(name: str, snapshot: Snapshot) -> VerificationReport:
 
 
 def verify_all(radius_sq: Fraction | int, window_sq: Fraction | int = 1,
-               checks: tuple[str, ...] = CHECK_NAMES,
-               threads: int = 1) -> list[VerificationReport]:
+               checks: tuple[str, ...] = CHECK_NAMES) -> list[VerificationReport]:
     """Enumerate, analyze, and run the selected checks."""
     snap = enumerate_points(Fraction(radius_sq), Window(Fraction(window_sq)))
-    snap = analyze(snap, threads=threads)
+    snap = analyze(snap)
     return [run_check(name, snap) for name in checks]

@@ -27,7 +27,7 @@ from pentaset.cyclotomic import (
     golden_cmp,
     quad_form,
 )
-from pentaset.io_render import RenderOptions, render_svg, snapshot_to_jsonl_bytes
+from pentaset.io_render import RenderOptions, render_svg
 from pentaset.modelset import (
     Window,
     analyze,
@@ -42,6 +42,8 @@ from pentaset.verify import (
     verify_two_distance,
     verify_unit_lemma,
 )
+
+from oracles import box_enumerate, snapshot_to_jsonl_bytes
 
 
 @contextmanager
@@ -121,8 +123,8 @@ def test_07_oracle_equivalence():
                   Fraction(49, 2), 25, 36)]
         for w in (Fraction(1), Fraction(1, 4), Fraction(4)):
             for r_sq in radii:
-                fast = enumerate_points(r_sq, Window(w), method="fast")
-                box = enumerate_points(r_sq, Window(w), method="box")
+                fast = enumerate_points(r_sq, Window(w))
+                box = box_enumerate(r_sq, Window(w))
                 assert snapshot_to_jsonl_bytes(fast) == snapshot_to_jsonl_bytes(box)
 
 
@@ -164,7 +166,7 @@ def test_09_randomized_arithmetic():
                 num, den = rng.randint(-10**9, 10**9), rng.randint(1, 10**6)
                 diff = p + q * phi - mpmath.mpf(num) / den
                 expected = 0 if diff == 0 else (1 if diff > 0 else -1)
-                assert golden_cmp(GoldenInt(p, q), Fraction(num, den)) == expected
+                assert golden_cmp(p, q, num, den) == expected
 
 
 def test_10_float_consistency():

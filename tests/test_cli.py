@@ -73,10 +73,8 @@ class TestAnalyze:
         assert code == EXIT_OK
         assert '"class":"short"' in out or '"class":"long"' in out
 
-    def test_threads_do_not_change_output(self, capsys):
-        _, a = run(capsys, "analyze", "--radius", "4")
-        _, b = run(capsys, "analyze", "--radius", "4", "--threads", "3")
-        assert a == b
+    def test_threads_option_is_gone(self):
+        assert run_cli(["analyze", "--radius", "4", "--threads", "2"]) == EXIT_USAGE
 
 
 class TestVerify:

@@ -181,17 +181,17 @@ big = st.integers(min_value=-10**9, max_value=10**9)
 
 class TestGoldenCmp:
     def test_below_one(self):
-        assert golden_cmp(GoldenInt(2, -1), 1) == -1
+        assert golden_cmp(2, -1, 1) == -1
 
     def test_equal(self):
-        assert golden_cmp(GoldenInt(1, 0), 1) == 0
+        assert golden_cmp(1, 0, 1) == 0
 
     def test_above_one(self):
-        assert golden_cmp(GoldenInt(1, 1), 1) == 1
+        assert golden_cmp(1, 1, 1) == 1
 
     @given(big, big, big, st.integers(min_value=1, max_value=10**6))
     def test_matches_high_precision_floats(self, p, q, num, den):
-        got = golden_cmp(GoldenInt(p, q), Fraction(num, den))
+        got = golden_cmp(p, q, num, den)
         with mpmath.workdps(60):
             diff = p + q * (1 + mpmath.sqrt(5)) / 2 - mpmath.mpf(num) / den
             expected = 0 if diff == 0 else (1 if diff > 0 else -1)

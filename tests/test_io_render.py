@@ -12,10 +12,11 @@ from pentaset.io_render import (
     SnapshotFormatError,
     read_snapshot,
     render_svg,
-    snapshot_to_jsonl_bytes,
     write_snapshot,
 )
 from pentaset.modelset import Window, analyze, enumerate_points
+
+from oracles import snapshot_to_jsonl_bytes
 
 
 def roundtrip(snapshot, fmt):

@@ -17,11 +17,13 @@ from pentaset.cyclotomic import (
     ZETA,
     abs_sq,
     abs_sq_coords,
+    embed_approx,
     galois_apply,
     golden_cmp,
     golden_cmp_golden,
 )
 from pentaset.modelset import (
+    PointRecord,
     Snapshot,
     Window,
     analyze,
@@ -33,6 +35,8 @@ from pentaset.modelset import (
     min_distance,
     stats,
 )
+
+from oracles import box_enumerate, nearest_in_snapshot
 
 
 def coord_list(snapshot):
@@ -83,8 +87,7 @@ class TestEnumerate:
                         if a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3 > 4:
                             continue
                         phys, intr = abs_sq_coords(a0, a1, a2, a3)
-                        if golden_cmp(GoldenInt(*phys), 1) <= 0 and \
-                           golden_cmp(GoldenInt(*intr), 1) <= 0:
+                        if golden_cmp(*phys, 1) <= 0 and golden_cmp(*intr, 1) <= 0:
                             found.add((a0, a1, a2, a3))
         assert found == set(coord_list(enumerate_points(1)))
 
@@ -94,9 +97,11 @@ class TestEnumerate:
 
     def test_exactness_of_both_constraints(self):
         snap = enumerate_points(Fraction(25, 2), Window(Fraction(1, 2)))
+        r, w = snap.radius_sq, snap.window.w
         for p in snap.points:
-            assert golden_cmp(p.abs_sq_physical, snap.radius_sq) <= 0
-            assert golden_cmp(p.abs_sq_internal, snap.window.w) <= 0
+            g, h = p.abs_sq_physical, p.abs_sq_internal
+            assert golden_cmp(g.p, g.q, r.numerator, r.denominator) <= 0
+            assert golden_cmp(h.p, h.q, w.numerator, w.denominator) <= 0
 
     @pytest.mark.parametrize("r_sq", [1, 4, Fraction(25, 4), 16])
     def test_symmetry_closure(self, r_sq):
@@ -110,8 +115,8 @@ class TestEnumerate:
     @pytest.mark.parametrize("w", [Fraction(1), Fraction(1, 4), Fraction(4)])
     @pytest.mark.parametrize("r_sq", [0, Fraction(7, 2), 9, 36])
     def test_box_and_fast_agree(self, r_sq, w):
-        fast = enumerate_points(r_sq, Window(w), method="fast")
-        box = enumerate_points(r_sq, Window(w), method="box")
+        fast = enumerate_points(r_sq, Window(w))
+        box = box_enumerate(r_sq, Window(w))
         assert coord_list(fast) == coord_list(box)
 
     def test_deterministic_order(self):
@@ -119,10 +124,6 @@ class TestEnumerate:
         b = coord_list(enumerate_points(9))
         assert a == b == sorted(a, key=lambda c: (sum(
             5 * x * x for x in c) - sum(c) ** 2, c))  # Q then lex, doubled Q is fine
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            enumerate_points(1, method="magic")
 
 
 class TestMinDistance:
@@ -169,7 +170,7 @@ class TestMinDistance:
 
     def test_displacements_sorted_and_nonzero(self):
         cands = displacement_candidates(Window())
-        assert all(not d.is_zero() for d, _ in cands)
+        assert all(d != (0, 0, 0, 0) for d, _ in cands)
         for (_, a), (_, b) in zip(cands, cands[1:]):
             assert golden_cmp_golden(a, b) <= 0
 
@@ -189,6 +190,45 @@ class TestClassify:
             classify_distance(GoldenInt(0, 0))
         with pytest.raises(ValueError):
             classify_distance(GoldenInt(-1, 0))
+
+
+def _record(z: CycInt) -> PointRecord:
+    phys, intr = abs_sq_coords(*z.coords())
+    e = embed_approx(z, "physical")
+    return PointRecord(z, GoldenInt(*phys), GoldenInt(*intr), e.real, e.imag)
+
+
+def _mutated():
+    # the first inner point other than the origin moved by eps, off the set
+    snap = enumerate_points(25)
+    pts = list(snap.points)
+    idx = next(i for i, p in enumerate(pts)
+               if not p.z.is_zero() and is_inner(p.abs_sq_physical, snap.radius_sq))
+    pts[idx] = _record(pts[idx].z + EPSILON)
+    return Snapshot(snap.window, snap.radius_sq, pts)
+
+
+def _missing_orbit():
+    snap = enumerate_points(25)
+    roots = {mu.coords() for mu in TENTH_ROOTS}
+    return Snapshot(snap.window, snap.radius_sq,
+                    [p for p in snap.points if p.z.coords() not in roots])
+
+
+def _stray():
+    # 1 + eps^3 lies outside the window, at distance eps^3 from 1
+    snap = enumerate_points(25)
+    return Snapshot(snap.window, snap.radius_sq,
+                    snap.points + [_record(ONE + EPSILON * EPSILON * EPSILON)])
+
+
+_ORACLE_SNAPSHOTS = {
+    "clean-unit": lambda: enumerate_points(25),
+    "clean-49/4": lambda: enumerate_points(9, Window(Fraction(49, 4))),
+    "mutated": _mutated,
+    "missing-orbit": _missing_orbit,
+    "stray": _stray,
+}
 
 
 class TestAnalyze:
@@ -213,11 +253,21 @@ class TestAnalyze:
                 d, _ = min_distance(p.z, window)
                 assert p.min_dist_sq == d
 
-    def test_thread_count_does_not_change_results(self):
-        base = analyze(enumerate_points(25), threads=1)
-        multi = analyze(enumerate_points(25), threads=3)
-        assert [(p.z.coords(), p.min_dist_sq, p.dist_class) for p in base.points] == \
-               [(p.z.coords(), p.min_dist_sq, p.dist_class) for p in multi.points]
+    @pytest.mark.parametrize("snapshot", [
+        "clean-unit", "clean-49/4", "mutated", "missing-orbit", "stray"])
+    def test_matches_brute_force_oracle(self, snapshot):
+        # the exact distance to the nearest other point of the snapshot,
+        # also where the snapshot is not a clean enumeration
+        snap = _ORACLE_SNAPSHOTS[snapshot]()
+        got = analyze(snap)
+        assert [(p.min_dist_sq, p.dist_class) for p in got.points] == \
+               nearest_in_snapshot(snap)
+
+    def test_repeated_inner_point_rejected(self):
+        snap = enumerate_points(25)
+        one = next(p for p in snap.points if p.z == ONE)
+        with pytest.raises(ValueError):
+            analyze(Snapshot(snap.window, snap.radius_sq, snap.points + [one]))
 
     def test_inner_margin(self):
         # a point is classified iff its unit neighborhood fits in the disc

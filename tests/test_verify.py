@@ -9,6 +9,7 @@ from pentaset.cyclotomic import (
     CycInt,
     EPSILON,
     GoldenInt,
+    TENTH_ROOTS,
     ZETA,
     abs_sq_coords,
     embed_approx,
@@ -142,6 +143,20 @@ class TestTwoDistance:
         pts[idx] = make_record(pts[idx].z + EPSILON)
         mutated = analyze(Snapshot(snap25.window, snap25.radius_sq, pts))
         assert not verify_two_distance(mutated).passed
+
+    def test_missing_orbit_fails(self, snap25):
+        # without the ten points +-zeta^k the origin's nearest neighbor in
+        # the snapshot is at distance phi, which is neither class
+        pts = [p for p in snap25.points
+               if p.z.coords() not in {mu.coords() for mu in TENTH_ROOTS}]
+        assert len(pts) == 91
+        holed = analyze(Snapshot(snap25.window, snap25.radius_sq, pts))
+        origin = next(p for p in holed.points if p.z.is_zero())
+        assert origin.min_dist_sq == GoldenInt(1, 1)
+        assert origin.dist_class == "other"
+        r = verify_two_distance(holed)
+        assert not r.passed
+        assert {"point": [0, 0, 0, 0], "min_dist_sq": [1, 1]} in r.violations
 
 
 class TestStepExistence:
