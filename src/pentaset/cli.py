@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import __version__
 from .io_render import RenderOptions, render_svg, write_snapshot
-from .modelset import Window, analyze, enumerate_points, stats
+from .modelset import SearchRangeError, Window, analyze, enumerate_points, stats
 from .verify import CHECK_NAMES, verify_all
 
 EXIT_OK = 0
@@ -72,6 +72,9 @@ def parse_config(argv) -> argparse.Namespace:
     parser = build_parser()
     ns = parser.parse_args(argv)
     if ns.radius_sq is None:
+        # check the sign before squaring hides it
+        if ns.radius < 0:
+            parser.error("radius must be nonnegative")
         ns.radius_sq = ns.radius * ns.radius
     if ns.radius_sq < 0:
         parser.error("radius must be nonnegative")
@@ -103,6 +106,9 @@ def run_cli(argv) -> int:
     except OSError as e:
         print(f"I/O error: {e}", file=sys.stderr)
         return EXIT_IO
+    except SearchRangeError as e:
+        print(f"pentaset: error: {e}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def _dispatch(cfg: argparse.Namespace) -> int:

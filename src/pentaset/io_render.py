@@ -78,6 +78,20 @@ def _rebuild_record(a, x, y, iabs, cls, lineno) -> PointRecord:
                        float(x), float(y), dist_class=cls)
 
 
+def _header_params(fields: dict) -> tuple[Fraction, Window]:
+    """R^2 and the window from a header's fields; every fault is a line-1 error."""
+    try:
+        radius_sq = Fraction(fields["radius_sq"])
+        window = Window(Fraction(fields["window_sq"]))
+    except KeyError as e:
+        raise SnapshotFormatError(f"line 1: header lacks {e}") from e
+    except (ValueError, TypeError, ZeroDivisionError) as e:
+        raise SnapshotFormatError(f"line 1: bad header value: {e}") from e
+    if radius_sq < 0:
+        raise SnapshotFormatError(f"line 1: radius_sq must be nonnegative, got {radius_sq}")
+    return radius_sq, window
+
+
 def read_snapshot(source) -> Snapshot:
     """Read a snapshot written by write_snapshot; the internal squared
     modulus of every record is recomputed and checked against the file."""
@@ -96,8 +110,7 @@ def _read_jsonl(first: str, source) -> Snapshot:
         raise SnapshotFormatError(f"line 1: bad header: {e}") from e
     if header.get("format") != "pentaset-snapshot":
         raise SnapshotFormatError("line 1: missing snapshot header")
-    radius_sq = Fraction(header["radius_sq"])
-    window = Window(Fraction(header["window_sq"]))
+    radius_sq, window = _header_params(header)
     points = []
     for lineno, line in enumerate(source, start=2):
         if not line.strip():
@@ -115,8 +128,7 @@ def _read_csv(first: str, source) -> Snapshot:
     head = next(csv.reader([first]))
     if len(head) < 4 or head[0] != "radius_sq" or head[2] != "window_sq":
         raise SnapshotFormatError("line 1: missing snapshot header")
-    radius_sq = Fraction(head[1])
-    window = Window(Fraction(head[3]))
+    radius_sq, window = _header_params({"radius_sq": head[1], "window_sq": head[3]})
     rows = csv.reader(source)
     columns = next(rows, None)
     if columns != CSV_COLUMNS:

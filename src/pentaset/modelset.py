@@ -1,9 +1,9 @@
 """Enumeration and nearest-neighbor analysis of the cut-and-project set.
 
 The point set is S = {z in Z[zeta_5] : |sigma(z)|^2 <= w} intersected with a
-physical disc |z|^2 <= R^2; both constraints are tested exactly.  The key
-bound is Q(a) = |z|^2 + |sigma(z)|^2, a positive definite integer quadratic
-form, which confines the search to finitely many coordinate vectors.
+physical disc |z|^2 <= R^2; both constraints are tested exactly.  The
+search runs over the ellipsoid |z|^2/R^2 + |sigma(z)|^2/w <= 2, which holds
+every member and about twice as many lattice vectors as there are members.
 """
 
 from __future__ import annotations
@@ -90,51 +90,102 @@ def _make_record(coords: Coords,
     return PointRecord(z, GoldenInt(*phys), GoldenInt(*intr), e.real, e.imag)
 
 
-def _form_bounded_vectors(cb: int):
-    """Yield all integer vectors a with Q(a) <= cb.
+# Every member has F(a) = |z|^2/R^2 + |sigma(z)|^2/w <= 2.  Fincke-Pohst
+# search (Math. Comp. 44, 1985) writes F(a) = sum_i d_i (a_i - c_i)^2, the
+# centre c_i linear in a_{i+1}..a_3, and fixes a_3, ..., a_0 in turn within
+# the interval the partial sum leaves.  The ellipsoid has twice the volume
+# of disc x window, so it yields about 2n vectors for n members; the exact
+# filter in _members decides membership.
+#
+# Completeness: floats only widen the search.  The form that the float Gram
+# matrix G and its LDL^T factors represent, evaluated in floats, is within
+# C*u*(sum_j |y_j| sqrt(G_jj))^2 of F(y) at every real y, u = 2^-53, C < 100
+# (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.3).  With
+# G_jj = 1/R^2 + 1/w and G >= min(1/R^2, 1/w)/2 (|z|^2 + |sigma z|^2 has
+# eigenvalues 1/2 and 5/2) that is at most 8*C*u*(1 + rho)*F(y),
+# rho = max(R^2/w, w/R^2), below 1e-7 * F(y) for rho <= 10^6.  A partial sum
+# is the minimum of the form over the coordinates not yet fixed, so for a
+# member it is computed below 2*(1 + 1e-7) < 2*(1 + _SLACK) and is never
+# pruned.  For R^2, w <= 10^12 coordinates stay below 10^7, so rounding the
+# interval ends errs far less than the unit each end is widened by.  Outside
+# that range the search raises SearchRangeError rather than risk a miss.
+_SLACK = 1e-6
+_MAX_RATIO = 10 ** 6
+_MAX_SQ = 10 ** 12
+_COS1, _COS2 = math.cos(2 * math.pi / 5), math.cos(4 * math.pi / 5)
 
-    Layered search: for fixed (a1, a2, a3), Q is a quadratic in a0 whose
-    real root interval is computed with integer square roots (padded by one
-    and re-checked exactly).
-    """
-    if cb < 0:
+
+class SearchRangeError(ValueError):
+    """R^2 and w outside the range the enumeration is proven complete for."""
+
+
+def _ellipsoid_vectors(radius_sq: Fraction, w: Fraction):
+    """Yield every integer vector a with F(a) <= 2, a superset of the
+    members at (radius_sq, w), and few others."""
+    if radius_sq * w < 1:
+        # a nonzero z has |z|^2 |sigma z|^2 = N(z) >= 1; this covers R^2 = 0,
+        # where G is singular
+        yield (0, 0, 0, 0)
         return
-    m = math.isqrt(2 * cb)  # smallest eigenvalue of the Gram matrix is 1/2
-    for a1 in range(-m, m + 1):
-        for a2 in range(-m, m + 1):
-            for a3 in range(-m, m + 1):
-                t = a1 + a2 + a3
-                big_t = a1 * a1 + a2 * a2 + a3 * a3
-                # Q <= cb  <=>  4*a0^2 - 2*t*a0 + (5T - t^2 - 2cb) <= 0
-                disc = 5 * t * t - 20 * big_t + 8 * cb
-                if disc < 0:
-                    continue
-                s = math.isqrt(disc)
-                lo = -((s - t) // 4) - 1
-                hi = (t + s) // 4 + 1
-                for a0 in range(lo, hi + 1):
-                    if quad_form(a0, a1, a2, a3) <= cb:
-                        yield (a0, a1, a2, a3)
+    if not (radius_sq <= _MAX_RATIO * w and w <= _MAX_RATIO * radius_sq
+            and radius_sq <= _MAX_SQ and w <= _MAX_SQ):
+        raise SearchRangeError(
+            f"R^2 = {radius_sq}, w = {w} is outside the range the enumeration is "
+            f"proven complete for (R^2/w and w/R^2 <= {_MAX_RATIO}, R^2 and w <= {_MAX_SQ})")
+    r, s = 1 / float(radius_sq), 1 / float(w)
+    # G_jk = cos(2 pi k/5)/R^2 + cos(4 pi k/5)/w at lag k = |j - k|; lags 2, 3 agree
+    lag = (r + s, _COS1 * r + _COS2 * s, _COS2 * r + _COS1 * s)
+    g = [[lag[min(abs(j - k), 2)] for k in range(4)] for j in range(4)]
+    # LDL^T: F(a) = sum_i d[i] * (a_i + sum_{j>i} m[i][j] a_j)^2
+    d, m = [], []
+    for i in range(4):
+        d.append(g[i][i])
+        m.append([gij / g[i][i] for gij in g[i]])
+        for j in range(i + 1, 4):
+            for k in range(i + 1, 4):
+                g[j][k] -= g[i][j] * m[i][k]
+    bound = 2 * (1 + _SLACK)
+    a = [0, 0, 0, 0]
+
+    def search(i, t):
+        c = -sum(m[i][j] * a[j] for j in range(i + 1, 4))
+        h = math.sqrt((bound - t) / d[i])
+        for ai in range(math.ceil(c - h) - 1, math.floor(c + h) + 2):
+            ti = t + d[i] * (ai - c) ** 2
+            if ti <= bound:
+                a[i] = ai
+                if i:
+                    yield from search(i - 1, ti)
+                else:
+                    yield tuple(a)
+
+    yield from search(3, 0.0)
+
+
+def _members(radius_sq: Fraction, w: Fraction):
+    """(coords, |z|^2, |sigma z|^2) of every z with |z|^2 <= radius_sq and
+    |sigma(z)|^2 <= w, decided exactly; squared moduli are (p, q) pairs."""
+    rn, rd = radius_sq.numerator, radius_sq.denominator
+    wn, wd = w.numerator, w.denominator
+    for coords in _ellipsoid_vectors(radius_sq, w):
+        phys, intr = abs_sq_coords(*coords)
+        if golden_cmp(phys[0], phys[1], rn, rd) <= 0 and \
+           golden_cmp(intr[0], intr[1], wn, wd) <= 0:
+            yield coords, phys, intr
 
 
 def enumerate_points(radius_sq: Fraction | int, window: Window | None = None) -> Snapshot:
-    """All z with |z|^2 <= radius_sq and |sigma(z)|^2 <= w, exactly.
+    """All z with |z|^2 <= radius_sq and |sigma(z)|^2 <= w, exactly, in
+    canonical order (Q(a) = |z|^2 + |sigma(z)|^2, then coordinates).
 
-    The quadratic form Q prunes the search layer by layer; every candidate
-    is then filtered exactly.
+    Raises ValueError for a negative radius_sq, and SearchRangeError for R^2
+    and w outside the range the search is proven complete for.
     """
     window = window or Window()
     radius_sq = Fraction(radius_sq)
     if radius_sq < 0:
         raise ValueError(f"radius_sq must be nonnegative, got {radius_sq}")
-    rn, rd = radius_sq.numerator, radius_sq.denominator
-    wn, wd = window.w.numerator, window.w.denominator
-    records = []
-    for coords in _form_bounded_vectors(math.floor(radius_sq + window.w)):
-        phys, intr = abs_sq_coords(*coords)
-        if golden_cmp(phys[0], phys[1], rn, rd) <= 0 and \
-           golden_cmp(intr[0], intr[1], wn, wd) <= 0:
-            records.append(_make_record(coords, phys, intr))
+    records = [_make_record(*m) for m in _members(radius_sq, window.w)]
     records.sort(key=lambda p: (quad_form(*p.z.coords()), p.z.coords()))
     return Snapshot(window, radius_sq, records)
 
@@ -146,24 +197,18 @@ def displacement_candidates(window: Window) -> list[tuple[Coords, GoldenInt]]:
     """All nonzero d, as coordinate tuples with |d|^2, that can separate two
     window members at distance <= 1.
 
-    Both endpoints in the window force |sigma(d)|^2 <= 4w, and the nearest
-    neighbor is at distance <= 1, so Q(d) <= 1 + 4w confines the search;
-    the list is finite because model sets have finite local complexity.
-    Sorted by exact squared length, then lexicographic coordinates, so a
-    scan hits the minimal candidate first.
+    Both endpoints in the window force |sigma(d)|^2 <= 4w, so these are the
+    points of the set at R^2 = 1 with window 4w, minus 0; the list is finite
+    because model sets have finite local complexity.  Sorted by exact
+    squared length, then lexicographic coordinates, so a scan hits the
+    minimal candidate first.
     """
     cached = _DISPLACEMENT_CACHE.get(window.w)
     if cached is not None:
         return cached
-    diam_sq = window.diam_sq
-    out = []
-    for coords in _form_bounded_vectors(math.floor(1 + diam_sq)):
-        if coords == (0, 0, 0, 0):
-            continue
-        phys, intr = abs_sq_coords(*coords)
-        if golden_cmp(phys[0], phys[1], 1) <= 0 and \
-           golden_cmp(intr[0], intr[1], diam_sq.numerator, diam_sq.denominator) <= 0:
-            out.append((coords, GoldenInt(*phys)))
+    out = [(coords, GoldenInt(*phys))
+           for coords, phys, _ in _members(Fraction(1), window.diam_sq)
+           if coords != (0, 0, 0, 0)]
 
     def cmp(a, b):
         return golden_cmp_golden(a[1], b[1]) or (-1 if a[0] < b[0] else 1)
@@ -207,19 +252,27 @@ def classify_distance(d_sq: GoldenInt) -> str:
 
 
 def is_inner(abs_sq_physical: GoldenInt, radius_sq: Fraction) -> bool:
-    """Exact test |z| <= R - 1, i.e. the unit neighborhood of z fits in the disc.
+    """Exact test |z| <= R - 1, i.e. the unit neighborhood of z fits in the disc."""
+    radius_sq = Fraction(radius_sq)
+    return _is_inner(abs_sq_physical.p, abs_sq_physical.q,
+                     radius_sq.numerator, radius_sq.denominator)
 
-    Squared twice to stay rational: |z| + 1 <= R iff R^2 - 1 - |z|^2 >= 0
-    and 4|z|^2 <= (R^2 - 1 - |z|^2)^2.
+
+def _is_inner(p: int, q: int, rn: int, rd: int) -> bool:
+    """is_inner for |z|^2 = p + q*phi and R^2 = rn/rd (rd > 0), in ints.
+
+    Squared twice to stay rational: |z| + 1 <= R iff h = R^2 - 1 - |z|^2 >= 0
+    and 4|z|^2 <= h^2; both sides are scaled by rd (rd^2) to clear R^2's
+    denominator.
     """
-    g = abs_sq_physical
-    hp = Fraction(radius_sq) - 1 - g.p
-    hq = Fraction(-g.q)
+    hp = rn - rd - rd * p
+    hq = -rd * q
     if sqrt5_sign(2 * hp + hq, hq) < 0:
         return False
-    # h^2 in (p, q) form, minus 4g
-    sp = hp * hp + hq * hq - 4 * g.p
-    sq = 2 * hp * hq + hq * hq - 4 * g.q
+    # (rd*h)^2 - 4 rd^2 |z|^2 in (p, q) form
+    r4 = 4 * rd * rd
+    sp = hp * hp + hq * hq - r4 * p
+    sq = 2 * hp * hq + hq * hq - r4 * q
     return sqrt5_sign(2 * sp + sq, sq) >= 0
 
 
@@ -251,6 +304,7 @@ def analyze(snapshot: Snapshot) -> Snapshot:
     """
     window = snapshot.window
     radius_sq = snapshot.radius_sq
+    rn, rd = radius_sq.numerator, radius_sq.denominator
     coords = [p.z.coords() for p in snapshot.points]
     members = Counter(coords)
     outside = {j for j, c in enumerate(coords) if not _in_window(c, window.w)}
@@ -260,7 +314,7 @@ def analyze(snapshot: Snapshot) -> Snapshot:
     counts = {DIST_SHORT: 0, DIST_LONG: 0, DIST_OTHER: 0, DIST_UNKNOWN: 0}
     for i, (c, rec) in enumerate(zip(coords, snapshot.points)):
         best = None
-        if is_inner(GoldenInt(*abs_sq_coords(*c)[0]), radius_sq):
+        if _is_inner(*abs_sq_coords(*c)[0], rn, rd):
             if members[c] > 1:
                 raise ValueError(f"point {c} appears more than once in the snapshot")
             found = None if i in outside else _scan(c, window, members.__contains__)

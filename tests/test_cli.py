@@ -40,6 +40,19 @@ class TestParsing:
     def test_nonpositive_window_is_usage_error(self):
         assert run_cli(["generate", "--radius", "1", "--window-sq", "0"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("flag", ["--radius", "--radius-sq"])
+    def test_negative_radius_is_usage_error(self, capsys, flag):
+        code = run_cli(["stats", flag, "-2"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert "radius must be nonnegative" in captured.err
+
+    def test_parameters_outside_proven_range_are_usage_error(self, capsys):
+        code = run_cli(["generate", "--radius-sq", "1", "--window-sq", "10000000"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert "proven complete" in captured.err
+
 
 class TestGenerate:
     def test_eleven_records(self, capsys):

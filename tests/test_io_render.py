@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from pentaset.io_render import (
+    CSV_COLUMNS,
     RenderOptions,
     SnapshotFormatError,
     read_snapshot,
@@ -76,6 +77,18 @@ class TestValidation:
     def test_missing_header_rejected(self):
         with pytest.raises(SnapshotFormatError):
             read_snapshot(io.StringIO('{"a":[0,0,0,0]}\n'))
+
+    @pytest.mark.parametrize("header", [
+        '{"format":"pentaset-snapshot","window_sq":"1","version":"0"}',
+        '{"format":"pentaset-snapshot","radius_sq":"x","window_sq":"1"}',
+        '{"format":"pentaset-snapshot","radius_sq":"1","window_sq":"0"}',
+        '{"format":"pentaset-snapshot","radius_sq":"-1","window_sq":"1"}',
+        'radius_sq,zz,window_sq,1,version,0\n' + ",".join(CSV_COLUMNS),
+    ], ids=["jsonl-no-radius", "jsonl-bad-radius", "jsonl-zero-window",
+            "jsonl-negative-radius", "csv-bad-radius"])
+    def test_bad_header_is_line_one_error(self, header):
+        with pytest.raises(SnapshotFormatError, match="^line 1: "):
+            read_snapshot(io.StringIO(header + "\n"))
 
     def test_tampered_iabs_rejected(self, snap4):
         buf = io.StringIO()

@@ -10,6 +10,7 @@ import hypothesis.strategies as st
 from pentaset.cyclotomic import (
     CycInt,
     EPSILON,
+    EPSILON_INV,
     GoldenInt,
     ONE,
     TENTH_ROOTS,
@@ -35,6 +36,7 @@ from pentaset.modelset import (
     min_distance,
     stats,
 )
+from pentaset.modelset import SearchRangeError, _ellipsoid_vectors
 
 from oracles import box_enumerate, nearest_in_snapshot
 
@@ -112,12 +114,56 @@ class TestEnumerate:
                 assert (mu * z).coords() in members
             assert galois_apply(z, 4).coords() in members
 
-    @pytest.mark.parametrize("w", [Fraction(1), Fraction(1, 4), Fraction(4)])
-    @pytest.mark.parametrize("r_sq", [0, Fraction(7, 2), 9, 36])
+    # windows 1 and 49/4 have members on the window boundary
+    @pytest.mark.parametrize("w", [Fraction(1), Fraction(1, 4), Fraction(4),
+                                   Fraction(49, 4), Fraction(1, 3)])
+    @pytest.mark.parametrize("r_sq", [0, Fraction(7, 2), 9, 36, Fraction(1, 1000)])
     def test_box_and_fast_agree(self, r_sq, w):
         fast = enumerate_points(r_sq, Window(w))
         box = box_enumerate(r_sq, Window(w))
         assert coord_list(fast) == coord_list(box)
+
+    @given(st.fractions(0, 12, max_denominator=12),
+           st.fractions(Fraction(1, 12), 5, max_denominator=12))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_box_oracle_on_rational_parameters(self, r_sq, w):
+        assert coord_list(enumerate_points(r_sq, Window(w))) == \
+               coord_list(box_enumerate(r_sq, Window(w)))
+
+    def test_search_is_output_sensitive(self):
+        # the ellipsoid F <= 2 has twice the volume of disc x window
+        n = len(enumerate_points(1600).points)
+        visited = sum(1 for _ in _ellipsoid_vectors(Fraction(1600), Fraction(1)))
+        assert n == 5641
+        assert visited <= 2.5 * n + 100
+
+    def test_count_matches_density_at_radius_80(self):
+        # density 4*pi*w/sqrt(125) (Baake-Grimm, Aperiodic Order 1, ch. 7)
+        n = len(enumerate_points(6400).points)
+        assert n == pytest.approx(4 * math.pi / math.sqrt(125) * math.pi * 6400, rel=0.02)
+
+    @pytest.mark.parametrize("r_sq, w", [(Fraction(1, 10 ** 9), 1),
+                                         (Fraction(999, 1000), 1), (3, Fraction(1, 4))])
+    def test_below_unit_norm_only_origin(self, r_sq, w):
+        # a nonzero z has |z|^2 |sigma z|^2 = N(z) >= 1, so R^2 w < 1 leaves 0
+        assert coord_list(enumerate_points(r_sq, Window(w))) == [(0, 0, 0, 0)]
+
+    @pytest.mark.parametrize("r_sq, w", [(10 ** 7, 1), (1, 10 ** 7), (10 ** 13, 10 ** 12)])
+    def test_outside_proven_range_rejected(self, r_sq, w):
+        with pytest.raises(SearchRangeError, match="proven complete"):
+            enumerate_points(r_sq, Window(w))
+
+    def test_unit_scaling_maps_into_larger_disc(self):
+        # eps^-1 scales physical space by phi and internal space by 1/phi,
+        # so eps^-1 * S(R) lies in S(R') for R'^2 >= phi^2 R^2
+        r_sq, r2_sq = 20, 53  # phi^2 * 20 = 52.36...
+        larger = set(coord_list(enumerate_points(r2_sq)))
+        for c in coord_list(enumerate_points(r_sq)):
+            img = EPSILON_INV * CycInt(*c)
+            g = abs_sq(img, "physical")
+            # |eps^-1 z|^2 <= phi^2 R^2 = R^2 + R^2 phi, exactly
+            assert golden_cmp(g.p - r_sq, g.q - r_sq, 0) <= 0
+            assert img.coords() in larger
 
     def test_deterministic_order(self):
         a = coord_list(enumerate_points(9))
@@ -167,6 +213,14 @@ class TestMinDistance:
                     best = d
             got, _ = min_distance(z, window)
             assert got == best
+
+    def test_unit_window_displacements(self):
+        # the ten short steps +-zeta^k eps, then the ten long steps +-zeta^k
+        cands = displacement_candidates(Window())
+        assert [d for d, _ in cands] == \
+            sorted((mu * EPSILON).coords() for mu in TENTH_ROOTS) + \
+            sorted(mu.coords() for mu in TENTH_ROOTS)
+        assert [g for _, g in cands] == [GoldenInt(2, -1)] * 10 + [GoldenInt(1, 0)] * 10
 
     def test_displacements_sorted_and_nonzero(self):
         cands = displacement_candidates(Window())
@@ -276,14 +330,14 @@ class TestAnalyze:
             assert (p.dist_class != "unknown") == is_inner(p.abs_sq_physical,
                                                            snap.radius_sq)
 
-    @given(st.integers(0, 20), st.integers(0, 10))
-    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 20), st.fractions(0, 10, max_denominator=16))
+    @settings(max_examples=80, deadline=None)
     def test_is_inner_matches_floats(self, g_p, r_sq):
         # pure integer golden values stay far from the boundary cases
         g = GoldenInt(g_p, 0)
         expected = math.sqrt(g_p) <= math.sqrt(r_sq) - 1
         if abs(math.sqrt(g_p) - (math.sqrt(r_sq) - 1)) > 1e-9:
-            assert is_inner(g, Fraction(r_sq)) == expected
+            assert is_inner(g, r_sq) == expected
 
 
 class TestStats:

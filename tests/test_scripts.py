@@ -1,11 +1,14 @@
 """The runnable scripts under scripts/, run as a user would run them."""
 
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from pentaset.modelset import analyze, enumerate_points, stats
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -19,3 +22,22 @@ def test_reproduce_figure_squares_the_radius_exactly(tmp_path, radius, points):
         capture_output=True, text=True, env=env, check=True, timeout=60)
     assert proc.stdout.strip() == f"wrote {out} with {points} points"
     assert out.read_text().count('class="pt-') == points
+
+
+def test_distance_census_rows_match_the_package():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "distance_census.py"), "6"],
+        capture_output=True, text=True, env=env, check=True, timeout=60)
+    lines = proc.stdout.splitlines()
+    rows = [line.split() for line in lines[1:-1]]
+    assert [int(row[0]) for row in rows] == [2, 4, 6]
+    for r, count, short, long_, ratio, density in rows:
+        summary = stats(analyze(enumerate_points(int(r) ** 2)))
+        assert int(count) == summary["count"]
+        assert int(count) % 10 == 1  # the origin plus orbits of the ten roots of unity
+        assert (int(short), int(long_)) == (summary["classes"]["short"],
+                                            summary["classes"]["long"])
+        assert ratio == f"{summary['short_long_ratio']:.3f}"
+        assert density == f"{summary['density']:.4f}"
+    assert lines[-1] == f"model-set density limit: {4 * math.pi / math.sqrt(125):.4f}"
