@@ -227,6 +227,14 @@ def field_norm(z: CycInt) -> int:
     return w.a0
 
 
+def norm_coords(a0: int, a1: int, a2: int, a3: int) -> int:
+    """field_norm in closed form, |z|^2 * |sigma(z)|^2 from abs_sq_coords."""
+    (p, q), (r, s) = abs_sq_coords(a0, a1, a2, a3)
+    if p * s + q * r + q * s:
+        raise ArithmeticConsistencyError(f"norm of {(a0, a1, a2, a3)} is not rational")
+    return p * r + q * s
+
+
 def is_unit(z: CycInt) -> bool:
     return field_norm(z) == 1
 

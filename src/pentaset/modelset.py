@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -328,7 +328,8 @@ def analyze(snapshot: Snapshot) -> Snapshot:
         else:
             mds = GoldenInt(*best)
             cls = classify_distance(mds)
-        new_points.append(replace(rec, min_dist_sq=mds, dist_class=cls))
+        new_points.append(PointRecord(rec.z, rec.abs_sq_physical, rec.abs_sq_internal,
+                                      rec.x, rec.y, mds, cls))
         counts[cls] += 1
     return Snapshot(window, radius_sq, new_points, counts)
 

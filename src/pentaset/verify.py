@@ -2,22 +2,21 @@
 
 Every accept/reject decision is exact integer arithmetic; floats only appear
 as annotations in report details.  Reports serialize to a stable JSON shape.
+The pair checks' tested_count is the n(n-1)/2 pairs their verdict covers.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cyclotomic import (
-    CycInt,
-    GoldenInt,
     TENTH_ROOTS,
     abs_sq_coords,
-    field_norm,
     golden_cmp,
-    golden_cmp_golden,
+    norm_coords,
     LONG_DIST_SQ,
     SHORT_DIST_SQ,
 )
@@ -27,8 +26,10 @@ from .modelset import (
     DIST_SHORT,
     Snapshot,
     Window,
+    _in_window,
+    _members,
     analyze,
-    contains,
+    displacement_candidates,
     enumerate_points,
 )
 
@@ -62,14 +63,33 @@ def _params(snapshot: Snapshot) -> dict:
     return {"radius_sq": str(snapshot.radius_sq), "window_sq": str(snapshot.window.w)}
 
 
-def _pair_dist_sq(ci, cj) -> tuple[int, int]:
-    return abs_sq_coords(ci[0] - cj[0], ci[1] - cj[1],
-                         ci[2] - cj[2], ci[3] - cj[3])[0]
-
-
 def _require_unit_window(snapshot: Snapshot, check: str) -> None:
     if snapshot.window.w != 1:
         raise ValueError(f"{check} applies only to the unit window, got w = {snapshot.window.w}")
+
+
+def _pairs(snapshot: Snapshot, ds):
+    """n, and ([c_i, c_j], c_j - c_i, |c_j - c_i|^2) in (i, j) order for each
+    pair i < j that has a bad point (outside the disc or the window, or
+    repeated) or whose difference is in ds; for every pair when ds is None.
+    Two good points differ by a d with |d|^2 <= 4R^2 and |sigma(d)|^2 <= 4w,
+    so a finite list of d, looked up from every good point, finds them."""
+    coords = [p.z.coords() for p in snapshot.points]
+    rn, rd = snapshot.radius_sq.numerator, snapshot.radius_sq.denominator
+    counts = Counter(coords)
+    good = {c: i for i, c in enumerate(coords)
+            if ds is not None and counts[c] == 1 and _in_window(c, snapshot.window.w)
+            and golden_cmp(*abs_sq_coords(*c)[0], rn, rd) <= 0}
+    bad = [i for i, c in enumerate(coords) if c not in good]
+    pairs = {(min(b, j), max(b, j)) for b in bad for j in range(len(coords)) if j != b}
+    rows = [(i, j, tuple(y - x for x, y in zip(coords[i], coords[j]))) for i, j in pairs]
+    for d0, d1, d2, d3 in ds or ():
+        for (a0, a1, a2, a3), i in good.items():
+            j = good.get((a0 + d0, a1 + d1, a2 + d2, a3 + d3))
+            if j is not None and i < j:
+                rows.append((i, j, (d0, d1, d2, d3)))
+    return len(coords), [([list(coords[i]), list(coords[j])], d, abs_sq_coords(*d)[0])
+                         for i, j, d in sorted(rows)]
 
 
 def verify_separation(snapshot: Snapshot) -> VerificationReport:
@@ -78,32 +98,29 @@ def verify_separation(snapshot: Snapshot) -> VerificationReport:
     The stated constant gives |dz|^2 >= 1/(16w); the norm argument in the
     proof actually supports the stronger 1/(4w), which is tracked separately
     in the details rather than enforced.
+
+    Good pairs come from the displacement list (differences of window members
+    up to length 1); when 1/(4w) > 1 or no pair lies within distance 1 (a
+    tiny or sparse snapshot), every pair is compared instead.
     """
     w = snapshot.window.w
     weak = Fraction(1, 16) / w
     strong = Fraction(1, 4) / w
-    weak_num, weak_den = weak.numerator, weak.denominator
-    strong_num, strong_den = strong.numerator, strong.denominator
-    coords = [p.z.coords() for p in snapshot.points]
-    n = len(coords)
+    n, rows = _pairs(snapshot, [d for d, _ in displacement_candidates(snapshot.window)])
+    if strong > 1 or all(golden_cmp(*dsq, 1) > 0 for *_, dsq in rows):
+        n, rows = _pairs(snapshot, None)
     violations = []
     strong_violations = 0
     min_pq = None
-    tested = 0
-    for i in range(n):
-        ci = coords[i]
-        for j in range(i + 1, n):
-            tested += 1
-            p, q = _pair_dist_sq(ci, coords[j])
-            if golden_cmp(p, q, weak_num, weak_den) < 0:
-                violations.append({"pair": [list(ci), list(coords[j])],
-                                   "dist_sq": [p, q]})
-            if golden_cmp(p, q, strong_num, strong_den) < 0:
-                strong_violations += 1
-            if min_pq is None or golden_cmp_golden(GoldenInt(p, q), GoldenInt(*min_pq)) < 0:
-                min_pq = (p, q)
+    for pair, _, (p, q) in rows:
+        if golden_cmp(p, q, weak.numerator, weak.denominator) < 0:
+            violations.append({"pair": pair, "dist_sq": [p, q]})
+        if golden_cmp(p, q, strong.numerator, strong.denominator) < 0:
+            strong_violations += 1
+        if min_pq is None or golden_cmp(p - min_pq[0], q - min_pq[1], 0) < 0:
+            min_pq = (p, q)
     return VerificationReport(
-        "separation", not violations, tested, violations, _params(snapshot),
+        "separation", not violations, n * (n - 1) // 2, violations, _params(snapshot),
         details={
             "stated_constant_sq": str(weak),
             "proof_constant_sq": str(strong),
@@ -118,43 +135,42 @@ def verify_rotation(snapshot: Snapshot) -> VerificationReport:
     violations = []
     tested = 0
     for c in sorted(members):
-        z = CycInt(*c)
-        for m, mult in enumerate(TENTH_ROOTS):
-            tested += 1
-            if (mult * z).coords() not in members:
-                violations.append({"point": list(c), "multiplier_index": m})
+        t = c
+        for k in range(5):  # t = zeta^k * c; multiplier 2k is zeta^k, 2k + 1 is -zeta^k
+            a0, a1, a2, a3 = t
+            for m, u in ((2 * k, t), (2 * k + 1, (-a0, -a1, -a2, -a3))):
+                tested += 1
+                if u not in members:
+                    violations.append({"point": list(c), "multiplier_index": m})
+            t = (-a3, a0 - a3, a1 - a3, a2 - a3)
     return VerificationReport("rotation", not violations, tested,
                               violations, _params(snapshot))
 
 
 def verify_unit_lemma(snapshot: Snapshot) -> VerificationReport:
     """Pairs closer than sqrt(5)/2 differ by a unit; non-unit differences
-    have norm at least 5 (norms 2, 3, 4 never occur)."""
+    have norm at least 5 (norms 2, 3, 4 never occur).
+
+    Good pairs are looked up along the difference window, |d|^2 <= 4R^2 and
+    |sigma(d)|^2 <= 4, for the d that are close or have norm 2, 3 or 4.
+    """
     _require_unit_window(snapshot, "unit lemma")
-    coords = [p.z.coords() for p in snapshot.points]
-    n = len(coords)
+    n, rows = _pairs(snapshot, [
+        d for d, dsq, _ in _members(4 * snapshot.radius_sq, Fraction(4))
+        if golden_cmp(*dsq, 5, 4) < 0 or norm_coords(*d) in (2, 3, 4)])
     violations = []
-    tested = 0
     close_pairs = 0
-    for i in range(n):
-        ci = coords[i]
-        for j in range(i + 1, n):
-            tested += 1
-            cj = coords[j]
-            p, q = _pair_dist_sq(ci, cj)
-            norm = field_norm(CycInt(ci[0] - cj[0], ci[1] - cj[1],
-                                     ci[2] - cj[2], ci[3] - cj[3]))
-            close = golden_cmp(p, q, 5, 4) < 0
-            if close:
-                close_pairs += 1
-            if close and norm != 1:
-                violations.append({"pair": [list(ci), list(cj)],
-                                   "dist_sq": [p, q], "norm": norm,
-                                   "clause": "close-pair-not-unit"})
-            elif norm in (2, 3, 4):
-                violations.append({"pair": [list(ci), list(cj)],
-                                   "norm": norm, "clause": "norm-gap"})
-    return VerificationReport("unit-lemma", not violations, tested,
+    for pair, d, (p, q) in rows:
+        norm = norm_coords(*d)
+        close = golden_cmp(p, q, 5, 4) < 0
+        if close:
+            close_pairs += 1
+        if close and norm != 1:
+            violations.append({"pair": pair, "dist_sq": [p, q], "norm": norm,
+                               "clause": "close-pair-not-unit"})
+        elif norm in (2, 3, 4):
+            violations.append({"pair": pair, "norm": norm, "clause": "norm-gap"})
+    return VerificationReport("unit-lemma", not violations, n * (n - 1) // 2,
                               violations, _params(snapshot),
                               details={"close_pairs": close_pairs})
 
@@ -196,8 +212,10 @@ def verify_step_existence(snapshot: Snapshot) -> VerificationReport:
     tested = 0
     for p in snapshot.points:
         tested += 1
-        if not any(contains(p.z + mu, snapshot.window) for mu in TENTH_ROOTS):
-            violations.append({"point": list(p.z.coords())})
+        c = p.z.coords()
+        if not any(_in_window(tuple(a + m for a, m in zip(c, mu.coords())), snapshot.window.w)
+                   for mu in TENTH_ROOTS):
+            violations.append({"point": list(c)})
     return VerificationReport("step-existence", not violations, tested,
                               violations, _params(snapshot))
 

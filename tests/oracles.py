@@ -1,7 +1,8 @@
 """Brute-force reference implementations that the tests compare against.
 
 They share no search logic with the package: enumeration scans the whole
-coordinate box, and nearest-neighbor distances come from every pair.
+coordinate box, and nearest-neighbor distances, separation and the unit
+lemma come from every pair, with field norms by ring multiplication.
 """
 
 from __future__ import annotations
@@ -10,7 +11,16 @@ import io
 import math
 from fractions import Fraction
 
-from pentaset.cyclotomic import CycInt, GoldenInt, abs_sq_coords, embed_approx, golden_cmp, quad_form
+from pentaset.cyclotomic import (
+    CycInt,
+    GoldenInt,
+    abs_sq_coords,
+    embed_approx,
+    field_norm,
+    golden_cmp,
+    golden_cmp_golden,
+    quad_form,
+)
 from pentaset.io_render import write_snapshot
 from pentaset.modelset import (
     DIST_UNKNOWN,
@@ -20,6 +30,7 @@ from pentaset.modelset import (
     classify_distance,
     is_inner,
 )
+from pentaset.verify import VerificationReport
 
 
 def _box_vectors(norm_bound: int):
@@ -87,3 +98,75 @@ def nearest_in_snapshot(snapshot: Snapshot) -> list[tuple[GoldenInt | None, str]
                     best = d
         out.append((None, DIST_UNKNOWN) if best is None else (best, classify_distance(best)))
     return out
+
+
+def _params(snapshot: Snapshot) -> dict:
+    return {"radius_sq": str(snapshot.radius_sq), "window_sq": str(snapshot.window.w)}
+
+
+def _pair_dist_sq(ci, cj) -> tuple[int, int]:
+    return abs_sq_coords(ci[0] - cj[0], ci[1] - cj[1],
+                         ci[2] - cj[2], ci[3] - cj[3])[0]
+
+
+def separation(snapshot: Snapshot) -> VerificationReport:
+    """verify_separation over every pair (i, j), i < j."""
+    w = snapshot.window.w
+    weak = Fraction(1, 16) / w
+    strong = Fraction(1, 4) / w
+    coords = [p.z.coords() for p in snapshot.points]
+    n = len(coords)
+    violations = []
+    strong_violations = 0
+    min_pq = None
+    tested = 0
+    for i in range(n):
+        ci = coords[i]
+        for j in range(i + 1, n):
+            tested += 1
+            p, q = _pair_dist_sq(ci, coords[j])
+            if golden_cmp(p, q, weak.numerator, weak.denominator) < 0:
+                violations.append({"pair": [list(ci), list(coords[j])],
+                                   "dist_sq": [p, q]})
+            if golden_cmp(p, q, strong.numerator, strong.denominator) < 0:
+                strong_violations += 1
+            if min_pq is None or golden_cmp_golden(GoldenInt(p, q), GoldenInt(*min_pq)) < 0:
+                min_pq = (p, q)
+    return VerificationReport(
+        "separation", not violations, tested, violations, _params(snapshot),
+        details={
+            "stated_constant_sq": str(weak),
+            "proof_constant_sq": str(strong),
+            "proof_constant_holds": strong_violations == 0,
+            "min_pair_dist_sq": list(min_pq) if min_pq else None,
+        })
+
+
+def unit_lemma(snapshot: Snapshot) -> VerificationReport:
+    """verify_unit_lemma over every pair (i, j), i < j, with field_norm."""
+    coords = [p.z.coords() for p in snapshot.points]
+    n = len(coords)
+    violations = []
+    tested = 0
+    close_pairs = 0
+    for i in range(n):
+        ci = coords[i]
+        for j in range(i + 1, n):
+            tested += 1
+            cj = coords[j]
+            p, q = _pair_dist_sq(ci, cj)
+            norm = field_norm(CycInt(ci[0] - cj[0], ci[1] - cj[1],
+                                     ci[2] - cj[2], ci[3] - cj[3]))
+            close = golden_cmp(p, q, 5, 4) < 0
+            if close:
+                close_pairs += 1
+            if close and norm != 1:
+                violations.append({"pair": [list(ci), list(cj)],
+                                   "dist_sq": [p, q], "norm": norm,
+                                   "clause": "close-pair-not-unit"})
+            elif norm in (2, 3, 4):
+                violations.append({"pair": [list(ci), list(cj)],
+                                   "norm": norm, "clause": "norm-gap"})
+    return VerificationReport("unit-lemma", not violations, tested,
+                              violations, _params(snapshot),
+                              details={"close_pairs": close_pairs})

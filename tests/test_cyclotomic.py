@@ -33,6 +33,7 @@ from pentaset.cyclotomic import (
     galois_apply,
     golden_cmp,
     is_unit,
+    norm_coords,
     quad_form,
     recompose,
     sqrt5_sign,
@@ -136,6 +137,16 @@ class TestFieldNorm:
     def test_positive_for_nonzero(self, z):
         if not z.is_zero():
             assert field_norm(z) >= 1
+
+    @given(cycints)
+    def test_closed_form_agrees(self, z):
+        assert norm_coords(*z.coords()) == field_norm(z)
+
+    def test_closed_form_guard(self, monkeypatch):
+        import pentaset.cyclotomic as cyc
+        monkeypatch.setattr(cyc, "abs_sq_coords", lambda *a: ((1, 1), (1, 0)))
+        with pytest.raises(ArithmeticConsistencyError):
+            norm_coords(1, 0, 0, 0)
 
 
 class TestAbsSq:

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
+from pentaset import verify
 from pentaset.cyclotomic import (
     CycInt,
     EPSILON,
@@ -13,6 +15,7 @@ from pentaset.cyclotomic import (
     ZETA,
     abs_sq_coords,
     embed_approx,
+    norm_coords,
 )
 from pentaset.modelset import (
     PointRecord,
@@ -51,6 +54,89 @@ def make_record(z: CycInt) -> PointRecord:
 
 def with_extra_point(snap: Snapshot, z: CycInt) -> Snapshot:
     return Snapshot(snap.window, snap.radius_sq, snap.points + [make_record(z)])
+
+
+EPS3 = EPSILON * EPSILON * EPSILON
+ONE = CycInt(1, 0, 0, 0)
+
+
+def _corrupted(name: str) -> Snapshot:
+    """A seeded corruption: a point outside the window (1 + eps^3), a close
+    non-unit neighbour (1 + eps^3 (1 - zeta)), a repeated point, a point
+    outside disc and window ((5, 0, 0, 0)), a window member outside the
+    disc, or three kinds at once."""
+    snap4 = analyze(enumerate_points(4))
+    if name == "eps3":
+        return with_extra_point(snap4, ONE + EPS3)
+    if name == "eps3-non-unit":
+        return with_extra_point(snap4, ONE + EPS3 * CycInt(1, -1, 0, 0))
+    if name == "duplicate":
+        return with_extra_point(snap4, snap4.points[5].z)
+    if name == "far":
+        return with_extra_point(enumerate_points(1), CycInt(5, 0, 0, 0))
+    if name == "outside-disc":
+        # zeta is in the window but not in the disc R^2 = 1/10
+        return with_extra_point(enumerate_points(Fraction(1, 10)), ZETA)
+    snap25 = analyze(enumerate_points(25))
+    for z in (ONE + EPS3, snap25.points[7].z, CycInt(5, 0, 0, 0)):
+        snap25 = with_extra_point(snap25, z)
+    return snap25
+
+
+CORRUPTIONS = ("eps3", "eps3-non-unit", "duplicate", "far", "outside-disc", "mix")
+
+
+class TestAgainstAllPairsOracle:
+    """The lookup checks give the same report as comparing every pair."""
+
+    @pytest.mark.parametrize("radius_sq", [0, 1, 4, 25])
+    def test_clean_unit_window(self, radius_sq):
+        snap = enumerate_points(radius_sq)
+        assert verify_separation(snap).to_json() == oracles.separation(snap).to_json()
+        assert verify_unit_lemma(snap).to_json() == oracles.unit_lemma(snap).to_json()
+
+    @pytest.mark.parametrize("window_sq,radius_sq", [
+        (Fraction(4), Fraction(30)), (Fraction(49, 4), Fraction(9)),
+        (Fraction(1, 5), Fraction(30)), (Fraction(1, 5), Fraction(3))])
+    def test_separation_other_windows(self, window_sq, radius_sq):
+        # w = 1/5 has 1/(4w) > 1, beyond the displacement list: every pair is compared
+        snap = enumerate_points(radius_sq, Window(window_sq))
+        assert verify_separation(snap).to_json() == oracles.separation(snap).to_json()
+
+    @pytest.mark.parametrize("name", CORRUPTIONS)
+    def test_corruptions(self, name):
+        snap = _corrupted(name)
+        assert verify_separation(snap).to_json() == oracles.separation(snap).to_json()
+        assert verify_unit_lemma(snap).to_json() == oracles.unit_lemma(snap).to_json()
+
+    def test_corruptions_are_caught(self):
+        # the oracle comparisons above are not all vacuous passes
+        failed = {name: (not verify_separation(_corrupted(name)).passed,
+                         not verify_unit_lemma(_corrupted(name)).passed)
+                  for name in CORRUPTIONS}
+        assert failed == {"eps3": (True, True), "eps3-non-unit": (False, True),
+                          "duplicate": (True, True), "far": (False, False),
+                          "outside-disc": (False, False), "mix": (True, True)}
+
+    def test_norm_gap_clause(self, snap25, monkeypatch):
+        # no difference has norm 2, 3 or 4, so pretend +-2 has norm 4 in both
+        def fake_norm(*c):
+            return 4 if c in {(2, 0, 0, 0), (-2, 0, 0, 0)} else norm_coords(*c)
+        monkeypatch.setattr(verify, "norm_coords", fake_norm)
+        monkeypatch.setattr(oracles, "field_norm", lambda z: fake_norm(*z.coords()))
+        r = verify_unit_lemma(snap25)
+        assert r.to_json() == oracles.unit_lemma(snap25).to_json()
+        assert not r.passed
+        assert {v["clause"] for v in r.violations} == {"norm-gap"}
+
+    def test_no_two_points_within_one(self):
+        # 0 and 1 + zeta are both in the window, |1 + zeta|^2 = phi^2 > 1:
+        # the displacement list finds no pair, so every pair is compared
+        snap = Snapshot(Window(), Fraction(100), [make_record(CycInt(0, 0, 0, 0)),
+                                                  make_record(CycInt(1, 1, 0, 0))])
+        r = verify_separation(snap)
+        assert r.to_json() == oracles.separation(snap).to_json()
+        assert r.details["min_pair_dist_sq"] == [1, 1]
 
 
 class TestSeparation:
@@ -93,6 +179,15 @@ class TestRotation:
         assert {"point": [1, 0, 1, 0], "multiplier_index":
                 r.violations[0]["multiplier_index"]} in r.violations
 
+    def test_violations_match_ring_multiplication(self, snap4):
+        bad = with_extra_point(snap4, ZETA * EPSILON)
+        members = bad.coord_set()
+        expected = [{"point": list(c), "multiplier_index": m}
+                    for c in sorted(members) for m, mu in enumerate(TENTH_ROOTS)
+                    if (mu * CycInt(*c)).coords() not in members]
+        assert len(expected) == 9
+        assert verify_rotation(bad).violations == expected
+
     def test_mutated_point_fails(self, snap25):
         pts = list(snap25.points)
         idx = next(i for i, p in enumerate(pts)
@@ -112,6 +207,12 @@ class TestUnitLemma:
         snap = enumerate_points(4, Window(Fraction(4)))
         with pytest.raises(ValueError):
             verify_unit_lemma(snap)
+
+    def test_large_radius(self):
+        r = verify_unit_lemma(enumerate_points(400))
+        assert r.passed
+        assert r.details["close_pairs"] == 3330
+        assert r.tested_count == 1411 * 1410 // 2
 
     def test_close_non_unit_pair_detected(self, snap4):
         # eps^3 * (1 - zeta) has norm 5 but squared length ~ 0.077 < 5/4
