@@ -6,14 +6,8 @@ __version__ = "0.1.0"
 from .cyclotomic import (  # noqa: F401
     CycInt,
     GoldenInt,
-    UnitDecomposition,
-    abs_sq,
-    decompose_unit,
     embed_approx,
-    field_norm,
-    galois_apply,
     golden_cmp,
-    is_unit,
 )
 from .modelset import (  # noqa: F401
     PointRecord,

@@ -80,6 +80,8 @@ def parse_config(argv) -> argparse.Namespace:
         parser.error("radius must be nonnegative")
     if ns.window_sq <= 0:
         parser.error("window squared radius must be positive")
+    if ns.subcommand == "render" and ns.canvas <= 0:
+        parser.error("canvas must be positive")
     return ns
 
 

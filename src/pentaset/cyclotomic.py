@@ -5,20 +5,15 @@ as four integer coordinates in the power basis (1, zeta, zeta^2, zeta^3),
 zeta = exp(2*pi*i/5).  Python integers are arbitrary precision, so no
 operation can overflow.  All comparisons against rational thresholds are
 done by exact sign determination of quantities A + B*sqrt(5); floating
-point only appears in the embedding helpers.
+point only appears in embed_approx.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
-PHI = (1.0 + math.sqrt(5.0)) / 2.0
-
-# roots of unity used by the embeddings
 _ZETA_PHYSICAL = cmath.exp(2j * cmath.pi / 5)
-_ZETA_INTERNAL = cmath.exp(4j * cmath.pi / 5)
 
 
 class ArithmeticConsistencyError(RuntimeError):
@@ -93,17 +88,6 @@ TENTH_ROOTS = tuple(z for p in ZETA_POWERS for z in (p, -p))
 EPSILON = CycInt(-1, 0, -1, -1)
 
 
-def galois_apply(z: CycInt, k: int) -> CycInt:
-    """Apply the field automorphism zeta -> zeta^k; k = 1 is the identity."""
-    if k not in (1, 2, 3, 4):
-        raise ValueError(f"Galois exponent must be in 1..4, got {k}")
-    acc = [0] * 5
-    for i, ai in enumerate(z.coords()):
-        acc[(i * k) % 5] += ai
-    e = acc[4]
-    return CycInt(acc[0] - e, acc[1] - e, acc[2] - e, acc[3] - e)
-
-
 @dataclass(frozen=True)
 class GoldenInt:
     """The real number p + q*phi with phi = (1 + sqrt(5))/2; phi^2 = phi + 1."""
@@ -117,9 +101,6 @@ class GoldenInt:
     def __sub__(self, other: "GoldenInt") -> "GoldenInt":
         return GoldenInt(self.p - other.p, self.q - other.q)
 
-    def __neg__(self) -> "GoldenInt":
-        return GoldenInt(-self.p, -self.q)
-
     def __mul__(self, other: "GoldenInt") -> "GoldenInt":
         return GoldenInt(self.p * other.p + self.q * other.q,
                          self.p * other.q + self.q * other.p + self.q * other.q)
@@ -128,17 +109,7 @@ class GoldenInt:
         # p + q*phi = (2p + q + q*sqrt(5)) / 2
         return sqrt5_sign(2 * self.p + self.q, self.q)
 
-    def to_float(self) -> float:
-        p, q = self.p, self.q
-        if (p >= 0) == (q >= 0):
-            return float(p) + float(q) * PHI
-        # p and q*phi nearly cancel; divide the exact norm by the conjugate
-        # p + q*(1 - phi), whose two terms share a sign
-        return (p * p + p * q - q * q) / (p + q * (1.0 - PHI))
 
-
-GOLDEN_ZERO = GoldenInt(0, 0)
-GOLDEN_ONE = GoldenInt(1, 0)
 #: squared short distance (phi - 1)^2 = 2 - phi
 SHORT_DIST_SQ = GoldenInt(2, -1)
 #: squared long distance 1
@@ -169,42 +140,11 @@ def golden_cmp(p: int, q: int, num: int, den: int = 1) -> int:
     return sqrt5_sign(2 * den * p + dq - 2 * num, dq)
 
 
-def golden_cmp_golden(g: GoldenInt, h: GoldenInt) -> int:
-    return (g - h).sign()
-
-
-def _to_golden(w: CycInt) -> GoldenInt:
-    """Convert a totally real element to Z[phi].
-
-    Real elements have coordinates (a0, 0, a2, a2): a0 + a2*(zeta^2 + zeta^3)
-    with zeta^2 + zeta^3 = -phi.
-    """
-    if w.a1 != 0 or w.a2 != w.a3:
-        raise ArithmeticConsistencyError(
-            f"element {w.coords()} is not fixed by complex conjugation")
-    return GoldenInt(w.a0, -w.a2)
-
-
-def abs_sq(z: CycInt, which: str = "physical") -> GoldenInt:
-    """Exact squared modulus under the chosen embedding.
-
-    physical: |z|^2 = z * conj(z); internal: |sigma(z)|^2 with sigma the
-    embedding zeta -> zeta^2.
-    """
-    if which == "physical":
-        w = z * galois_apply(z, 4)
-    elif which == "internal":
-        w = galois_apply(z, 2) * galois_apply(z, 3)
-    else:
-        raise ValueError(f"unknown embedding {which!r}")
-    return _to_golden(w)
-
-
 def abs_sq_coords(a0: int, a1: int, a2: int, a3: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """Both squared moduli, (physical, internal), as raw (p, q) pairs.
 
-    Closed form used by the enumeration hot loops; agrees with abs_sq
-    (property-tested).
+    Closed form of z * conj(z) and sigma(z) * conj(sigma(z)), sigma the
+    embedding zeta -> zeta^2; the tests check it against ring multiplication.
     """
     c0 = a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3
     c1 = a0 * a1 + a1 * a2 + a2 * a3
@@ -218,102 +158,20 @@ def quad_form(a0: int, a1: int, a2: int, a3: int) -> int:
     return (5 * (a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3) - s * s) // 2
 
 
-def field_norm(z: CycInt) -> int:
-    """Product of the four Galois conjugates; a rational integer, >= 1 for z != 0."""
-    w = z * galois_apply(z, 2) * galois_apply(z, 3) * galois_apply(z, 4)
-    if w.a1 != 0 or w.a2 != 0 or w.a3 != 0:
-        raise ArithmeticConsistencyError(
-            f"norm product {w.coords()} is not rational")
-    return w.a0
-
-
 def norm_coords(a0: int, a1: int, a2: int, a3: int) -> int:
-    """field_norm in closed form, |z|^2 * |sigma(z)|^2 from abs_sq_coords."""
+    """The field norm N(z) = |z|^2 * |sigma(z)|^2, the product of the four
+    Galois conjugates; a rational integer, >= 1 for z != 0."""
     (p, q), (r, s) = abs_sq_coords(a0, a1, a2, a3)
     if p * s + q * r + q * s:
         raise ArithmeticConsistencyError(f"norm of {(a0, a1, a2, a3)} is not rational")
     return p * r + q * s
 
 
-def is_unit(z: CycInt) -> bool:
-    return field_norm(z) == 1
-
-
-def embed_approx(z: CycInt, which: str = "physical") -> complex:
-    """Double-precision value of z under the chosen embedding.
+def embed_approx(z: CycInt) -> complex:
+    """Double-precision value of z in the plane, zeta = exp(2*pi*i/5).
 
     Relative error is far below 1e-12 for coordinates up to 1e6.
     """
-    if which == "physical":
-        u = _ZETA_PHYSICAL
-    elif which == "internal":
-        u = _ZETA_INTERNAL
-    else:
-        raise ValueError(f"unknown embedding {which!r}")
+    u = _ZETA_PHYSICAL
     # Horner on a0 + a1 u + a2 u^2 + a3 u^3
     return ((z.a3 * u + z.a2) * u + z.a1) * u + z.a0
-
-
-@dataclass(frozen=True)
-class UnitDecomposition:
-    """u = sign * zeta^k * eps^j, sign in {+1, -1}, 0 <= k < 5, j signed."""
-
-    sign: int
-    k: int
-    j: int
-
-
-def _eps_inverse() -> CycInt:
-    # N(eps) = 1, so eps^-1 is the product of the three other conjugates
-    return galois_apply(EPSILON, 2) * galois_apply(EPSILON, 3) * galois_apply(EPSILON, 4)
-
-
-EPSILON_INV = _eps_inverse()
-
-
-def unit_power(base: CycInt, n: int) -> CycInt:
-    acc = ONE
-    for _ in range(n):
-        acc = acc * base
-    return acc
-
-
-def recompose(d: UnitDecomposition) -> CycInt:
-    base = EPSILON if d.j >= 0 else EPSILON_INV
-    u = ZETA_POWERS[d.k] * unit_power(base, abs(d.j))
-    return u if d.sign == 1 else -u
-
-
-def decompose_unit(u: CycInt) -> UnitDecomposition:
-    """Write a unit as sign * zeta^k * eps^j, eps = zeta + zeta^4.
-
-    The exponent j is guessed from a float embedding magnitude, then
-    confirmed exactly; a +-1 neighborhood absorbs any rounding of the guess.
-    """
-    if not is_unit(u):
-        raise ValueError(f"{u.coords()} is not a unit")
-    # |sigma(u)| = phi^j and |u| = (phi-1)^j are reciprocals; the one >= 1
-    # is free of cancellation, so take the guess from it
-    mag_int = abs(embed_approx(u, "internal"))
-    if mag_int >= 1.0:
-        guess = round(math.log(mag_int) / math.log(PHI))
-    else:
-        guess = round(math.log(abs(embed_approx(u, "physical"))) / math.log(PHI - 1.0))
-    for j in (guess, guess - 1, guess + 1):
-        shift = unit_power(EPSILON_INV if j >= 0 else EPSILON, abs(j))
-        v = u * shift
-        for k, zk in enumerate(ZETA_POWERS):
-            if v == zk:
-                d = UnitDecomposition(1, k, j)
-                break
-            if v == -zk:
-                d = UnitDecomposition(-1, k, j)
-                break
-        else:
-            continue
-        if recompose(d) != u:
-            raise ArithmeticConsistencyError(
-                f"recomposition of {d} does not reproduce {u.coords()}")
-        return d
-    raise ArithmeticConsistencyError(
-        f"unit {u.coords()} did not decompose near j = {guess}")

@@ -65,7 +65,8 @@ def _write_csv(snapshot: Snapshot, out) -> None:
                          p.abs_sq_internal.p, p.abs_sq_internal.q, p.dist_class])
 
 
-def _rebuild_record(a, x, y, iabs, cls, lineno) -> PointRecord:
+def _rebuild_record(a, x, y, iabs, cls, lineno, seen: set) -> PointRecord:
+    """The record of one line; seen holds the coordinates read so far."""
     if cls not in _CLASSES:
         raise SnapshotFormatError(f"line {lineno}: unknown class {cls!r}")
     z = CycInt(*a)
@@ -74,6 +75,10 @@ def _rebuild_record(a, x, y, iabs, cls, lineno) -> PointRecord:
         raise SnapshotFormatError(
             f"line {lineno}: stored iabs {list(iabs)} does not match "
             f"recomputed {list(intr)} for a = {list(a)}")
+    c = z.coords()
+    if c in seen:
+        raise SnapshotFormatError(f"line {lineno}: point {list(a)} appears more than once")
+    seen.add(c)
     return PointRecord(z, GoldenInt(*phys), GoldenInt(*intr),
                        float(x), float(y), dist_class=cls)
 
@@ -111,15 +116,24 @@ def _read_jsonl(first: str, source) -> Snapshot:
     if header.get("format") != "pentaset-snapshot":
         raise SnapshotFormatError("line 1: missing snapshot header")
     radius_sq, window = _header_params(header)
-    points = []
+    points, seen = [], set()
     for lineno, line in enumerate(source, start=2):
         if not line.strip():
             continue
         try:
             rec = json.loads(line)
-            points.append(_rebuild_record(rec["a"], rec["x"], rec["y"],
-                                          rec["iabs"], rec["class"], lineno))
-        except (json.JSONDecodeError, KeyError, TypeError) as e:
+            a, x, y, iabs = rec["a"], rec["x"], rec["y"], rec["iabs"]
+            a0, a1, a2, a3 = a
+            p, q = iabs
+            # JSON true and 1.0 would pass as coordinates
+            if not (type(a0) is type(a1) is type(a2) is type(a3) is type(p) is type(q) is int):
+                raise SnapshotFormatError(f"line {lineno}: a and iabs must hold integers")
+            if type(x) not in (int, float) or type(y) not in (int, float):
+                raise SnapshotFormatError(f"line {lineno}: x and y must be numbers")
+            points.append(_rebuild_record(a, x, y, iabs, rec["class"], lineno, seen))
+        except SnapshotFormatError:
+            raise
+        except (ValueError, KeyError, TypeError, OverflowError) as e:
             raise SnapshotFormatError(f"line {lineno}: malformed record: {e}") from e
     return Snapshot(window, radius_sq, points)
 
@@ -133,17 +147,17 @@ def _read_csv(first: str, source) -> Snapshot:
     columns = next(rows, None)
     if columns != CSV_COLUMNS:
         raise SnapshotFormatError(f"line 2: expected columns {CSV_COLUMNS}")
-    points = []
+    points, seen = [], set()
     for lineno, row in enumerate(rows, start=3):
         if not row:
             continue
         try:
             a = [int(v) for v in row[0:4]]
             iabs = [int(row[6]), int(row[7])]
-            points.append(_rebuild_record(a, row[4], row[5], iabs, row[8], lineno))
+            points.append(_rebuild_record(a, row[4], row[5], iabs, row[8], lineno, seen))
+        except SnapshotFormatError:
+            raise
         except (ValueError, IndexError) as e:
-            if isinstance(e, SnapshotFormatError):
-                raise
             raise SnapshotFormatError(f"line {lineno}: malformed record: {e}") from e
     return Snapshot(window, radius_sq, points)
 
@@ -151,10 +165,12 @@ def _read_csv(first: str, source) -> Snapshot:
 @dataclass(frozen=True)
 class RenderOptions:
     canvas: int = 1000
-    dot_radius: float = 3.0
-    highlight_radius: float = 10.0
     highlight_roots: bool = False
     color_classes: bool = False
+
+
+_DOT_RADIUS = 3
+_HIGHLIGHT_RADIUS = 10
 
 
 _CLASS_COLORS = {"short": "#d62728", "long": "#000000",
@@ -183,7 +199,7 @@ def render_svg(snapshot: Snapshot, options: RenderOptions | None = None) -> str:
     for p in snapshot.points:
         fill = _CLASS_COLORS[p.dist_class] if opt.color_classes else "#000000"
         px, py = place(p.x, p.y)
-        lines.append(f'<circle cx="{px}" cy="{py}" r="{opt.dot_radius:g}" '
+        lines.append(f'<circle cx="{px}" cy="{py}" r="{_DOT_RADIUS}" '
                      f'fill="{fill}" class="pt-{p.dist_class}"/>')
     if opt.highlight_roots:
         members = snapshot.coord_set()
@@ -191,9 +207,9 @@ def render_svg(snapshot: Snapshot, options: RenderOptions | None = None) -> str:
         for z in targets:
             if z.coords() not in members:
                 continue
-            e = embed_approx(z, "physical")
+            e = embed_approx(z)
             px, py = place(e.real, e.imag)
-            lines.append(f'<circle cx="{px}" cy="{py}" r="{opt.highlight_radius:g}" '
+            lines.append(f'<circle cx="{px}" cy="{py}" r="{_HIGHLIGHT_RADIUS}" '
                          f'fill="none" stroke="#000000" stroke-width="1.5" '
                          f'class="highlight"/>')
     lines.append("</svg>")

@@ -20,7 +20,6 @@ from .cyclotomic import (
     abs_sq_coords,
     embed_approx,
     golden_cmp,
-    golden_cmp_golden,
     quad_form,
     sqrt5_sign,
     LONG_DIST_SQ,
@@ -67,7 +66,6 @@ class Snapshot:
     window: Window
     radius_sq: Fraction
     points: list[PointRecord] = field(default_factory=list)
-    class_counts: dict[str, int] | None = None
 
     def coord_set(self) -> set[Coords]:
         return {p.z.coords() for p in self.points}
@@ -86,7 +84,7 @@ def _in_window(c: Coords, w: Fraction) -> bool:
 def _make_record(coords: Coords,
                  phys: tuple[int, int], intr: tuple[int, int]) -> PointRecord:
     z = CycInt(*coords)
-    e = embed_approx(z, "physical")
+    e = embed_approx(z)
     return PointRecord(z, GoldenInt(*phys), GoldenInt(*intr), e.real, e.imag)
 
 
@@ -211,7 +209,8 @@ def displacement_candidates(window: Window) -> list[tuple[Coords, GoldenInt]]:
            if coords != (0, 0, 0, 0)]
 
     def cmp(a, b):
-        return golden_cmp_golden(a[1], b[1]) or (-1 if a[0] < b[0] else 1)
+        g, h = a[1], b[1]
+        return golden_cmp(g.p - h.p, g.q - h.q, 0) or (-1 if a[0] < b[0] else 1)
 
     out.sort(key=cmp_to_key(cmp))
     _DISPLACEMENT_CACHE[window.w] = out
@@ -311,7 +310,6 @@ def analyze(snapshot: Snapshot) -> Snapshot:
     loose = [coords[j] for j in sorted(outside)]
 
     new_points = []
-    counts = {DIST_SHORT: 0, DIST_LONG: 0, DIST_OTHER: 0, DIST_UNKNOWN: 0}
     for i, (c, rec) in enumerate(zip(coords, snapshot.points)):
         best = None
         if _is_inner(*abs_sq_coords(*c)[0], rn, rd):
@@ -330,17 +328,14 @@ def analyze(snapshot: Snapshot) -> Snapshot:
             cls = classify_distance(mds)
         new_points.append(PointRecord(rec.z, rec.abs_sq_physical, rec.abs_sq_internal,
                                       rec.x, rec.y, mds, cls))
-        counts[cls] += 1
-    return Snapshot(window, radius_sq, new_points, counts)
+    return Snapshot(window, radius_sq, new_points)
 
 
 def stats(snapshot: Snapshot) -> dict:
     """Summary counts, empirical density, and short:long ratio."""
-    counts = snapshot.class_counts
-    if counts is None:
-        counts = {DIST_SHORT: 0, DIST_LONG: 0, DIST_OTHER: 0, DIST_UNKNOWN: 0}
-        for p in snapshot.points:
-            counts[p.dist_class] += 1
+    counts = {DIST_SHORT: 0, DIST_LONG: 0, DIST_OTHER: 0, DIST_UNKNOWN: 0}
+    for p in snapshot.points:
+        counts[p.dist_class] += 1
     n = len(snapshot.points)
     r_sq = float(snapshot.radius_sq)
     density = n / (math.pi * r_sq) if r_sq > 0 else None

@@ -1,8 +1,8 @@
 """Brute-force reference implementations that the tests compare against.
 
 They share no search logic with the package: enumeration scans the whole
-coordinate box, and nearest-neighbor distances, separation and the unit
-lemma come from every pair, with field norms by ring multiplication.
+coordinate box, nearest-neighbor distances, separation and the unit lemma
+come from every pair, and conjugates, moduli and norms from ring products.
 """
 
 from __future__ import annotations
@@ -12,13 +12,12 @@ import math
 from fractions import Fraction
 
 from pentaset.cyclotomic import (
+    ArithmeticConsistencyError,
     CycInt,
     GoldenInt,
     abs_sq_coords,
     embed_approx,
-    field_norm,
     golden_cmp,
-    golden_cmp_golden,
     quad_form,
 )
 from pentaset.io_render import write_snapshot
@@ -31,6 +30,71 @@ from pentaset.modelset import (
     is_inner,
 )
 from pentaset.verify import VerificationReport
+
+PHI = (1.0 + math.sqrt(5.0)) / 2.0
+
+#: eps^-1 = phi = eps + 1, with eps = zeta + zeta^4 = (-1, 0, -1, -1)
+EPSILON_INV = CycInt(0, 0, -1, -1)
+
+
+def galois_apply(z: CycInt, k: int) -> CycInt:
+    """Apply the field automorphism zeta -> zeta^k; k = 1 is the identity."""
+    if k not in (1, 2, 3, 4):
+        raise ValueError(f"Galois exponent must be in 1..4, got {k}")
+    acc = [0] * 5
+    for i, ai in enumerate(z.coords()):
+        acc[(i * k) % 5] += ai
+    e = acc[4]
+    return CycInt(acc[0] - e, acc[1] - e, acc[2] - e, acc[3] - e)
+
+
+def _to_golden(w: CycInt) -> GoldenInt:
+    """Convert a totally real element to Z[phi].
+
+    Real elements have coordinates (a0, 0, a2, a2): a0 + a2*(zeta^2 + zeta^3)
+    with zeta^2 + zeta^3 = -phi.
+    """
+    if w.a1 != 0 or w.a2 != w.a3:
+        raise ArithmeticConsistencyError(
+            f"element {w.coords()} is not fixed by complex conjugation")
+    return GoldenInt(w.a0, -w.a2)
+
+
+def abs_sq(z: CycInt, which: str = "physical") -> GoldenInt:
+    """Squared modulus by ring multiplication.
+
+    physical: |z|^2 = z * conj(z); internal: |sigma(z)|^2 with sigma the
+    embedding zeta -> zeta^2.
+    """
+    if which == "physical":
+        w = z * galois_apply(z, 4)
+    elif which == "internal":
+        w = galois_apply(z, 2) * galois_apply(z, 3)
+    else:
+        raise ValueError(f"unknown embedding {which!r}")
+    return _to_golden(w)
+
+
+def field_norm(z: CycInt) -> int:
+    """Product of the four Galois conjugates; a rational integer, >= 1 for z != 0."""
+    w = z * galois_apply(z, 2) * galois_apply(z, 3) * galois_apply(z, 4)
+    if w.a1 != 0 or w.a2 != 0 or w.a3 != 0:
+        raise ArithmeticConsistencyError(
+            f"norm product {w.coords()} is not rational")
+    return w.a0
+
+
+def golden_cmp_golden(g: GoldenInt, h: GoldenInt) -> int:
+    return (g - h).sign()
+
+
+def golden_to_float(g: GoldenInt) -> float:
+    p, q = g.p, g.q
+    if (p >= 0) == (q >= 0):
+        return float(p) + float(q) * PHI
+    # p and q*phi nearly cancel; divide the exact norm by the conjugate
+    # p + q*(1 - phi), whose two terms share a sign
+    return (p * p + p * q - q * q) / (p + q * (1.0 - PHI))
 
 
 def _box_vectors(norm_bound: int):
@@ -68,7 +132,7 @@ def box_enumerate(radius_sq, window: Window | None = None) -> Snapshot:
         if golden_cmp(*phys, radius_sq.numerator, radius_sq.denominator) <= 0 and \
            golden_cmp(*intr, window.w.numerator, window.w.denominator) <= 0:
             z = CycInt(*a)
-            e = embed_approx(z, "physical")
+            e = embed_approx(z)
             records.append(PointRecord(z, GoldenInt(*phys), GoldenInt(*intr), e.real, e.imag))
     records.sort(key=lambda p: (quad_form(*p.z.coords()), p.z.coords()))
     return Snapshot(window, radius_sq, records)

@@ -19,11 +19,8 @@ from pentaset.cyclotomic import (
     GoldenInt,
     TENTH_ROOTS,
     ZERO,
-    abs_sq,
     abs_sq_coords,
     embed_approx,
-    field_norm,
-    galois_apply,
     golden_cmp,
     quad_form,
 )
@@ -43,7 +40,14 @@ from pentaset.verify import (
     verify_unit_lemma,
 )
 
-from oracles import box_enumerate, snapshot_to_jsonl_bytes
+from oracles import (
+    abs_sq,
+    box_enumerate,
+    field_norm,
+    galois_apply,
+    golden_to_float,
+    snapshot_to_jsonl_bytes,
+)
 
 
 @contextmanager
@@ -70,14 +74,15 @@ def test_01_two_distance_theorem(snap400):
     with criterion(1, "two-distance theorem, R^2=400"):
         r = verify_two_distance(snap400)
         assert r.passed
-        assert snap400.class_counts["other"] == 0
+        assert stats(snap400)["classes"]["other"] == 0
         assert r.tested_count > 1000
 
 
 def test_02_tightness():
     with criterion(2, "both distances realized, exact witnesses"):
         snap = analyze(enumerate_points(4))
-        assert snap.class_counts["short"] > 0 and snap.class_counts["long"] > 0
+        classes = stats(snap)["classes"]
+        assert classes["short"] > 0 and classes["long"] > 0
         z1, z2 = CycInt(1, 0, 0, 0), CycInt(0, 0, -1, -1)
         assert abs_sq(z1 - z2, "physical") == GoldenInt(2, -1)
         d0, _ = min_distance(ZERO, Window())
@@ -176,9 +181,9 @@ def test_10_float_consistency():
             a = tuple(rng.randint(-10**4, 10**4) for _ in range(4))
             z = CycInt(*a)
             phys, intr = abs_sq_coords(*a)
-            for which, pq in (("physical", phys), ("internal", intr)):
-                exact = GoldenInt(*pq).to_float()
-                approx = abs(embed_approx(z, which)) ** 2
+            for image, pq in ((z, phys), (galois_apply(z, 2), intr)):
+                exact = golden_to_float(GoldenInt(*pq))
+                approx = abs(embed_approx(image)) ** 2
                 assert math.isclose(approx, exact, rel_tol=1e-9, abs_tol=1e-9)
 
 

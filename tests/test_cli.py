@@ -138,3 +138,10 @@ class TestRender:
         code, out = run(capsys, "render", "--radius", "3", "--color-classes")
         assert code == EXIT_OK
         assert 'fill="#d62728"' in out
+
+    @pytest.mark.parametrize("canvas", ["0", "-5"])
+    def test_nonpositive_canvas_is_usage_error(self, capsys, canvas):
+        code = run_cli(["render", "--radius", "1", "--canvas", canvas])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert "canvas must be positive" in captured.err

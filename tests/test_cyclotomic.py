@@ -2,16 +2,17 @@
 
 The independent oracle for ring operations is polynomial arithmetic modulo
 the fifth cyclotomic polynomial (sympy), and for the field norm the
-resultant with it; neither route shares code with the implementation.
+resultant with it; neither route shares code with the implementation.  The
+ring-multiplication references in oracles.py are checked against these and
+in turn are the oracle for the package's closed forms.
 """
 
 import math
-from fractions import Fraction
 
 import mpmath
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import given
 import hypothesis.strategies as st
 
 from pentaset.cyclotomic import (
@@ -21,22 +22,23 @@ from pentaset.cyclotomic import (
     GoldenInt,
     ONE,
     TENTH_ROOTS,
-    UnitDecomposition,
     ZERO,
     ZETA,
     ZETA_POWERS,
-    abs_sq,
     abs_sq_coords,
-    decompose_unit,
     embed_approx,
-    field_norm,
-    galois_apply,
     golden_cmp,
-    is_unit,
     norm_coords,
     quad_form,
-    recompose,
     sqrt5_sign,
+)
+
+from oracles import (
+    _to_golden,
+    abs_sq,
+    field_norm,
+    galois_apply,
+    golden_to_float,
 )
 
 _T = sympy.symbols("t")
@@ -183,7 +185,6 @@ class TestAbsSq:
 
     def test_consistency_guard(self):
         with pytest.raises(ArithmeticConsistencyError):
-            from pentaset.cyclotomic import _to_golden
             _to_golden(ZETA)
 
 
@@ -218,61 +219,38 @@ class TestGoldenCmp:
 
 class TestUnits:
     def test_zeta_is_unit(self):
-        assert is_unit(ZETA)
+        assert field_norm(ZETA) == 1
 
     def test_two_is_not(self):
-        assert not is_unit(CycInt(2, 0, 0, 0))
+        assert field_norm(CycInt(2, 0, 0, 0)) != 1
 
     def test_epsilon_is_unit(self):
-        assert is_unit(EPSILON)
-
-    def test_identity_decomposition(self):
-        assert decompose_unit(ONE) == UnitDecomposition(1, 0, 0)
-
-    def test_generator_decomposition(self):
-        assert decompose_unit(EPSILON) == UnitDecomposition(1, 0, 1)
-
-    def test_epsilon_squared_decomposition(self):
-        assert decompose_unit(CycInt(2, 0, 1, 1)) == UnitDecomposition(1, 0, 2)
-
-    def test_rejects_non_unit(self):
-        with pytest.raises(ValueError):
-            decompose_unit(CycInt(2, 0, 0, 0))
-
-    @given(st.sampled_from([1, -1]), st.integers(0, 4), st.integers(-40, 40))
-    @settings(max_examples=60, deadline=None)
-    def test_round_trip(self, sign, k, j):
-        d = UnitDecomposition(sign, k, j)
-        u = recompose(d)
-        assert is_unit(u)
-        back = decompose_unit(u)
-        assert back == d
-        assert recompose(back) == u
+        assert field_norm(EPSILON) == 1
 
 
 class TestEmbedding:
     def test_one(self):
-        assert embed_approx(ONE, "physical") == 1.0 + 0.0j
+        assert embed_approx(ONE) == 1.0 + 0.0j
 
     def test_zeta_internal(self):
-        v = embed_approx(ZETA, "internal")
+        v = embed_approx(galois_apply(ZETA, 2))
         assert v == pytest.approx(complex(math.cos(4 * math.pi / 5),
                                           math.sin(4 * math.pi / 5)), abs=1e-15)
 
     def test_matches_exact_modulus(self):
-        v = embed_approx(CycInt(1, -1, 0, 0), "physical")
-        assert abs(v) ** 2 == pytest.approx(GoldenInt(3, -1).to_float(), abs=1e-9)
+        v = embed_approx(CycInt(1, -1, 0, 0))
+        assert abs(v) ** 2 == pytest.approx(golden_to_float(GoldenInt(3, -1)), abs=1e-9)
 
     @given(st.builds(CycInt, *[st.integers(-10**6, 10**6)] * 4))
     def test_relative_error_bound(self, z):
-        for which in ("physical", "internal"):
-            exact = abs_sq(z, which).to_float()
-            approx = abs(embed_approx(z, which)) ** 2
+        for which, image in (("physical", z), ("internal", galois_apply(z, 2))):
+            exact = golden_to_float(abs_sq(z, which))
+            approx = abs(embed_approx(image)) ** 2
             assert approx == pytest.approx(exact, rel=1e-12, abs=1e-12)
 
     def test_tenth_roots_have_unit_modulus(self):
         for mu in TENTH_ROOTS:
-            assert abs(embed_approx(mu, "physical")) == pytest.approx(1.0, abs=1e-14)
+            assert abs(embed_approx(mu)) == pytest.approx(1.0, abs=1e-14)
         assert len(set(TENTH_ROOTS)) == 10
 
     def test_zeta_powers_consistent(self):

@@ -112,6 +112,32 @@ class TestValidation:
         with pytest.raises(SnapshotFormatError):
             read_snapshot(io.StringIO(text))
 
+    @pytest.mark.parametrize("old, new", [
+        ('"x":0,', '"x":"abc",'),
+        ('"x":0,', '"x":1' + "0" * 400 + ','),
+        ('"a":[0,0,0,0]', '"a":[0.0,0,0,0]'),
+        ('"a":[0,0,0,0]', '"a":[false,0,0,0]'),
+        ('"iabs":[0,0]', '"iabs":[0,false]'),
+    ], ids=["string-x", "huge-x", "float-coordinate", "bool-coordinate", "bool-iabs"])
+    def test_bad_record_field_is_line_error(self, old, new):
+        buf = io.StringIO()
+        write_snapshot(enumerate_points(1), "jsonl", buf)
+        text = buf.getvalue()
+        assert text.splitlines()[1].count(old) == 1
+        with pytest.raises(SnapshotFormatError, match="^line 2: "):
+            read_snapshot(io.StringIO(text.replace(old, new, 1)))
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_repeated_point_rejected(self, snap4, fmt):
+        buf = io.StringIO()
+        write_snapshot(snap4, fmt, buf)
+        lines = buf.getvalue().splitlines(keepends=True)
+        first = lines[1] if fmt == "jsonl" else lines[2]  # the first record
+        text = "".join(lines) + first
+        with pytest.raises(SnapshotFormatError,
+                           match=f"^line {len(lines) + 1}: .*more than once"):
+            read_snapshot(io.StringIO(text))
+
 
 class TestRenderSvg:
     def test_radius_one_counts(self):

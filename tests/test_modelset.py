@@ -10,18 +10,14 @@ import hypothesis.strategies as st
 from pentaset.cyclotomic import (
     CycInt,
     EPSILON,
-    EPSILON_INV,
     GoldenInt,
     ONE,
     TENTH_ROOTS,
     ZERO,
     ZETA,
-    abs_sq,
     abs_sq_coords,
     embed_approx,
-    galois_apply,
     golden_cmp,
-    golden_cmp_golden,
 )
 from pentaset.modelset import (
     PointRecord,
@@ -38,7 +34,15 @@ from pentaset.modelset import (
 )
 from pentaset.modelset import SearchRangeError, _ellipsoid_vectors
 
-from oracles import box_enumerate, nearest_in_snapshot
+from oracles import (
+    EPSILON_INV,
+    abs_sq,
+    box_enumerate,
+    galois_apply,
+    golden_cmp_golden,
+    golden_to_float,
+    nearest_in_snapshot,
+)
 
 
 def coord_list(snapshot):
@@ -156,6 +160,7 @@ class TestEnumerate:
     def test_unit_scaling_maps_into_larger_disc(self):
         # eps^-1 scales physical space by phi and internal space by 1/phi,
         # so eps^-1 * S(R) lies in S(R') for R'^2 >= phi^2 R^2
+        assert EPSILON * EPSILON_INV == ONE
         r_sq, r2_sq = 20, 53  # phi^2 * 20 = 52.36...
         larger = set(coord_list(enumerate_points(r2_sq)))
         for c in coord_list(enumerate_points(r_sq)):
@@ -201,7 +206,7 @@ class TestMinDistance:
         sample = [c for c in coord_list(enumerate_points(25))][::7]
         for c in sample:
             z = CycInt(*c)
-            r = math.sqrt(abs_sq(z, "physical").to_float())
+            r = math.sqrt(golden_to_float(abs_sq(z, "physical")))
             oracle_snap = enumerate_points(math.ceil((r + 1.5) ** 2), window)
             best = None
             for c2 in coord_list(oracle_snap):
@@ -248,7 +253,7 @@ class TestClassify:
 
 def _record(z: CycInt) -> PointRecord:
     phys, intr = abs_sq_coords(*z.coords())
-    e = embed_approx(z, "physical")
+    e = embed_approx(z)
     return PointRecord(z, GoldenInt(*phys), GoldenInt(*intr), e.real, e.imag)
 
 
@@ -288,16 +293,17 @@ _ORACLE_SNAPSHOTS = {
 class TestAnalyze:
     def test_no_other_class(self):
         snap = analyze(enumerate_points(4))
-        assert snap.class_counts["other"] == 0
+        assert stats(snap)["classes"]["other"] == 0
 
     def test_origin_only_snapshot_is_unknown(self):
         snap = analyze(enumerate_points(0))
-        assert snap.class_counts == {"short": 0, "long": 0, "other": 0, "unknown": 1}
+        assert stats(snap)["classes"] == {"short": 0, "long": 0, "other": 0, "unknown": 1}
 
     def test_classes_partition_inner_points(self):
         snap = analyze(enumerate_points(25))
         inner = sum(1 for p in snap.points if p.dist_class != "unknown")
-        assert snap.class_counts["short"] + snap.class_counts["long"] == inner
+        classes = stats(snap)["classes"]
+        assert classes["short"] + classes["long"] == inner
 
     def test_matches_min_distance(self):
         snap = analyze(enumerate_points(16))

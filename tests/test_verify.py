@@ -48,7 +48,7 @@ def snap25():
 
 def make_record(z: CycInt) -> PointRecord:
     phys, intr = abs_sq_coords(*z.coords())
-    e = embed_approx(z, "physical")
+    e = embed_approx(z)
     return PointRecord(z, GoldenInt(*phys), GoldenInt(*intr), e.real, e.imag)
 
 
