@@ -68,10 +68,6 @@ class CycInt:
         return CycInt(c[0] - e, c[1] - e, c[2] - e, c[3] - e)
 
 
-ZERO = CycInt(0, 0, 0, 0)
-ONE = CycInt(1, 0, 0, 0)
-ZETA = CycInt(0, 1, 0, 0)
-
 #: zeta^k for k = 0..4, in canonical coordinates
 ZETA_POWERS = (
     CycInt(1, 0, 0, 0),
@@ -83,9 +79,6 @@ ZETA_POWERS = (
 
 #: the ten tenth roots of unity +-zeta^k
 TENTH_ROOTS = tuple(z for p in ZETA_POWERS for z in (p, -p))
-
-#: the fundamental unit eps = zeta + zeta^4 = phi - 1 (as a real number)
-EPSILON = CycInt(-1, 0, -1, -1)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,13 @@ from pentaset.verify import VerificationReport
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
-#: eps^-1 = phi = eps + 1, with eps = zeta + zeta^4 = (-1, 0, -1, -1)
+ZERO = CycInt(0, 0, 0, 0)
+ONE = CycInt(1, 0, 0, 0)
+ZETA = CycInt(0, 1, 0, 0)
+
+#: the fundamental unit eps = zeta + zeta^4 = phi - 1 (as a real number)
+EPSILON = CycInt(-1, 0, -1, -1)
+#: eps^-1 = phi = eps + 1
 EPSILON_INV = CycInt(0, 0, -1, -1)
 
 

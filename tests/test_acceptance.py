@@ -18,7 +18,6 @@ from pentaset.cyclotomic import (
     CycInt,
     GoldenInt,
     TENTH_ROOTS,
-    ZERO,
     abs_sq_coords,
     embed_approx,
     golden_cmp,
@@ -41,6 +40,7 @@ from pentaset.verify import (
 )
 
 from oracles import (
+    ZERO,
     abs_sq,
     box_enumerate,
     field_norm,

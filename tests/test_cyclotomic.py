@@ -18,12 +18,8 @@ import hypothesis.strategies as st
 from pentaset.cyclotomic import (
     ArithmeticConsistencyError,
     CycInt,
-    EPSILON,
     GoldenInt,
-    ONE,
     TENTH_ROOTS,
-    ZERO,
-    ZETA,
     ZETA_POWERS,
     abs_sq_coords,
     embed_approx,
@@ -34,6 +30,10 @@ from pentaset.cyclotomic import (
 )
 
 from oracles import (
+    EPSILON,
+    ONE,
+    ZERO,
+    ZETA,
     _to_golden,
     abs_sq,
     field_norm,
@@ -143,6 +143,11 @@ class TestFieldNorm:
     @given(cycints)
     def test_closed_form_agrees(self, z):
         assert norm_coords(*z.coords()) == field_norm(z)
+
+    @given(cycints)
+    def test_congruence_mod_5(self, z):
+        # N(z) == (a0 + a1 + a2 + a3)^4 (mod 5), so no norm is 2, 3 or 4
+        assert norm_coords(*z.coords()) % 5 == sum(z.coords()) ** 4 % 5
 
     def test_closed_form_guard(self, monkeypatch):
         import pentaset.cyclotomic as cyc

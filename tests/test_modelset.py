@@ -9,15 +9,12 @@ import hypothesis.strategies as st
 
 from pentaset.cyclotomic import (
     CycInt,
-    EPSILON,
     GoldenInt,
-    ONE,
     TENTH_ROOTS,
-    ZERO,
-    ZETA,
     abs_sq_coords,
     embed_approx,
     golden_cmp,
+    norm_coords,
 )
 from pentaset.modelset import (
     PointRecord,
@@ -32,10 +29,14 @@ from pentaset.modelset import (
     min_distance,
     stats,
 )
-from pentaset.modelset import SearchRangeError, _ellipsoid_vectors
+from pentaset.modelset import SearchRangeError, _ellipsoid_vectors, _members
 
 from oracles import (
+    EPSILON,
     EPSILON_INV,
+    ONE,
+    ZERO,
+    ZETA,
     abs_sq,
     box_enumerate,
     galois_apply,
@@ -226,6 +227,11 @@ class TestMinDistance:
             sorted((mu * EPSILON).coords() for mu in TENTH_ROOTS) + \
             sorted(mu.coords() for mu in TENTH_ROOTS)
         assert [g for _, g in cands] == [GoldenInt(2, -1)] * 10 + [GoldenInt(1, 0)] * 10
+        assert all(norm_coords(*d) == 1 for d, _ in cands)
+        # no difference of unit-window members has 1 < |d|^2 < 5/4, so this
+        # list holds every d closer than sqrt(5)/2
+        assert [d for d, _, _ in _members(Fraction(5, 4), Fraction(4))] == \
+            [d for d, _, _ in _members(Fraction(1), Fraction(4))]
 
     def test_displacements_sorted_and_nonzero(self):
         cands = displacement_candidates(Window())

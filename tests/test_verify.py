@@ -4,15 +4,16 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+import hypothesis.strategies as st
 
 import oracles
+from oracles import EPSILON, EPSILON_INV, ONE, ZETA
 from pentaset import verify
 from pentaset.cyclotomic import (
     CycInt,
-    EPSILON,
     GoldenInt,
     TENTH_ROOTS,
-    ZETA,
     abs_sq_coords,
     embed_approx,
     norm_coords,
@@ -22,6 +23,7 @@ from pentaset.modelset import (
     Snapshot,
     Window,
     analyze,
+    displacement_candidates,
     enumerate_points,
 )
 from pentaset.verify import (
@@ -57,7 +59,9 @@ def with_extra_point(snap: Snapshot, z: CycInt) -> Snapshot:
 
 
 EPS3 = EPSILON * EPSILON * EPSILON
-ONE = CycInt(1, 0, 0, 0)
+
+coords = st.integers(min_value=-50, max_value=50)
+cycints = st.builds(CycInt, coords, coords, coords, coords)
 
 
 def _corrupted(name: str) -> Snapshot:
@@ -129,6 +133,26 @@ class TestAgainstAllPairsOracle:
         assert not r.passed
         assert {v["clause"] for v in r.violations} == {"norm-gap"}
 
+    def test_norm_gap_orbit(self, snap25, monkeypatch):
+        # an eps-invariant fake, N = 4 on every eps^k * (+-2): only +-2 lies in
+        # _members(4, 4), so the other flagged differences (eps^-1 * 2 has
+        # |sigma|^2 ~ 1.53) are found only by walking the orbit
+        orbit = set()
+        for unit in (EPSILON, EPSILON_INV):
+            for z in (CycInt(2, 0, 0, 0), CycInt(-2, 0, 0, 0)):
+                for _ in range(12):
+                    orbit.add(z.coords())
+                    z = z * unit
+
+        def fake_norm(*c):
+            return 4 if c in orbit else norm_coords(*c)
+        monkeypatch.setattr(verify, "norm_coords", fake_norm)
+        monkeypatch.setattr(oracles, "field_norm", lambda z: fake_norm(*z.coords()))
+        r = verify_unit_lemma(snap25)
+        assert r.to_json() == oracles.unit_lemma(snap25).to_json()
+        flagged = {tuple(b - a for a, b in zip(*v["pair"])) for v in r.violations}
+        assert flagged - {(2, 0, 0, 0), (-2, 0, 0, 0)}
+
     def test_no_two_points_within_one(self):
         # 0 and 1 + zeta are both in the window, |1 + zeta|^2 = phi^2 > 1:
         # the displacement list finds no pair, so every pair is compared
@@ -137,6 +161,24 @@ class TestAgainstAllPairsOracle:
         r = verify_separation(snap)
         assert r.to_json() == oracles.separation(snap).to_json()
         assert r.details["min_pair_dist_sq"] == [1, 1]
+
+
+class TestUnitLemmaList:
+    """The unit lemma looks up a fixed list instead of the difference window."""
+
+    def test_no_seed_has_norm_2_3_or_4(self):
+        seeds = verify._norm_gap_seeds()
+        assert len(seeds) == 60
+        assert not [x for x in seeds if norm_coords(*x) in (2, 3, 4)]
+
+    def test_list_does_not_grow_with_radius(self):
+        units = [d for d, _ in displacement_candidates(Window())]
+        assert verify._unit_lemma_list(Fraction(1)) == units
+        assert verify._unit_lemma_list(Fraction(6400)) == units
+
+    @given(cycints)
+    def test_eps_inv_map_matches_ring_multiplication(self, z):
+        assert verify._times_eps_inv(*z.coords()) == (EPSILON_INV * z).coords()
 
 
 class TestSeparation:
