@@ -17,7 +17,6 @@ from .modelset import (  # noqa: F401
     classify_distance,
     contains,
     enumerate_points,
-    min_distance,
     stats,
 )
 from .verify import VerificationReport, run_check, verify_all  # noqa: F401

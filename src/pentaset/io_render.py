@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
-from .cyclotomic import CycInt, GoldenInt, ZETA_POWERS, abs_sq_coords, embed_approx
+from .cyclotomic import CycInt, GoldenInt, ZETA_POWERS, abs_sq_coords, embed_approx, golden_cmp
 from .modelset import PointRecord, Snapshot, Window
 
 CSV_COLUMNS = ["a0", "a1", "a2", "a3", "x", "y", "iabs_p", "iabs_q", "class"]
@@ -65,8 +65,9 @@ def _write_csv(snapshot: Snapshot, out) -> None:
                          p.abs_sq_internal.p, p.abs_sq_internal.q, p.dist_class])
 
 
-def _rebuild_record(a, x, y, iabs, cls, lineno, seen: set) -> PointRecord:
-    """The record of one line; seen holds the coordinates read so far."""
+def _add_record(snapshot: Snapshot, seen: set, lineno, a, x, y, iabs, cls) -> None:
+    """Append the record of one line to snapshot; seen holds the coordinates
+    read so far."""
     if cls not in _CLASSES:
         raise SnapshotFormatError(f"line {lineno}: unknown class {cls!r}")
     z = CycInt(*a)
@@ -75,16 +76,21 @@ def _rebuild_record(a, x, y, iabs, cls, lineno, seen: set) -> PointRecord:
         raise SnapshotFormatError(
             f"line {lineno}: stored iabs {list(iabs)} does not match "
             f"recomputed {list(intr)} for a = {list(a)}")
+    r, w = snapshot.radius_sq, snapshot.window.w
+    if golden_cmp(*phys, r.numerator, r.denominator) > 0 or \
+       golden_cmp(*intr, w.numerator, w.denominator) > 0:
+        raise SnapshotFormatError(f"line {lineno}: point {list(a)} is outside the disc or window")
     c = z.coords()
     if c in seen:
         raise SnapshotFormatError(f"line {lineno}: point {list(a)} appears more than once")
     seen.add(c)
-    return PointRecord(z, GoldenInt(*phys), GoldenInt(*intr),
-                       float(x), float(y), dist_class=cls)
+    snapshot.points.append(PointRecord(z, GoldenInt(*phys), GoldenInt(*intr),
+                                       float(x), float(y), dist_class=cls))
 
 
-def _header_params(fields: dict) -> tuple[Fraction, Window]:
-    """R^2 and the window from a header's fields; every fault is a line-1 error."""
+def _header_snapshot(fields: dict) -> Snapshot:
+    """An empty snapshot with R^2 and the window from a header's fields;
+    every fault is a line-1 error."""
     try:
         radius_sq = Fraction(fields["radius_sq"])
         window = Window(Fraction(fields["window_sq"]))
@@ -94,12 +100,13 @@ def _header_params(fields: dict) -> tuple[Fraction, Window]:
         raise SnapshotFormatError(f"line 1: bad header value: {e}") from e
     if radius_sq < 0:
         raise SnapshotFormatError(f"line 1: radius_sq must be nonnegative, got {radius_sq}")
-    return radius_sq, window
+    return Snapshot(window, radius_sq)
 
 
 def read_snapshot(source) -> Snapshot:
     """Read a snapshot written by write_snapshot; the internal squared
-    modulus of every record is recomputed and checked against the file."""
+    modulus of every record is recomputed and checked against the file, and
+    a record outside the header's disc or window is rejected."""
     first = source.readline()
     if not first:
         raise SnapshotFormatError("empty file: header required")
@@ -115,8 +122,7 @@ def _read_jsonl(first: str, source) -> Snapshot:
         raise SnapshotFormatError(f"line 1: bad header: {e}") from e
     if header.get("format") != "pentaset-snapshot":
         raise SnapshotFormatError("line 1: missing snapshot header")
-    radius_sq, window = _header_params(header)
-    points, seen = [], set()
+    snapshot, seen = _header_snapshot(header), set()
     for lineno, line in enumerate(source, start=2):
         if not line.strip():
             continue
@@ -130,36 +136,35 @@ def _read_jsonl(first: str, source) -> Snapshot:
                 raise SnapshotFormatError(f"line {lineno}: a and iabs must hold integers")
             if type(x) not in (int, float) or type(y) not in (int, float):
                 raise SnapshotFormatError(f"line {lineno}: x and y must be numbers")
-            points.append(_rebuild_record(a, x, y, iabs, rec["class"], lineno, seen))
+            _add_record(snapshot, seen, lineno, a, x, y, iabs, rec["class"])
         except SnapshotFormatError:
             raise
         except (ValueError, KeyError, TypeError, OverflowError) as e:
             raise SnapshotFormatError(f"line {lineno}: malformed record: {e}") from e
-    return Snapshot(window, radius_sq, points)
+    return snapshot
 
 
 def _read_csv(first: str, source) -> Snapshot:
     head = next(csv.reader([first]))
     if len(head) < 4 or head[0] != "radius_sq" or head[2] != "window_sq":
         raise SnapshotFormatError("line 1: missing snapshot header")
-    radius_sq, window = _header_params({"radius_sq": head[1], "window_sq": head[3]})
+    snapshot, seen = _header_snapshot({"radius_sq": head[1], "window_sq": head[3]}), set()
     rows = csv.reader(source)
     columns = next(rows, None)
     if columns != CSV_COLUMNS:
         raise SnapshotFormatError(f"line 2: expected columns {CSV_COLUMNS}")
-    points, seen = [], set()
     for lineno, row in enumerate(rows, start=3):
         if not row:
             continue
         try:
             a = [int(v) for v in row[0:4]]
             iabs = [int(row[6]), int(row[7])]
-            points.append(_rebuild_record(a, row[4], row[5], iabs, row[8], lineno, seen))
+            _add_record(snapshot, seen, lineno, a, row[4], row[5], iabs, row[8])
         except SnapshotFormatError:
             raise
         except (ValueError, IndexError) as e:
             raise SnapshotFormatError(f"line {lineno}: malformed record: {e}") from e
-    return Snapshot(window, radius_sq, points)
+    return snapshot
 
 
 @dataclass(frozen=True)

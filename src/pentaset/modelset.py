@@ -217,27 +217,31 @@ def displacement_candidates(window: Window) -> list[tuple[Coords, GoldenInt]]:
     return out
 
 
-def _scan(c: Coords, window: Window, hit):
-    """The first displacement d of the sorted list with hit(c + d), as
-    (|d|^2, c + d), or None when no d up to length 1 hits."""
+def _split(snapshot: Snapshot):
+    """(coords, good, bad) of the snapshot's points: good maps the
+    coordinates of each point in the disc and the window that appears once
+    to its index, and bad lists the indices of the other points."""
+    coords = [p.z.coords() for p in snapshot.points]
+    rn, rd = snapshot.radius_sq.numerator, snapshot.radius_sq.denominator
+    wn, wd = snapshot.window.w.numerator, snapshot.window.w.denominator
+    counts = Counter(coords)
+    good = {}
+    for i, c in enumerate(coords):
+        phys, intr = abs_sq_coords(*c)
+        if counts[c] == 1 and golden_cmp(*phys, rn, rd) <= 0 and golden_cmp(*intr, wn, wd) <= 0:
+            good[c] = i
+    return coords, good, [i for i, c in enumerate(coords) if c not in good]
+
+
+def _hits(c: Coords, ds, good: dict):
+    """(d, x, j) for each (d, x) of ds, in order, where c + d is the good
+    point j; x is whatever the caller attached to d."""
     a0, a1, a2, a3 = c
-    for (d0, d1, d2, d3), dsq in displacement_candidates(window):
-        t = (a0 + d0, a1 + d1, a2 + d2, a3 + d3)
-        if hit(t):
-            return dsq, t
-    return None
-
-
-def min_distance(z: CycInt, window: Window) -> tuple[GoldenInt, CycInt]:
-    """Exact squared distance from z to its nearest neighbor in the full
-    (infinite) set, with the lexicographically smallest witness on ties."""
-    if not contains(z, window):
-        raise ValueError(f"{z.coords()} is not in the set for this window")
-    found = _scan(z.coords(), window, lambda t: _in_window(t, window.w))
-    if found is None:
-        raise RuntimeError(
-            "no neighbor within distance 1; window too small for the step bound")
-    return found[0], CycInt(*found[1])
+    for d, x in ds:
+        d0, d1, d2, d3 = d
+        j = good.get((a0 + d0, a1 + d1, a2 + d2, a3 + d3))
+        if j is not None:
+            yield d, x, j
 
 
 def classify_distance(d_sq: GoldenInt) -> str:
@@ -275,11 +279,24 @@ def _is_inner(p: int, q: int, rn: int, rd: int) -> bool:
     return sqrt5_sign(2 * sp + sq, sq) >= 0
 
 
-def _closest(c: Coords, others, best: tuple[int, int] | None):
-    """The exact minimum of best and the squared distances from c to others,
-    as a (p, q) pair, or None when both are empty."""
-    a0, a1, a2, a3 = c
-    for o in others:
+def _nearest(i: int, coords: list[Coords], good: dict, bad: list[int], cands):
+    """The exact squared distance from point i to the nearest other point,
+    as a (p, q) pair, or None when there is no other point.
+
+    cands is displacement_candidates' list: every difference of two window
+    members up to length 1, sorted by length.  So from a good point the
+    first hit along it is the nearest good point, and only the bad points
+    remain to compare; a bad point, or a good one with no hit, is compared
+    with every point.
+    """
+    first = next(_hits(coords[i], cands, good), None) if coords[i] in good else None
+    if first is None:
+        best, others = None, (j for j in range(len(coords)) if j != i)
+    else:
+        best, others = (first[1].p, first[1].q), bad
+    a0, a1, a2, a3 = coords[i]
+    for j in others:
+        o = coords[j]
         p, q = abs_sq_coords(a0 - o[0], a1 - o[1], a2 - o[2], a3 - o[3])[0]
         if best is None or golden_cmp(p - best[0], q - best[1], 0) < 0:
             best = (p, q)
@@ -291,44 +308,26 @@ def analyze(snapshot: Snapshot) -> Snapshot:
 
     Inner means |z| <= R - 1 (exact); other points stay "unknown", as does
     an inner point that is the snapshot's only point.  min_dist_sq is the
-    exact squared distance to the nearest other point of this snapshot,
-    whatever the snapshot holds.  A repeated inner point raises ValueError.
-
-    The displacement list holds every difference of two window members up
-    to length 1, so a scan from a window member, looking its neighbors up
-    in the snapshot, can miss only snapshot points outside the window.
-    Those are compared with every inner point directly; an inner point
-    outside the window, or one whose scan finds nothing, is compared with
-    the whole snapshot.
+    exact squared distance to the nearest other point of this snapshot
+    (_nearest), whatever the snapshot holds.  A repeated inner point, at
+    distance 0 from its copy, raises ValueError.
     """
-    window = snapshot.window
     radius_sq = snapshot.radius_sq
     rn, rd = radius_sq.numerator, radius_sq.denominator
-    coords = [p.z.coords() for p in snapshot.points]
-    members = Counter(coords)
-    outside = {j for j, c in enumerate(coords) if not _in_window(c, window.w)}
-    loose = [coords[j] for j in sorted(outside)]
-
+    coords, good, bad = _split(snapshot)
+    cands = displacement_candidates(snapshot.window)
     new_points = []
     for i, (c, rec) in enumerate(zip(coords, snapshot.points)):
         best = None
         if _is_inner(*abs_sq_coords(*c)[0], rn, rd):
-            if members[c] > 1:
+            best = _nearest(i, coords, good, bad, cands)
+            if best == (0, 0):
                 raise ValueError(f"point {c} appears more than once in the snapshot")
-            found = None if i in outside else _scan(c, window, members.__contains__)
-            if found is None:
-                others = (o for j, o in enumerate(coords) if j != i)
-                best = _closest(c, others, None)
-            else:
-                best = _closest(c, loose, (found[0].p, found[0].q))
-        if best is None:
-            mds, cls = None, DIST_UNKNOWN
-        else:
-            mds = GoldenInt(*best)
-            cls = classify_distance(mds)
+        mds = None if best is None else GoldenInt(*best)
+        cls = DIST_UNKNOWN if mds is None else classify_distance(mds)
         new_points.append(PointRecord(rec.z, rec.abs_sq_physical, rec.abs_sq_internal,
                                       rec.x, rec.y, mds, cls))
-    return Snapshot(window, radius_sq, new_points)
+    return Snapshot(snapshot.window, radius_sq, new_points)
 
 
 def stats(snapshot: Snapshot) -> dict:

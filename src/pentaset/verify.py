@@ -8,7 +8,6 @@ The pair checks' tested_count is the n(n-1)/2 pairs their verdict covers.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -28,8 +27,11 @@ from .modelset import (
     DIST_SHORT,
     Snapshot,
     Window,
+    _hits,
     _in_window,
     _members,
+    _nearest,
+    _split,
     analyze,
     displacement_candidates,
     enumerate_points,
@@ -70,46 +72,6 @@ def _require_unit_window(snapshot: Snapshot, check: str) -> None:
         raise ValueError(f"{check} applies only to the unit window, got w = {snapshot.window.w}")
 
 
-def _pairs(snapshot: Snapshot, ds, flagged=frozenset()):
-    """n, hits and rows for the pairs i < j of the snapshot.
-
-    A point is good when it lies in the disc and the window and appears
-    once; two good points differ by a d with |d|^2 <= 4R^2 and
-    |sigma(d)|^2 <= 4w, so a list of d, looked up from every good point,
-    finds every good pair whose difference c_j - c_i is on the list.  The
-    squared length, norm and clause of such a pair depend only on d, so
-    hits[d] counts the good pairs of each d of ds not in flagged, and rows
-    are built only where a report names the pair: ([c_i, c_j], c_j - c_i,
-    |c_j - c_i|^2) in (i, j) order for each pair with a bad point and each
-    good pair whose d is in flagged.  ds None makes every pair a row.
-    """
-    coords = [p.z.coords() for p in snapshot.points]
-    rn, rd = snapshot.radius_sq.numerator, snapshot.radius_sq.denominator
-    wn, wd = snapshot.window.w.numerator, snapshot.window.w.denominator
-    counts = Counter(coords)
-    good = {}
-    for i, c in enumerate(coords if ds is not None else ()):
-        phys, intr = abs_sq_coords(*c)
-        if counts[c] == 1 and golden_cmp(*phys, rn, rd) <= 0 and golden_cmp(*intr, wn, wd) <= 0:
-            good[c] = i
-    bad = [i for i, c in enumerate(coords) if c not in good]
-    pairs = {(min(b, j), max(b, j)) for b in bad for j in range(len(coords)) if j != b}
-    rows = [(i, j, tuple(y - x for x, y in zip(coords[i], coords[j]))) for i, j in pairs]
-    hits = {}
-    for d in ds or ():
-        d0, d1, d2, d3 = d
-        if d in flagged:
-            for (a0, a1, a2, a3), i in good.items():
-                j = good.get((a0 + d0, a1 + d1, a2 + d2, a3 + d3), -1)
-                if i < j:
-                    rows.append((i, j, d))
-        else:
-            hits[d] = sum(i < good.get((a0 + d0, a1 + d1, a2 + d2, a3 + d3), -1)
-                          for (a0, a1, a2, a3), i in good.items())
-    return len(coords), hits, [([list(coords[i]), list(coords[j])], d, abs_sq_coords(*d)[0])
-                               for i, j, d in sorted(rows)]
-
-
 def verify_separation(snapshot: Snapshot) -> VerificationReport:
     """Uniform discreteness: every pairwise squared distance >= 1/(4*diam^2).
 
@@ -117,34 +79,39 @@ def verify_separation(snapshot: Snapshot) -> VerificationReport:
     proof actually supports the stronger 1/(4w), which is tracked separately
     in the details rather than enforced.
 
-    Good pairs come from the displacement list (differences of window members
-    up to length 1), judged once per displacement; when 1/(4w) > 1 or no
-    pair lies within distance 1 (a tiny or sparse snapshot), every pair is
-    compared instead.
+    The minimum pair distance is the minimum over the points of the exact
+    distance to the nearest other point (_nearest).  Both ends of a pair
+    closer than 1/(16w) have their nearest point that close, so only those
+    points are compared pairwise.
     """
     w = snapshot.window.w
     weak = Fraction(1, 16) / w
     strong = Fraction(1, 4) / w
+    coords, good, bad = _split(snapshot)
     cands = displacement_candidates(snapshot.window)
-    n, hits, rows = _pairs(snapshot, [d for d, _ in cands], {
-        d for d, g in cands if golden_cmp(g.p, g.q, weak.numerator, weak.denominator) < 0})
-    if strong > 1 or (not any(hits.values())
-                      and all(golden_cmp(*dsq, 1) > 0 for *_, dsq in rows)):
-        n, hits, rows = _pairs(snapshot, None)
-    violations = [{"pair": pair, "dist_sq": [p, q]} for pair, _, (p, q) in rows
-                  if golden_cmp(p, q, weak.numerator, weak.denominator) < 0]
-    lengths = [(g.p, g.q) for d, g in cands if hits.get(d)] + [dsq for *_, dsq in rows]
-    min_pq = None
-    for p, q in lengths:
-        if min_pq is None or golden_cmp(p - min_pq[0], q - min_pq[1], 0) < 0:
-            min_pq = (p, q)
+    n = len(coords)
+    min_pq, close = None, []
+    for i in range(n):
+        pq = _nearest(i, coords, good, bad, cands)
+        if pq is None:
+            continue
+        if min_pq is None or golden_cmp(pq[0] - min_pq[0], pq[1] - min_pq[1], 0) < 0:
+            min_pq = pq
+        if golden_cmp(*pq, weak.numerator, weak.denominator) < 0:
+            close.append(coords[i])
+    violations = []
+    for k, a in enumerate(close):
+        for b in close[k + 1:]:
+            p, q = abs_sq_coords(*(y - x for x, y in zip(a, b)))[0]
+            if golden_cmp(p, q, weak.numerator, weak.denominator) < 0:
+                violations.append({"pair": [list(a), list(b)], "dist_sq": [p, q]})
     return VerificationReport(
         "separation", not violations, n * (n - 1) // 2, violations, _params(snapshot),
         details={
             "stated_constant_sq": str(weak),
             "proof_constant_sq": str(strong),
-            "proof_constant_holds": all(golden_cmp(p, q, strong.numerator, strong.denominator) >= 0
-                                        for p, q in lengths),
+            "proof_constant_holds": min_pq is None or golden_cmp(
+                *min_pq, strong.numerator, strong.denominator) >= 0,
             "min_pair_dist_sq": list(min_pq) if min_pq else None,
         })
 
@@ -197,10 +164,11 @@ def verify_unit_lemma(snapshot: Snapshot) -> VerificationReport:
     """Pairs closer than sqrt(5)/2 differ by a unit; non-unit differences
     have norm at least 5 (norms 2, 3, 4 never occur).
 
-    Two good points differ by a d with |d|^2 <= 4R^2 and |sigma(d)|^2 <= 4,
-    and only the d that are close or have norm 2, 3 or 4 can change the
-    report; _unit_lemma_list holds all of them, in a list that does not
-    grow with R, and each d on it is judged once and its hits counted.
+    Two good points (_split) differ by a d with |d|^2 <= 4R^2 and
+    |sigma(d)|^2 <= 4, and only the d that are close or have norm 2, 3 or 4
+    can change the report; _unit_lemma_list holds all of them, in a list
+    that does not grow with R; each d is judged once and _hits carries that
+    judgement to its good pairs.
 
     Close: no d with |sigma(d)|^2 <= 4 has 1 < |d|^2 < 5/4 (the tests pin
     this), so every close d is in displacement_candidates(Window()), the d
@@ -232,16 +200,23 @@ def verify_unit_lemma(snapshot: Snapshot) -> VerificationReport:
             return close, {"norm": norm, "clause": "norm-gap"}
         return close, None
 
-    ds = _unit_lemma_list(snapshot.radius_sq)
-    judged = {d: judge(d, *abs_sq_coords(*d)[0]) for d in ds}
-    n, hits, rows = _pairs(snapshot, ds, {d for d, (_, v) in judged.items() if v})
-    close_pairs = sum(h for d, h in hits.items() if judged[d][0])
-    violations = []
-    for pair, d, (p, q) in rows:
-        close, v = judge(d, p, q)
+    coords, good, bad = _split(snapshot)
+    n = len(coords)
+    judged = [(d, judge(d, *abs_sq_coords(*d)[0])) for d in _unit_lemma_list(snapshot.radius_sq)]
+    close_pairs, rows = 0, []
+    for c, i in good.items():
+        for _, (close, v), j in _hits(c, judged, good):
+            if i < j:
+                close_pairs += close
+                if v:
+                    rows.append((i, j, v))
+    for i, j in {(min(b, j), max(b, j)) for b in bad for j in range(n) if j != b}:
+        d = tuple(y - x for x, y in zip(coords[i], coords[j]))
+        close, v = judge(d, *abs_sq_coords(*d)[0])
         close_pairs += close
         if v:
-            violations.append({"pair": pair, **v})
+            rows.append((i, j, v))
+    violations = [{"pair": [list(coords[i]), list(coords[j])], **v} for i, j, v in sorted(rows)]
     return VerificationReport("unit-lemma", not violations, n * (n - 1) // 2,
                               violations, _params(snapshot),
                               details={"close_pairs": close_pairs})
@@ -249,7 +224,16 @@ def verify_unit_lemma(snapshot: Snapshot) -> VerificationReport:
 
 def verify_two_distance(snapshot: Snapshot) -> VerificationReport:
     """Every inner point's exact minimal distance is (sqrt(5)-1)/2 or 1;
-    both values occur once the radius allows (R >= 2)."""
+    both values occur once the radius allows (R >= 2).
+
+    This holds for the whole infinite set.  At w = 1 the displacement list
+    is exactly the twenty units, ten of squared length 2 - phi and ten of
+    length 1 (the tests pin both), and it holds every difference of two
+    members up to length 1.  Every window point u has a tenth root v with
+    |u + v| <= 1, because |u| <= 1 < 2 cos 18 deg, so every member z has a
+    neighbor z + mu at distance 1 (step existence).  So the nearest
+    neighbor of every member is a hit along the list, at 2 - phi or 1.
+    """
     _require_unit_window(snapshot, "two-distance")
     violations = []
     counts = {DIST_SHORT: 0, DIST_LONG: 0, DIST_OTHER: 0}

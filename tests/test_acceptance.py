@@ -29,7 +29,6 @@ from pentaset.modelset import (
     analyze,
     contains,
     enumerate_points,
-    min_distance,
     stats,
 )
 from pentaset.verify import (
@@ -85,8 +84,8 @@ def test_02_tightness():
         assert classes["short"] > 0 and classes["long"] > 0
         z1, z2 = CycInt(1, 0, 0, 0), CycInt(0, 0, -1, -1)
         assert abs_sq(z1 - z2, "physical") == GoldenInt(2, -1)
-        d0, _ = min_distance(ZERO, Window())
-        assert d0 == GoldenInt(1, 0)
+        origin = next(p for p in snap.points if p.z == ZERO)
+        assert origin.min_dist_sq == GoldenInt(1, 0)
 
 
 def test_03_separation(snap400):

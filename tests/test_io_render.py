@@ -139,6 +139,20 @@ class TestValidation:
             read_snapshot(io.StringIO(text))
 
 
+    @pytest.mark.parametrize("radius_sq, fmt, record", [
+        (1, "jsonl", '{"a":[5,0,0,0],"x":0.5,"y":3,"iabs":[25,0],"class":"short"}'),
+        (1, "csv", "5,0,0,0,0.5,3,25,0,short"),
+        # |2|^2 = 4 is on the rim of the disc, |sigma(2)|^2 = 4 is outside the window
+        (4, "jsonl", '{"a":[2,0,0,0],"x":2,"y":0,"iabs":[4,0],"class":"unknown"}'),
+    ], ids=["far-jsonl", "far-csv", "outside-window"])
+    def test_non_member_rejected(self, radius_sq, fmt, record):
+        buf = io.StringIO()
+        write_snapshot(enumerate_points(radius_sq), fmt, buf)
+        lines = buf.getvalue().splitlines(keepends=True)
+        with pytest.raises(SnapshotFormatError,
+                           match=f"^line {len(lines) + 1}: .*outside the disc or window"):
+            read_snapshot(io.StringIO("".join(lines) + record + "\n"))
+
 class TestRenderSvg:
     def test_radius_one_counts(self):
         svg = render_svg(enumerate_points(1),

@@ -26,7 +26,6 @@ from pentaset.modelset import (
     displacement_candidates,
     enumerate_points,
     is_inner,
-    min_distance,
     stats,
 )
 from pentaset.modelset import SearchRangeError, _ellipsoid_vectors, _members
@@ -178,47 +177,48 @@ class TestEnumerate:
             5 * x * x for x in c) - sum(c) ** 2, c))  # Q then lex, doubled Q is fine
 
 
+@pytest.fixture(scope="module")
+def analyzed25():
+    return analyze(enumerate_points(25))
+
+
+def _min_dist_sq(snap, z):
+    return next(p.min_dist_sq for p in snap.points if p.z == z)
+
+
 class TestMinDistance:
-    def test_origin(self):
-        d, witness = min_distance(ZERO, Window())
-        assert d == GoldenInt(1, 0)
-        assert witness.coords() in {mu.coords() for mu in TENTH_ROOTS}
+    def test_origin(self, analyzed25):
+        assert _min_dist_sq(analyzed25, ZERO) == GoldenInt(1, 0)
 
-    def test_one(self):
-        d, witness = min_distance(ONE, Window())
-        assert d == GoldenInt(2, -1)
-        assert witness == CycInt(0, 0, -1, -1)
+    def test_one(self, analyzed25):
+        assert _min_dist_sq(analyzed25, ONE) == GoldenInt(2, -1)
 
-    def test_rotation_invariance(self):
+    def test_rotation_invariance(self, analyzed25):
+        # |zeta z| = |z|, so an inner point's image is inner too
+        by_coords = {p.z.coords(): p.min_dist_sq for p in analyzed25.points}
+        inner = [p for p in analyzed25.points if p.min_dist_sq is not None]
+        assert len(inner) > 10
+        for p in inner:
+            assert by_coords[(ZETA * p.z).coords()] == p.min_dist_sq
+
+    def test_candidate_set_completeness(self, analyzed25):
+        # an inner point's nearest neighbor in the snapshot is its nearest
+        # neighbor in the infinite set: a full pairwise scan over an
+        # enlarged snapshot must agree
         window = Window()
-        for c in coord_list(enumerate_points(4)):
-            z = CycInt(*c)
-            d, _ = min_distance(z, window)
-            dz, _ = min_distance(ZETA * z, window)
-            assert d == dz
-
-    def test_requires_membership(self):
-        with pytest.raises(ValueError):
-            min_distance(EPSILON, Window())
-
-    def test_candidate_set_completeness(self):
-        # full pairwise scan over an enlarged snapshot must agree
-        window = Window()
-        sample = [c for c in coord_list(enumerate_points(25))][::7]
-        for c in sample:
-            z = CycInt(*c)
-            r = math.sqrt(golden_to_float(abs_sq(z, "physical")))
+        sample = [p for p in analyzed25.points if p.min_dist_sq is not None][::7]
+        for p in sample:
+            c = p.z.coords()
+            r = math.sqrt(golden_to_float(abs_sq(p.z, "physical")))
             oracle_snap = enumerate_points(math.ceil((r + 1.5) ** 2), window)
             best = None
             for c2 in coord_list(oracle_snap):
                 if c2 == c:
                     continue
-                diff = CycInt(*c2) - z
-                d = abs_sq(diff, "physical")
+                d = abs_sq(CycInt(*c2) - p.z, "physical")
                 if best is None or golden_cmp_golden(d, best) < 0:
                     best = d
-            got, _ = min_distance(z, window)
-            assert got == best
+            assert p.min_dist_sq == best
 
     def test_unit_window_displacements(self):
         # the ten short steps +-zeta^k eps, then the ten long steps +-zeta^k
@@ -310,14 +310,6 @@ class TestAnalyze:
         inner = sum(1 for p in snap.points if p.dist_class != "unknown")
         classes = stats(snap)["classes"]
         assert classes["short"] + classes["long"] == inner
-
-    def test_matches_min_distance(self):
-        snap = analyze(enumerate_points(16))
-        window = snap.window
-        for p in snap.points:
-            if p.min_dist_sq is not None:
-                d, _ = min_distance(p.z, window)
-                assert p.min_dist_sq == d
 
     @pytest.mark.parametrize("snapshot", [
         "clean-unit", "clean-49/4", "mutated", "missing-orbit", "stray"])

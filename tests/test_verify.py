@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 
 import oracles
 from oracles import EPSILON, EPSILON_INV, ONE, ZETA
-from pentaset import verify
+from pentaset import modelset, verify
 from pentaset.cyclotomic import (
     CycInt,
     GoldenInt,
@@ -65,13 +65,16 @@ cycints = st.builds(CycInt, coords, coords, coords, coords)
 
 
 def _corrupted(name: str) -> Snapshot:
-    """A seeded corruption: a point outside the window (1 + eps^3), a close
-    non-unit neighbour (1 + eps^3 (1 - zeta)), a repeated point, a point
-    outside disc and window ((5, 0, 0, 0)), a window member outside the
-    disc, or three kinds at once."""
+    """A seeded corruption: a point outside the window (1 + eps^3), two such
+    points on either side of 1 (1 +- eps^3), a close non-unit neighbour
+    (1 + eps^3 (1 - zeta)), a repeated point, a point outside disc and
+    window ((5, 0, 0, 0)), a window member outside the disc, or three kinds
+    at once."""
     snap4 = analyze(enumerate_points(4))
     if name == "eps3":
         return with_extra_point(snap4, ONE + EPS3)
+    if name == "eps3-pair":
+        return with_extra_point(with_extra_point(snap4, ONE + EPS3), ONE - EPS3)
     if name == "eps3-non-unit":
         return with_extra_point(snap4, ONE + EPS3 * CycInt(1, -1, 0, 0))
     if name == "duplicate":
@@ -87,7 +90,7 @@ def _corrupted(name: str) -> Snapshot:
     return snap25
 
 
-CORRUPTIONS = ("eps3", "eps3-non-unit", "duplicate", "far", "outside-disc", "mix")
+CORRUPTIONS = ("eps3", "eps3-pair", "eps3-non-unit", "duplicate", "far", "outside-disc", "mix")
 
 
 class TestAgainstAllPairsOracle:
@@ -118,7 +121,8 @@ class TestAgainstAllPairsOracle:
         failed = {name: (not verify_separation(_corrupted(name)).passed,
                          not verify_unit_lemma(_corrupted(name)).passed)
                   for name in CORRUPTIONS}
-        assert failed == {"eps3": (True, True), "eps3-non-unit": (False, True),
+        assert failed == {"eps3": (True, True), "eps3-pair": (True, True),
+                          "eps3-non-unit": (False, True),
                           "duplicate": (True, True), "far": (False, False),
                           "outside-disc": (False, False), "mix": (True, True)}
 
@@ -161,6 +165,23 @@ class TestAgainstAllPairsOracle:
         r = verify_separation(snap)
         assert r.to_json() == oracles.separation(snap).to_json()
         assert r.details["min_pair_dist_sq"] == [1, 1]
+
+
+class TestWorkBound:
+    """analyze and separation compute O(n) distances, not one per pair."""
+
+    @pytest.mark.parametrize("stage", [analyze, verify_separation], ids=["analyze", "separation"])
+    def test_linear_in_points(self, monkeypatch, stage):
+        snap = enumerate_points(400)
+        calls = []
+
+        def counting(*c):
+            calls.append(c)
+            return abs_sq_coords(*c)
+        monkeypatch.setattr(modelset, "abs_sq_coords", counting)
+        stage(snap)
+        assert len(snap.points) == 1411
+        assert 0 < len(calls) <= 4 * len(snap.points)
 
 
 class TestUnitLemmaList:
