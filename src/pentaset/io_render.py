@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
-from .cyclotomic import CycInt, GoldenInt, ZETA_POWERS, abs_sq_coords, embed_approx, golden_cmp
+from .cyclotomic import CycInt, ZETA_POWERS, abs_sq_coords, embed_approx, golden_cmp
 from .modelset import PointRecord, Snapshot, Window
 
 CSV_COLUMNS = ["a0", "a1", "a2", "a3", "x", "y", "iabs_p", "iabs_q", "class"]
@@ -25,8 +25,10 @@ class SnapshotFormatError(ValueError):
     """Malformed or inconsistent snapshot file."""
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
+# One record per line; %.17g is format(x, ".17g").  No CSV field holds a
+# comma, quote or line break, so the CSV lines are csv.writer's bytes.
+_JSONL_RECORD = '{"a":[%d,%d,%d,%d],"x":%.17g,"y":%.17g,"iabs":[%d,%d],"class":"%s"}\n'
+_CSV_RECORD = "%d,%d,%d,%d,%.17g,%.17g,%d,%d,%s\n"
 
 
 def write_snapshot(snapshot: Snapshot, fmt: str, destination) -> None:
@@ -46,11 +48,7 @@ def _write_jsonl(snapshot: Snapshot, out) -> None:
               "window_sq": str(snapshot.window.w),
               "version": __version__}
     out.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
-    for p in snapshot.points:
-        a = p.z.coords()
-        out.write('{"a":[%d,%d,%d,%d],"x":%s,"y":%s,"iabs":[%d,%d],"class":"%s"}\n'
-                  % (a[0], a[1], a[2], a[3], _fmt(p.x), _fmt(p.y),
-                     p.abs_sq_internal.p, p.abs_sq_internal.q, p.dist_class))
+    out.write(_records(_JSONL_RECORD, snapshot))
 
 
 def _write_csv(snapshot: Snapshot, out) -> None:
@@ -59,33 +57,40 @@ def _write_csv(snapshot: Snapshot, out) -> None:
                      "window_sq", str(snapshot.window.w),
                      "version", __version__])
     writer.writerow(CSV_COLUMNS)
-    for p in snapshot.points:
-        a = p.z.coords()
-        writer.writerow([a[0], a[1], a[2], a[3], _fmt(p.x), _fmt(p.y),
-                         p.abs_sq_internal.p, p.abs_sq_internal.q, p.dist_class])
+    out.write(_records(_CSV_RECORD, snapshot))
 
 
-def _add_record(snapshot: Snapshot, seen: set, lineno, a, x, y, iabs, cls) -> None:
-    """Append the record of one line to snapshot; seen holds the coordinates
-    read so far."""
+def _records(line: str, snapshot: Snapshot) -> str:
+    return "".join([line % (*p.coords, p.x, p.y, *p.iabs, p.dist_class)
+                    for p in snapshot.points])
+
+
+def _add_record(snapshot: Snapshot, seen: set, lineno, c, x, y, iabs, cls) -> None:
+    """Append the record of one line, with coordinates c, to snapshot; seen
+    holds the coordinates read so far."""
     if cls not in _CLASSES:
         raise SnapshotFormatError(f"line {lineno}: unknown class {cls!r}")
-    z = CycInt(*a)
-    phys, intr = abs_sq_coords(*a)
+    phys, intr = abs_sq_coords(*c)
     if list(intr) != list(iabs):
         raise SnapshotFormatError(
             f"line {lineno}: stored iabs {list(iabs)} does not match "
-            f"recomputed {list(intr)} for a = {list(a)}")
+            f"recomputed {list(intr)} for a = {list(c)}")
     r, w = snapshot.radius_sq, snapshot.window.w
     if golden_cmp(*phys, r.numerator, r.denominator) > 0 or \
        golden_cmp(*intr, w.numerator, w.denominator) > 0:
-        raise SnapshotFormatError(f"line {lineno}: point {list(a)} is outside the disc or window")
-    c = z.coords()
+        raise SnapshotFormatError(f"line {lineno}: point {list(c)} is outside the disc or window")
     if c in seen:
-        raise SnapshotFormatError(f"line {lineno}: point {list(a)} appears more than once")
+        raise SnapshotFormatError(f"line {lineno}: point {list(c)} appears more than once")
+    x, y = float(x), float(y)
+    e = embed_approx(c)
+    # relative tolerance 1e-9; written as "not <=" so that a NaN fails
+    if not (abs(x - e.real) <= 1e-9 * max(1.0, abs(e.real))
+            and abs(y - e.imag) <= 1e-9 * max(1.0, abs(e.imag))):
+        raise SnapshotFormatError(
+            f"line {lineno}: stored x, y = {x!r}, {y!r} do not match the embedding "
+            f"{e.real!r}, {e.imag!r} of a = {list(c)}")
     seen.add(c)
-    snapshot.points.append(PointRecord(z, GoldenInt(*phys), GoldenInt(*intr),
-                                       float(x), float(y), dist_class=cls))
+    snapshot.points.append(PointRecord(c, intr, x, y, dist_class=cls))
 
 
 def _header_snapshot(fields: dict) -> Snapshot:
@@ -136,7 +141,7 @@ def _read_jsonl(first: str, source) -> Snapshot:
                 raise SnapshotFormatError(f"line {lineno}: a and iabs must hold integers")
             if type(x) not in (int, float) or type(y) not in (int, float):
                 raise SnapshotFormatError(f"line {lineno}: x and y must be numbers")
-            _add_record(snapshot, seen, lineno, a, x, y, iabs, rec["class"])
+            _add_record(snapshot, seen, lineno, (a0, a1, a2, a3), x, y, iabs, rec["class"])
         except SnapshotFormatError:
             raise
         except (ValueError, KeyError, TypeError, OverflowError) as e:
@@ -157,9 +162,9 @@ def _read_csv(first: str, source) -> Snapshot:
         if not row:
             continue
         try:
-            a = [int(v) for v in row[0:4]]
+            c = (int(row[0]), int(row[1]), int(row[2]), int(row[3]))
             iabs = [int(row[6]), int(row[7])]
-            _add_record(snapshot, seen, lineno, a, row[4], row[5], iabs, row[8])
+            _add_record(snapshot, seen, lineno, c, row[4], row[5], iabs, row[8])
         except SnapshotFormatError:
             raise
         except (ValueError, IndexError) as e:

@@ -50,15 +50,21 @@ class Window:
         return 4 * self.w
 
 
-@dataclass
+@dataclass(slots=True)
 class PointRecord:
-    z: CycInt
-    abs_sq_physical: GoldenInt
-    abs_sq_internal: GoldenInt
+    """One point z: its coordinates, |sigma(z)|^2 as a (p, q) pair, its
+    place (x, y) in the plane, and the nearest-neighbour result of analyze."""
+
+    coords: Coords
+    iabs: tuple[int, int]
     x: float
     y: float
     min_dist_sq: GoldenInt | None = None
     dist_class: str = DIST_UNKNOWN
+
+    @property
+    def z(self) -> CycInt:
+        return CycInt(*self.coords)
 
 
 @dataclass
@@ -68,7 +74,7 @@ class Snapshot:
     points: list[PointRecord] = field(default_factory=list)
 
     def coord_set(self) -> set[Coords]:
-        return {p.z.coords() for p in self.points}
+        return {p.coords for p in self.points}
 
 
 def contains(z: CycInt, window: Window) -> bool:
@@ -79,13 +85,6 @@ def contains(z: CycInt, window: Window) -> bool:
 def _in_window(c: Coords, w: Fraction) -> bool:
     p, q = abs_sq_coords(*c)[1]
     return golden_cmp(p, q, w.numerator, w.denominator) <= 0
-
-
-def _make_record(coords: Coords,
-                 phys: tuple[int, int], intr: tuple[int, int]) -> PointRecord:
-    z = CycInt(*coords)
-    e = embed_approx(z)
-    return PointRecord(z, GoldenInt(*phys), GoldenInt(*intr), e.real, e.imag)
 
 
 # Every member has F(a) = |z|^2/R^2 + |sigma(z)|^2/w <= 2.  Fincke-Pohst
@@ -183,8 +182,11 @@ def enumerate_points(radius_sq: Fraction | int, window: Window | None = None) ->
     radius_sq = Fraction(radius_sq)
     if radius_sq < 0:
         raise ValueError(f"radius_sq must be nonnegative, got {radius_sq}")
-    records = [_make_record(*m) for m in _members(radius_sq, window.w)]
-    records.sort(key=lambda p: (quad_form(*p.z.coords()), p.z.coords()))
+    records = []
+    for c, _, intr in sorted(_members(radius_sq, window.w),
+                             key=lambda m: (quad_form(*m[0]), m[0])):
+        e = embed_approx(c)
+        records.append(PointRecord(c, intr, e.real, e.imag))
     return Snapshot(window, radius_sq, records)
 
 
@@ -217,31 +219,46 @@ def displacement_candidates(window: Window) -> list[tuple[Coords, GoldenInt]]:
     return out
 
 
-def _split(snapshot: Snapshot):
-    """(coords, good, bad) of the snapshot's points: good maps the
-    coordinates of each point in the disc and the window that appears once
-    to its index, and bad lists the indices of the other points."""
-    coords = [p.z.coords() for p in snapshot.points]
+def _split(snapshot: Snapshot, ds: list):
+    """(coords, phys, keys, good, bad, walk) for walks along ds, a list of
+    (d, x) pairs: each point's coordinates, |z|^2 as a (p, q) pair and key
+    k(c); good, mapping the key of each point in the disc and the window
+    that appears once to its index; bad, the other indices; and walk, the
+    (k(d), x) of ds.
+
+    k(c) = ((c0*B + c1)*B + c2)*B + c3 is linear, so a lookup of c + d costs
+    one addition.  B = 2(M + D) + 1, M the largest |coordinate| of a point
+    in the disc and the window, D that of a d.  k is injective on
+    [-(M + D), M + D]^4: if k(c) = k(c'), each |c_i - c'_i| < B, so
+    reducing modulo B gives c3 = c'3, then c2 = c'2 after dividing by B,
+    and so on.  Every good point, and a good point plus a d, lies in that
+    box, so k(c) + k(d) is the key of the good point j only if c + d is j.
+    A bad point outside the box can share a good point's key, so a walk
+    starts only from a point i with good.get(keys[i]) == i.
+    """
     rn, rd = snapshot.radius_sq.numerator, snapshot.radius_sq.denominator
     wn, wd = snapshot.window.w.numerator, snapshot.window.w.denominator
-    counts = Counter(coords)
-    good = {}
-    for i, c in enumerate(coords):
-        phys, intr = abs_sq_coords(*c)
-        if counts[c] == 1 and golden_cmp(*phys, rn, rd) <= 0 and golden_cmp(*intr, wn, wd) <= 0:
-            good[c] = i
-    return coords, good, [i for i, c in enumerate(coords) if c not in good]
+    coords = [p.coords for p in snapshot.points]
+    moduli = [abs_sq_coords(*c) for c in coords]
+    inside = [i for i, (phys, intr) in enumerate(moduli)
+              if golden_cmp(*phys, rn, rd) <= 0 and golden_cmp(*intr, wn, wd) <= 0]
+    m = max((abs(a) for i in inside for a in coords[i]), default=0)
+    b = 2 * (m + max((abs(a) for d, _ in ds for a in d), default=0)) + 1
+    keys = [((a0 * b + a1) * b + a2) * b + a3 for a0, a1, a2, a3 in coords]
+    counts = Counter(keys[i] for i in inside)
+    good = {keys[i]: i for i in inside if counts[keys[i]] == 1}
+    bad = [i for i in range(len(coords)) if good.get(keys[i]) != i]
+    walk = [(((d0 * b + d1) * b + d2) * b + d3, x) for (d0, d1, d2, d3), x in ds]
+    return coords, [phys for phys, _ in moduli], keys, good, bad, walk
 
 
-def _hits(c: Coords, ds, good: dict):
-    """(d, x, j) for each (d, x) of ds, in order, where c + d is the good
-    point j; x is whatever the caller attached to d."""
-    a0, a1, a2, a3 = c
-    for d, x in ds:
-        d0, d1, d2, d3 = d
-        j = good.get((a0 + d0, a1 + d1, a2 + d2, a3 + d3))
+def _hits(k: int, walk: list, good: dict):
+    """(x, j) for each (kd, x) of walk, in order, where k + kd is the key of
+    the good point j."""
+    for kd, x in walk:
+        j = good.get(k + kd)
         if j is not None:
-            yield d, x, j
+            yield x, j
 
 
 def classify_distance(d_sq: GoldenInt) -> str:
@@ -254,15 +271,9 @@ def classify_distance(d_sq: GoldenInt) -> str:
     return DIST_OTHER
 
 
-def is_inner(abs_sq_physical: GoldenInt, radius_sq: Fraction) -> bool:
-    """Exact test |z| <= R - 1, i.e. the unit neighborhood of z fits in the disc."""
-    radius_sq = Fraction(radius_sq)
-    return _is_inner(abs_sq_physical.p, abs_sq_physical.q,
-                     radius_sq.numerator, radius_sq.denominator)
-
-
 def _is_inner(p: int, q: int, rn: int, rd: int) -> bool:
-    """is_inner for |z|^2 = p + q*phi and R^2 = rn/rd (rd > 0), in ints.
+    """Exact test |z| <= R - 1, i.e. the unit neighborhood of z fits in the
+    disc, for |z|^2 = p + q*phi and R^2 = rn/rd (rd > 0), in ints.
 
     Squared twice to stay rational: |z| + 1 <= R iff h = R^2 - 1 - |z|^2 >= 0
     and 4|z|^2 <= h^2; both sides are scaled by rd (rd^2) to clear R^2's
@@ -279,21 +290,23 @@ def _is_inner(p: int, q: int, rn: int, rd: int) -> bool:
     return sqrt5_sign(2 * sp + sq, sq) >= 0
 
 
-def _nearest(i: int, coords: list[Coords], good: dict, bad: list[int], cands):
+def _nearest(i: int, coords: list[Coords], keys: list[int], good: dict,
+             bad: list[int], walk: list):
     """The exact squared distance from point i to the nearest other point,
     as a (p, q) pair, or None when there is no other point.
 
-    cands is displacement_candidates' list: every difference of two window
-    members up to length 1, sorted by length.  So from a good point the
-    first hit along it is the nearest good point, and only the bad points
-    remain to compare; a bad point, or a good one with no hit, is compared
-    with every point.
+    walk is _split's keyed displacement_candidates: every difference of two
+    window members up to length 1, sorted by length.  So from a good point
+    the first hit along it is the nearest good point, and only the bad
+    points remain to compare; a bad point, or a good one with no hit, is
+    compared with every point.
     """
-    first = next(_hits(coords[i], cands, good), None) if coords[i] in good else None
+    k = keys[i]
+    first = next(_hits(k, walk, good), None) if good.get(k) == i else None
     if first is None:
         best, others = None, (j for j in range(len(coords)) if j != i)
     else:
-        best, others = (first[1].p, first[1].q), bad
+        best, others = (first[0].p, first[0].q), bad
     a0, a1, a2, a3 = coords[i]
     for j in others:
         o = coords[j]
@@ -314,19 +327,18 @@ def analyze(snapshot: Snapshot) -> Snapshot:
     """
     radius_sq = snapshot.radius_sq
     rn, rd = radius_sq.numerator, radius_sq.denominator
-    coords, good, bad = _split(snapshot)
-    cands = displacement_candidates(snapshot.window)
+    coords, phys, keys, good, bad, walk = _split(
+        snapshot, displacement_candidates(snapshot.window))
     new_points = []
-    for i, (c, rec) in enumerate(zip(coords, snapshot.points)):
+    for i, rec in enumerate(snapshot.points):
         best = None
-        if _is_inner(*abs_sq_coords(*c)[0], rn, rd):
-            best = _nearest(i, coords, good, bad, cands)
+        if _is_inner(*phys[i], rn, rd):
+            best = _nearest(i, coords, keys, good, bad, walk)
             if best == (0, 0):
-                raise ValueError(f"point {c} appears more than once in the snapshot")
+                raise ValueError(f"point {coords[i]} appears more than once in the snapshot")
         mds = None if best is None else GoldenInt(*best)
         cls = DIST_UNKNOWN if mds is None else classify_distance(mds)
-        new_points.append(PointRecord(rec.z, rec.abs_sq_physical, rec.abs_sq_internal,
-                                      rec.x, rec.y, mds, cls))
+        new_points.append(PointRecord(rec.coords, rec.iabs, rec.x, rec.y, mds, cls))
     return Snapshot(snapshot.window, radius_sq, new_points)
 
 

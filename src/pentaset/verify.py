@@ -87,12 +87,11 @@ def verify_separation(snapshot: Snapshot) -> VerificationReport:
     w = snapshot.window.w
     weak = Fraction(1, 16) / w
     strong = Fraction(1, 4) / w
-    coords, good, bad = _split(snapshot)
-    cands = displacement_candidates(snapshot.window)
+    coords, _, keys, good, bad, walk = _split(snapshot, displacement_candidates(snapshot.window))
     n = len(coords)
     min_pq, close = None, []
     for i in range(n):
-        pq = _nearest(i, coords, good, bad, cands)
+        pq = _nearest(i, coords, keys, good, bad, walk)
         if pq is None:
             continue
         if min_pq is None or golden_cmp(pq[0] - min_pq[0], pq[1] - min_pq[1], 0) < 0:
@@ -200,12 +199,12 @@ def verify_unit_lemma(snapshot: Snapshot) -> VerificationReport:
             return close, {"norm": norm, "clause": "norm-gap"}
         return close, None
 
-    coords, good, bad = _split(snapshot)
-    n = len(coords)
     judged = [(d, judge(d, *abs_sq_coords(*d)[0])) for d in _unit_lemma_list(snapshot.radius_sq)]
+    coords, _, _, good, bad, walk = _split(snapshot, judged)
+    n = len(coords)
     close_pairs, rows = 0, []
-    for c, i in good.items():
-        for _, (close, v), j in _hits(c, judged, good):
+    for k, i in good.items():
+        for (close, v), j in _hits(k, walk, good):
             if i < j:
                 close_pairs += close
                 if v:
@@ -248,7 +247,7 @@ def verify_two_distance(snapshot: Snapshot) -> VerificationReport:
             counts[DIST_LONG] += 1
         else:
             counts[DIST_OTHER] += 1
-            violations.append({"point": list(p.z.coords()),
+            violations.append({"point": list(p.coords),
                                "min_dist_sq": [p.min_dist_sq.p, p.min_dist_sq.q]})
     both_required = snapshot.radius_sq >= 4
     both_present = counts[DIST_SHORT] > 0 and counts[DIST_LONG] > 0
@@ -264,14 +263,16 @@ def verify_step_existence(snapshot: Snapshot) -> VerificationReport:
     """Every point (boundary included) has a tenth-root-of-unity step that
     stays in the infinite set; tested by exact membership."""
     _require_unit_window(snapshot, "step existence")
+    w = snapshot.window.w
+    roots = [mu.coords() for mu in TENTH_ROOTS]
     violations = []
     tested = 0
     for p in snapshot.points:
         tested += 1
-        c = p.z.coords()
-        if not any(_in_window(tuple(a + m for a, m in zip(c, mu.coords())), snapshot.window.w)
-                   for mu in TENTH_ROOTS):
-            violations.append({"point": list(c)})
+        a0, a1, a2, a3 = p.coords
+        if not any(_in_window((a0 + m0, a1 + m1, a2 + m2, a3 + m3), w)
+                   for m0, m1, m2, m3 in roots):
+            violations.append({"point": list(p.coords)})
     return VerificationReport("step-existence", not violations, tested,
                               violations, _params(snapshot))
 

@@ -26,8 +26,8 @@ from pentaset.modelset import (
     PointRecord,
     Snapshot,
     Window,
+    _is_inner,
     classify_distance,
-    is_inner,
 )
 from pentaset.verify import VerificationReport
 
@@ -90,8 +90,17 @@ def field_norm(z: CycInt) -> int:
     return w.a0
 
 
+def golden_add(g: GoldenInt, h: GoldenInt) -> GoldenInt:
+    return GoldenInt(g.p + h.p, g.q + h.q)
+
+
+def golden_mul(g: GoldenInt, h: GoldenInt) -> GoldenInt:
+    # phi^2 = phi + 1
+    return GoldenInt(g.p * h.p + g.q * h.q, g.p * h.q + g.q * h.p + g.q * h.q)
+
+
 def golden_cmp_golden(g: GoldenInt, h: GoldenInt) -> int:
-    return (g - h).sign()
+    return golden_cmp(g.p - h.p, g.q - h.q, 0)
 
 
 def golden_to_float(g: GoldenInt) -> float:
@@ -137,10 +146,9 @@ def box_enumerate(radius_sq, window: Window | None = None) -> Snapshot:
         phys, intr = abs_sq_coords(*a)
         if golden_cmp(*phys, radius_sq.numerator, radius_sq.denominator) <= 0 and \
            golden_cmp(*intr, window.w.numerator, window.w.denominator) <= 0:
-            z = CycInt(*a)
-            e = embed_approx(z)
-            records.append(PointRecord(z, GoldenInt(*phys), GoldenInt(*intr), e.real, e.imag))
-    records.sort(key=lambda p: (quad_form(*p.z.coords()), p.z.coords()))
+            e = embed_approx(CycInt(*a))
+            records.append(PointRecord(a, intr, e.real, e.imag))
+    records.sort(key=lambda p: (quad_form(*p.coords), p.coords))
     return Snapshot(window, radius_sq, records)
 
 
@@ -156,18 +164,29 @@ def nearest_in_snapshot(snapshot: Snapshot) -> list[tuple[GoldenInt | None, str]
     snapshot; other points, and an inner point with no other point, get
     (None, "unknown")."""
     coords = [p.z.coords() for p in snapshot.points]
+    r = snapshot.radius_sq
     out = []
     for i, c in enumerate(coords):
         best = None
-        if is_inner(GoldenInt(*abs_sq_coords(*c)[0]), snapshot.radius_sq):
-            for j, o in enumerate(coords):
-                if j == i:
-                    continue
-                d = GoldenInt(*abs_sq_coords(*(x - y for x, y in zip(c, o)))[0])
-                if best is None or (d - best).sign() < 0:
-                    best = d
-        out.append((None, DIST_UNKNOWN) if best is None else (best, classify_distance(best)))
+        if _is_inner(*abs_sq_coords(*c)[0], r.numerator, r.denominator):
+            best = nearest_dist_sq(coords, i)
+        if best is None:
+            out.append((None, DIST_UNKNOWN))
+        else:
+            out.append((GoldenInt(*best), classify_distance(GoldenInt(*best))))
     return out
+
+
+def nearest_dist_sq(coords: list, i: int) -> tuple[int, int] | None:
+    """The exact squared distance from coords[i] to the nearest other point
+    of coords, as a (p, q) pair, from every pair; None when there is none."""
+    best = None
+    for j, o in enumerate(coords):
+        if j != i:
+            p, q = _pair_dist_sq(coords[i], o)
+            if best is None or golden_cmp(p - best[0], q - best[1], 0) < 0:
+                best = (p, q)
+    return best
 
 
 def _params(snapshot: Snapshot) -> dict:

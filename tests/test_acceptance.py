@@ -44,6 +44,7 @@ from oracles import (
     box_enumerate,
     field_norm,
     galois_apply,
+    golden_add,
     golden_to_float,
     snapshot_to_jsonl_bytes,
 )
@@ -161,7 +162,7 @@ def test_09_randomized_arithmetic():
             assert field_norm(x * y) == field_norm(x) * field_norm(y)
         for _ in range(2000):  # |z|^2 + |sigma(z)|^2 = Q(a)
             z = rand_cyc(10**4)
-            total = abs_sq(z, "physical") + abs_sq(z, "internal")
+            total = golden_add(abs_sq(z, "physical"), abs_sq(z, "internal"))
             assert total.q == 0 and total.p == quad_form(*z.coords())
         with mpmath.workdps(60):  # exact comparison vs 60-digit floats
             phi = (1 + mpmath.sqrt(5)) / 2

@@ -1,6 +1,7 @@
 """Round-trip, validation, and SVG determinism tests."""
 
 import io
+import json
 import math
 import re
 from fractions import Fraction
@@ -28,7 +29,7 @@ def roundtrip(snapshot, fmt):
 
 
 def snapshot_key(snapshot):
-    return [(p.z.coords(), (p.abs_sq_internal.p, p.abs_sq_internal.q),
+    return [(p.z.coords(), p.iabs,
              p.dist_class, p.x, p.y) for p in snapshot.points]
 
 
@@ -152,6 +153,28 @@ class TestValidation:
         with pytest.raises(SnapshotFormatError,
                            match=f"^line {len(lines) + 1}: .*outside the disc or window"):
             read_snapshot(io.StringIO("".join(lines) + record + "\n"))
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("field, value", [
+        ("x", "shift"), ("x", "nan"), ("y", "shift"),
+    ], ids=["x-shifted", "x-nan", "y-shifted"])
+    def test_xy_off_the_embedding_rejected(self, snap4, fmt, field, value):
+        # shifted by 1e-6, far beyond the 1e-9 relative tolerance
+        buf = io.StringIO()
+        write_snapshot(snap4, fmt, buf)
+        lines = buf.getvalue().splitlines(keepends=True)
+        k = 6  # a record line in both formats, of a point off the axes
+        if fmt == "jsonl":
+            rec = json.loads(lines[k])
+            rec[field] = rec[field] + 1e-6 if value == "shift" else math.nan
+            lines[k] = json.dumps(rec) + "\n"
+        else:
+            row = lines[k].rstrip("\n").split(",")
+            col = CSV_COLUMNS.index(field)
+            row[col] = repr(float(row[col]) + 1e-6) if value == "shift" else "nan"
+            lines[k] = ",".join(row) + "\n"
+        with pytest.raises(SnapshotFormatError, match=f"^line {k + 1}: .*embedding"):
+            read_snapshot(io.StringIO("".join(lines)))
 
 class TestRenderSvg:
     def test_radius_one_counts(self):

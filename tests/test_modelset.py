@@ -1,5 +1,6 @@
 """Enumeration, membership, and nearest-neighbor classification tests."""
 
+import io
 import math
 from fractions import Fraction
 
@@ -25,10 +26,10 @@ from pentaset.modelset import (
     contains,
     displacement_candidates,
     enumerate_points,
-    is_inner,
     stats,
 )
-from pentaset.modelset import SearchRangeError, _ellipsoid_vectors, _members
+from pentaset.io_render import read_snapshot, write_snapshot
+from pentaset.modelset import SearchRangeError, _ellipsoid_vectors, _is_inner, _members
 
 from oracles import (
     EPSILON,
@@ -105,9 +106,9 @@ class TestEnumerate:
         snap = enumerate_points(Fraction(25, 2), Window(Fraction(1, 2)))
         r, w = snap.radius_sq, snap.window.w
         for p in snap.points:
-            g, h = p.abs_sq_physical, p.abs_sq_internal
-            assert golden_cmp(g.p, g.q, r.numerator, r.denominator) <= 0
-            assert golden_cmp(h.p, h.q, w.numerator, w.denominator) <= 0
+            g, h = abs_sq_coords(*p.coords)[0], p.iabs
+            assert golden_cmp(*g, r.numerator, r.denominator) <= 0
+            assert golden_cmp(*h, w.numerator, w.denominator) <= 0
 
     @pytest.mark.parametrize("r_sq", [1, 4, Fraction(25, 4), 16])
     def test_symmetry_closure(self, r_sq):
@@ -258,17 +259,18 @@ class TestClassify:
 
 
 def _record(z: CycInt) -> PointRecord:
-    phys, intr = abs_sq_coords(*z.coords())
     e = embed_approx(z)
-    return PointRecord(z, GoldenInt(*phys), GoldenInt(*intr), e.real, e.imag)
+    return PointRecord(z.coords(), abs_sq_coords(*z)[1], e.real, e.imag)
 
 
 def _mutated():
     # the first inner point other than the origin moved by eps, off the set
     snap = enumerate_points(25)
     pts = list(snap.points)
+    r = snap.radius_sq
     idx = next(i for i, p in enumerate(pts)
-               if not p.z.is_zero() and is_inner(p.abs_sq_physical, snap.radius_sq))
+               if not p.z.is_zero()
+               and _is_inner(*abs_sq_coords(*p.coords)[0], r.numerator, r.denominator))
     pts[idx] = _record(pts[idx].z + EPSILON)
     return Snapshot(snap.window, snap.radius_sq, pts)
 
@@ -330,18 +332,50 @@ class TestAnalyze:
     def test_inner_margin(self):
         # a point is classified iff its unit neighborhood fits in the disc
         snap = analyze(enumerate_points(9))
+        r = snap.radius_sq
         for p in snap.points:
-            assert (p.dist_class != "unknown") == is_inner(p.abs_sq_physical,
-                                                           snap.radius_sq)
+            assert (p.dist_class != "unknown") == _is_inner(*abs_sq_coords(*p.coords)[0],
+                                                            r.numerator, r.denominator)
 
     @given(st.integers(0, 20), st.fractions(0, 10, max_denominator=16))
     @settings(max_examples=80, deadline=None)
     def test_is_inner_matches_floats(self, g_p, r_sq):
         # pure integer golden values stay far from the boundary cases
-        g = GoldenInt(g_p, 0)
         expected = math.sqrt(g_p) <= math.sqrt(r_sq) - 1
         if abs(math.sqrt(g_p) - (math.sqrt(r_sq) - 1)) > 1e-9:
-            assert is_inner(g, r_sq) == expected
+            assert _is_inner(g_p, 0, r_sq.numerator, r_sq.denominator) == expected
+
+
+class TestNoRingObjectPerPoint:
+    """Points travel as coordinate tuples: enumerating, reading and writing
+    build no CycInt or GoldenInt, and analyze one GoldenInt per inner point
+    (its min_dist_sq)."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        displacement_candidates(Window())  # fill the cache before counting
+        built = {CycInt: 0, GoldenInt: 0}
+        for cls in built:
+            def counting(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+                built[_cls] += 1
+                _init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counting)
+        return built
+
+    def test_counts_at_radius_20(self, built):
+        snap = enumerate_points(400)
+        assert len(snap.points) == 1411
+        assert built == {CycInt: 0, GoldenInt: 0}
+        analyzed = analyze(snap)
+        inner = sum(p.min_dist_sq is not None for p in analyzed.points)
+        assert built[CycInt] == 0 and 0 < built[GoldenInt] <= inner
+        built[GoldenInt] = 0
+        for fmt in ("jsonl", "csv"):
+            buf = io.StringIO()
+            write_snapshot(analyzed, fmt, buf)
+            buf.seek(0)
+            assert len(read_snapshot(buf).points) == 1411
+        assert built == {CycInt: 0, GoldenInt: 0}
 
 
 class TestStats:

@@ -49,9 +49,8 @@ def snap25():
 
 
 def make_record(z: CycInt) -> PointRecord:
-    phys, intr = abs_sq_coords(*z.coords())
     e = embed_approx(z)
-    return PointRecord(z, GoldenInt(*phys), GoldenInt(*intr), e.real, e.imag)
+    return PointRecord(z.coords(), abs_sq_coords(*z)[1], e.real, e.imag)
 
 
 def with_extra_point(snap: Snapshot, z: CycInt) -> Snapshot:
@@ -64,12 +63,19 @@ coords = st.integers(min_value=-50, max_value=50)
 cycints = st.builds(CycInt, coords, coords, coords, coords)
 
 
+def _key_base(snap: Snapshot) -> int:
+    """The base B of modelset._split's point key for snap at w = 1: the key
+    of zeta^2 = (0, 0, 1, 0) is B."""
+    coords, _, keys, *_ = modelset._split(snap, displacement_candidates(Window()))
+    return keys[coords.index((0, 0, 1, 0))]
+
+
 def _corrupted(name: str) -> Snapshot:
     """A seeded corruption: a point outside the window (1 + eps^3), two such
     points on either side of 1 (1 +- eps^3), a close non-unit neighbour
     (1 + eps^3 (1 - zeta)), a repeated point, a point outside disc and
-    window ((5, 0, 0, 0)), a window member outside the disc, or three kinds
-    at once."""
+    window ((5, 0, 0, 0)), a window member outside the disc, a far point
+    whose key is that of the good point 1, or three kinds at once."""
     snap4 = analyze(enumerate_points(4))
     if name == "eps3":
         return with_extra_point(snap4, ONE + EPS3)
@@ -81,6 +87,9 @@ def _corrupted(name: str) -> Snapshot:
         return with_extra_point(snap4, snap4.points[5].z)
     if name == "far":
         return with_extra_point(enumerate_points(1), CycInt(5, 0, 0, 0))
+    if name == "key-collision":
+        # k(c + (0, 0, 1, -B)) = k(c) + B - B
+        return with_extra_point(snap4, ONE + CycInt(0, 0, 1, -_key_base(snap4)))
     if name == "outside-disc":
         # zeta is in the window but not in the disc R^2 = 1/10
         return with_extra_point(enumerate_points(Fraction(1, 10)), ZETA)
@@ -90,7 +99,8 @@ def _corrupted(name: str) -> Snapshot:
     return snap25
 
 
-CORRUPTIONS = ("eps3", "eps3-pair", "eps3-non-unit", "duplicate", "far", "outside-disc", "mix")
+CORRUPTIONS = ("eps3", "eps3-pair", "eps3-non-unit", "duplicate", "far", "key-collision",
+               "outside-disc", "mix")
 
 
 class TestAgainstAllPairsOracle:
@@ -124,7 +134,21 @@ class TestAgainstAllPairsOracle:
         assert failed == {"eps3": (True, True), "eps3-pair": (True, True),
                           "eps3-non-unit": (False, True),
                           "duplicate": (True, True), "far": (False, False),
+                          "key-collision": (False, False),
                           "outside-disc": (False, False), "mix": (True, True)}
+
+    @pytest.mark.parametrize("name", CORRUPTIONS)
+    def test_nearest_matches_all_pairs(self, name):
+        # every point's nearest distance, bad points included, so that a walk
+        # started from a bad point that shares a good point's key shows here
+        # and not only through the reports above
+        snap = _corrupted(name)
+        coords, _, keys, good, bad, walk = modelset._split(
+            snap, displacement_candidates(snap.window))
+        if name == "key-collision":
+            assert good.get(keys[-1]) == coords.index((1, 0, 0, 0))
+        got = [modelset._nearest(i, coords, keys, good, bad, walk) for i in range(len(coords))]
+        assert got == [oracles.nearest_dist_sq(coords, i) for i in range(len(coords))]
 
     def test_norm_gap_clause(self, snap25, monkeypatch):
         # no difference has norm 2, 3 or 4, so pretend +-2 has norm 4 in both
