@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from . import __version__
-from .io_render import RenderOptions, render_svg, write_snapshot
+from .io_render import RenderOptions, parse_rational, render_svg, write_snapshot
 from .modelset import SearchRangeError, Window, analyze, enumerate_points, stats
 from .verify import CHECK_NAMES, verify_all
 
@@ -26,9 +26,9 @@ EXIT_OVERFLOW = 4
 
 def _rational(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as e:
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from e
+        return parse_rational(text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from e
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,7 +75,10 @@ def parse_config(argv) -> argparse.Namespace:
         # check the sign before squaring hides it
         if ns.radius < 0:
             parser.error("radius must be nonnegative")
-        ns.radius_sq = ns.radius * ns.radius
+        try:
+            ns.radius_sq = parse_rational(ns.radius * ns.radius)
+        except ValueError as e:
+            parser.error(f"radius squared: {e}")
     if ns.radius_sq < 0:
         parser.error("radius must be nonnegative")
     if ns.window_sq <= 0:

@@ -10,8 +10,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from . import __version__
 from .cyclotomic import CycInt, ZETA_POWERS, abs_sq_coords, embed_approx, golden_cmp
@@ -23,6 +25,30 @@ _CLASSES = {"short", "long", "other", "unknown"}
 
 class SnapshotFormatError(ValueError):
     """Malformed or inconsistent snapshot file."""
+
+
+#: by default Python converts no int of more digits to or from a string
+MAX_DIGITS = 4300
+_DIGITS_LIMIT = 10 ** MAX_DIGITS
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
+def parse_rational(value) -> Fraction:
+    """Fraction(value); ValueError when value is no rational number, or when
+    a decimal exponent of the text, or the numerator or denominator, has
+    more than MAX_DIGITS digits: such an R^2 or w could not be printed, and
+    the exponent is checked first because Fraction("1e999999999") alone runs
+    for minutes."""
+    exponent = _EXPONENT.search(value) if isinstance(value, str) else None
+    if exponent and abs(int(exponent[1])) > MAX_DIGITS:
+        raise ValueError(f"{value!r} has a decimal exponent beyond {MAX_DIGITS}")
+    try:
+        r = Fraction(value)
+    except (ValueError, ZeroDivisionError) as e:
+        raise ValueError(f"not a rational number: {value!r}") from e
+    if abs(r.numerator) >= _DIGITS_LIMIT or r.denominator >= _DIGITS_LIMIT:
+        raise ValueError(f"numerator or denominator has more than {MAX_DIGITS} digits")
+    return r
 
 
 # One record per line; %.17g is format(x, ".17g").  No CSV field holds a
@@ -97,11 +123,15 @@ def _header_snapshot(fields: dict) -> Snapshot:
     """An empty snapshot with R^2 and the window from a header's fields;
     every fault is a line-1 error."""
     try:
-        radius_sq = Fraction(fields["radius_sq"])
-        window = Window(Fraction(fields["window_sq"]))
+        text = fields["radius_sq"], fields["window_sq"]
     except KeyError as e:
         raise SnapshotFormatError(f"line 1: header lacks {e}") from e
-    except (ValueError, TypeError, ZeroDivisionError) as e:
+    if not all(isinstance(t, str) for t in text):
+        raise SnapshotFormatError("line 1: radius_sq and window_sq must be strings")
+    try:
+        radius_sq = parse_rational(text[0])
+        window = Window(parse_rational(text[1]))
+    except ValueError as e:
         raise SnapshotFormatError(f"line 1: bad header value: {e}") from e
     if radius_sq < 0:
         raise SnapshotFormatError(f"line 1: radius_sq must be nonnegative, got {radius_sq}")
@@ -123,7 +153,7 @@ def read_snapshot(source) -> Snapshot:
 def _read_jsonl(first: str, source) -> Snapshot:
     try:
         header = json.loads(first)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise SnapshotFormatError(f"line 1: bad header: {e}") from e
     if header.get("format") != "pentaset-snapshot":
         raise SnapshotFormatError("line 1: missing snapshot header")
@@ -144,31 +174,34 @@ def _read_jsonl(first: str, source) -> Snapshot:
             _add_record(snapshot, seen, lineno, (a0, a1, a2, a3), x, y, iabs, rec["class"])
         except SnapshotFormatError:
             raise
-        except (ValueError, KeyError, TypeError, OverflowError) as e:
+        except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as e:
             raise SnapshotFormatError(f"line {lineno}: malformed record: {e}") from e
     return snapshot
 
 
 def _read_csv(first: str, source) -> Snapshot:
-    head = next(csv.reader([first]))
-    if len(head) < 4 or head[0] != "radius_sq" or head[2] != "window_sq":
-        raise SnapshotFormatError("line 1: missing snapshot header")
-    snapshot, seen = _header_snapshot({"radius_sq": head[1], "window_sq": head[3]}), set()
-    rows = csv.reader(source)
-    columns = next(rows, None)
-    if columns != CSV_COLUMNS:
-        raise SnapshotFormatError(f"line 2: expected columns {CSV_COLUMNS}")
-    for lineno, row in enumerate(rows, start=3):
-        if not row:
-            continue
-        try:
-            c = (int(row[0]), int(row[1]), int(row[2]), int(row[3]))
-            iabs = [int(row[6]), int(row[7])]
-            _add_record(snapshot, seen, lineno, c, row[4], row[5], iabs, row[8])
-        except SnapshotFormatError:
-            raise
-        except (ValueError, IndexError) as e:
-            raise SnapshotFormatError(f"line {lineno}: malformed record: {e}") from e
+    rows = csv.reader(chain([first], source))
+    try:
+        head = next(rows)
+        if len(head) < 4 or head[0] != "radius_sq" or head[2] != "window_sq":
+            raise SnapshotFormatError("line 1: missing snapshot header")
+        snapshot, seen = _header_snapshot({"radius_sq": head[1], "window_sq": head[3]}), set()
+        if next(rows, None) != CSV_COLUMNS:
+            raise SnapshotFormatError(f"line 2: expected columns {CSV_COLUMNS}")
+        for row in rows:
+            if not row:
+                continue
+            lineno = rows.line_num
+            try:
+                c = (int(row[0]), int(row[1]), int(row[2]), int(row[3]))
+                iabs = [int(row[6]), int(row[7])]
+                _add_record(snapshot, seen, lineno, c, row[4], row[5], iabs, row[8])
+            except SnapshotFormatError:
+                raise
+            except (ValueError, IndexError, OverflowError) as e:
+                raise SnapshotFormatError(f"line {lineno}: malformed record: {e}") from e
+    except csv.Error as e:
+        raise SnapshotFormatError(f"line {rows.line_num}: malformed CSV: {e}") from e
     return snapshot
 
 

@@ -2,8 +2,9 @@
 
 The point set is S = {z in Z[zeta_5] : |sigma(z)|^2 <= w} intersected with a
 physical disc |z|^2 <= R^2; both constraints are tested exactly.  The
-search runs over the ellipsoid |z|^2/R^2 + |sigma(z)|^2/w <= 2, which holds
-every member and about twice as many lattice vectors as there are members.
+search runs over one half of the ellipsoid |z|^2/R^2 + |sigma(z)|^2/w <= 2,
+which holds one of each pair +-z of members and about as many lattice
+vectors as there are members.
 """
 
 from __future__ import annotations
@@ -90,9 +91,13 @@ def _in_window(c: Coords, w: Fraction) -> bool:
 # Every member has F(a) = |z|^2/R^2 + |sigma(z)|^2/w <= 2.  Fincke-Pohst
 # search (Math. Comp. 44, 1985) writes F(a) = sum_i d_i (a_i - c_i)^2, the
 # centre c_i linear in a_{i+1}..a_3, and fixes a_3, ..., a_0 in turn within
-# the interval the partial sum leaves.  The ellipsoid has twice the volume
-# of disc x window, so it yields about 2n vectors for n members; the exact
-# filter in _members decides membership.
+# the interval the partial sum leaves.  F(-a) = F(a), so it searches only
+# the a != 0 whose last nonzero coordinate is positive: where a_{i+1}..a_3
+# are 0, c_i = 0 and a_i starts at 0 (a_0 at 1).  That half-ellipsoid has the
+# volume of disc x window, so it yields about n vectors for n members; the
+# exact filter in _members decides membership once per pair +-a.  -a is
+# placed at 0.0 - x, not -x: embed_approx never returns -0.0 and rounds
+# symmetrically, so that is embed_approx(-a) bit for bit.
 #
 # Completeness: floats only widen the search.  The form that the float Gram
 # matrix G and its LDL^T factors represent, evaluated in floats, is within
@@ -117,12 +122,11 @@ class SearchRangeError(ValueError):
 
 
 def _ellipsoid_vectors(radius_sq: Fraction, w: Fraction):
-    """Yield every integer vector a with F(a) <= 2, a superset of the
-    members at (radius_sq, w), and few others."""
+    """Yield every a != 0 with F(a) <= 2 and last nonzero coordinate
+    positive: one of each pair +-a of members at (radius_sq, w), and few others."""
     if radius_sq * w < 1:
         # a nonzero z has |z|^2 |sigma z|^2 = N(z) >= 1; this covers R^2 = 0,
         # where G is singular
-        yield (0, 0, 0, 0)
         return
     if not (radius_sq <= _MAX_RATIO * w and w <= _MAX_RATIO * radius_sq
             and radius_sq <= _MAX_SQ and w <= _MAX_SQ):
@@ -142,33 +146,46 @@ def _ellipsoid_vectors(radius_sq: Fraction, w: Fraction):
             for k in range(i + 1, 4):
                 g[j][k] -= g[i][j] * m[i][k]
     bound = 2 * (1 + _SLACK)
-    a = [0, 0, 0, 0]
-
-    def search(i, t):
-        c = -sum(m[i][j] * a[j] for j in range(i + 1, 4))
-        h = math.sqrt((bound - t) / d[i])
-        for ai in range(math.ceil(c - h) - 1, math.floor(c + h) + 2):
-            ti = t + d[i] * (ai - c) ** 2
-            if ti <= bound:
-                a[i] = ai
-                if i:
-                    yield from search(i - 1, ti)
-                else:
-                    yield tuple(a)
-
-    yield from search(3, 0.0)
+    d0, d1, d2, d3 = d
+    (_, m01, m02, m03), (_, _, m12, m13), m23 = m[0], m[1], m[2][3]
+    for a3 in range(math.floor(math.sqrt(bound / d3)) + 2):
+        t3 = d3 * a3 ** 2
+        if t3 > bound:
+            continue
+        c2 = -m23 * a3
+        h2 = math.sqrt((bound - t3) / d2)
+        for a2 in range(math.ceil(c2 - h2) - 1 if a3 else 0, math.floor(c2 + h2) + 2):
+            t2 = t3 + d2 * (a2 - c2) ** 2
+            if t2 > bound:
+                continue
+            c1 = -m12 * a2 - m13 * a3
+            h1 = math.sqrt((bound - t2) / d1)
+            for a1 in range(math.ceil(c1 - h1) - 1 if a3 or a2 else 0,
+                            math.floor(c1 + h1) + 2):
+                t1 = t2 + d1 * (a1 - c1) ** 2
+                if t1 > bound:
+                    continue
+                c0 = -m01 * a1 - m02 * a2 - m03 * a3
+                h0 = math.sqrt((bound - t1) / d0)
+                for a0 in range(math.ceil(c0 - h0) - 1 if a3 or a2 or a1 else 1,
+                                math.floor(c0 + h0) + 2):
+                    if t1 + d0 * (a0 - c0) ** 2 <= bound:
+                        yield a0, a1, a2, a3
 
 
 def _members(radius_sq: Fraction, w: Fraction):
     """(coords, |z|^2, |sigma z|^2) of every z with |z|^2 <= radius_sq and
-    |sigma(z)|^2 <= w, decided exactly; squared moduli are (p, q) pairs."""
+    |sigma(z)|^2 <= w, decided exactly; squared moduli are (p, q) pairs.
+    The origin comes first, then pairs a, -a, a's last nonzero coordinate > 0."""
     rn, rd = radius_sq.numerator, radius_sq.denominator
     wn, wd = w.numerator, w.denominator
-    for coords in _ellipsoid_vectors(radius_sq, w):
-        phys, intr = abs_sq_coords(*coords)
+    yield (0, 0, 0, 0), (0, 0), (0, 0)
+    for a0, a1, a2, a3 in _ellipsoid_vectors(radius_sq, w):
+        phys, intr = abs_sq_coords(a0, a1, a2, a3)
         if golden_cmp(phys[0], phys[1], rn, rd) <= 0 and \
            golden_cmp(intr[0], intr[1], wn, wd) <= 0:
-            yield coords, phys, intr
+            yield (a0, a1, a2, a3), phys, intr
+            yield (-a0, -a1, -a2, -a3), phys, intr
 
 
 def enumerate_points(radius_sq: Fraction | int, window: Window | None = None) -> Snapshot:
@@ -182,12 +199,14 @@ def enumerate_points(radius_sq: Fraction | int, window: Window | None = None) ->
     radius_sq = Fraction(radius_sq)
     if radius_sq < 0:
         raise ValueError(f"radius_sq must be nonnegative, got {radius_sq}")
-    records = []
-    for c, _, intr in sorted(_members(radius_sq, window.w),
-                             key=lambda m: (quad_form(*m[0]), m[0])):
-        e = embed_approx(c)
-        records.append(PointRecord(c, intr, e.real, e.imag))
-    return Snapshot(window, radius_sq, records)
+    found = _members(radius_sq, window.w)
+    origin, _, intr = next(found)
+    rows = [(0, origin, intr, 0.0, 0.0)]
+    for (c, _, intr), (neg, _, _) in zip(found, found):
+        q, e = quad_form(*c), embed_approx(c)
+        rows += (q, c, intr, e.real, e.imag), (q, neg, intr, 0.0 - e.real, 0.0 - e.imag)
+    rows.sort()
+    return Snapshot(window, radius_sq, [PointRecord(*row[1:]) for row in rows])
 
 
 _DISPLACEMENT_CACHE: dict[Fraction, list[tuple[Coords, GoldenInt]]] = {}

@@ -53,6 +53,28 @@ class TestParsing:
         assert code == EXIT_USAGE and captured.out == ""
         assert "proven complete" in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["stats", "--radius-sq", "1e4300"],
+        ["stats", "--radius-sq", "1e-4300"],
+        ["verify", "--radius", "1", "--window-sq", "1e-5000"],
+        ["stats", "--radius", "1e2200"],
+        ["stats", "--radius-sq", "1.5e-4300"],
+        ["stats", "--radius-sq", "1e999999999"],
+        ["stats", "--radius-sq", "0e1_000_000"],
+    ], ids=["1e4300", "1e-4300", "window-1e-5000", "radius-1e2200", "denominator-2e4300",
+            "exponent-1e999999999", "zero-with-huge-exponent"])
+    def test_more_than_4300_digits_is_usage_error(self, capsys, argv):
+        # beyond 4300 digits an R^2 or w cannot be printed; a huge exponent
+        # is refused before Fraction spends time on it
+        code = run_cli(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert "4300" in captured.err
+
+    def test_4300_digits_are_accepted(self):
+        cfg = parse_config(["stats", "--radius-sq", "1e4299", "--window-sq", "1/" + "9" * 4300])
+        assert cfg.radius_sq == 10 ** 4299 and cfg.window_sq.denominator == 10 ** 4300 - 1
+
 
 class TestGenerate:
     def test_eleven_records(self, capsys):

@@ -7,6 +7,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from pentaset.io_render import (
     CSV_COLUMNS,
@@ -175,6 +177,88 @@ class TestValidation:
             lines[k] = ",".join(row) + "\n"
         with pytest.raises(SnapshotFormatError, match=f"^line {k + 1}: .*embedding"):
             read_snapshot(io.StringIO("".join(lines)))
+
+    @pytest.mark.parametrize("line", [1, 2], ids=["header", "record"])
+    def test_deep_nesting_is_line_error(self, snap4, line):
+        # json.loads raises RecursionError on 10^5 nested arrays
+        lines = _snapshot_lines(snap4, "jsonl")
+        nested = "[" * 10 ** 5 + "]" * 10 ** 5
+        lines[line - 1] = '{"format":"pentaset-snapshot","a":%s}\n' % nested
+        with pytest.raises(SnapshotFormatError, match=f"^line {line}: "):
+            read_snapshot(io.StringIO("".join(lines)))
+
+    @pytest.mark.parametrize("field, value", [
+        ("window_sq", "true"), ("radius_sq", "4.5"), ("radius_sq", "4"), ("window_sq", "null"),
+    ])
+    def test_header_values_must_be_strings(self, snap4, field, value):
+        # the writer always writes strings; true would read as w = 1
+        lines = _snapshot_lines(snap4, "jsonl")
+        old = f'"{field}":"{snap4.radius_sq if field == "radius_sq" else snap4.window.w}"'
+        assert old in lines[0]
+        lines[0] = lines[0].replace(old, f'"{field}":{value}')
+        with pytest.raises(SnapshotFormatError, match="^line 1: .*strings"):
+            read_snapshot(io.StringIO("".join(lines)))
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("value", ["1e5000", "1e4300", "1e-999999999"])
+    def test_header_value_beyond_4300_digits_rejected(self, snap4, fmt, value):
+        # the CLI's rule: such an R^2 could not be printed
+        lines = _snapshot_lines(snap4, fmt)
+        old = '"radius_sq":"4"' if fmt == "jsonl" else "radius_sq,4,"
+        assert old in lines[0]
+        lines[0] = lines[0].replace(old, old.replace("4", value))
+        with pytest.raises(SnapshotFormatError, match="^line 1: .*4300"):
+            read_snapshot(io.StringIO("".join(lines)))
+
+    @pytest.mark.parametrize("k", [0, 4], ids=["header", "record"])
+    def test_csv_reader_error_is_line_error(self, snap4, k):
+        # csv.reader raises csv.Error on a carriage return inside a field
+        lines = _snapshot_lines(snap4, "csv")
+        lines[k] = "0\r" + lines[k]
+        with pytest.raises(SnapshotFormatError, match=f"^line {k + 1}: malformed CSV"):
+            read_snapshot(io.StringIO("".join(lines)))
+
+
+def _snapshot_lines(snapshot, fmt):
+    buf = io.StringIO()
+    write_snapshot(snapshot, fmt, buf)
+    return buf.getvalue().splitlines(keepends=True)
+
+
+_SNAP4_LINES = {fmt: _snapshot_lines(analyze(enumerate_points(4)), fmt)
+                for fmt in ("jsonl", "csv")}
+
+
+# characters and tokens of snapshot lines, mixed into the generated text
+_NEAR_SNAPSHOT = list('{}[]",:-+.eE_/0123456789\n \\') + [
+    "true", "null", "1e5000", "NaN", "Infinity", '"a":', '"x":', '"iabs":', '"class":',
+    '"radius_sq":', '"window_sq":', "short", "radius_sq", "window_sq"]
+
+
+@st.composite
+def _one_line_replaced(draw):
+    """A snapshot at R^2 = 4 with one line replaced by generated text: any
+    text, or the line with a slice of it replaced."""
+    lines = list(_SNAP4_LINES[draw(st.sampled_from(["jsonl", "csv"]))])
+    k = draw(st.integers(0, len(lines) - 1))
+    line = lines[k]
+    i = draw(st.integers(0, len(line)))
+    j = draw(st.integers(i, len(line)))
+    text = "".join(draw(st.lists(st.sampled_from(_NEAR_SNAPSHOT) | st.characters(),
+                                 max_size=12)))
+    lines[k] = draw(st.sampled_from([text, line[:i] + text + line[j:]]))
+    return "".join(lines)
+
+
+class TestReaderFuzz:
+    @given(_one_line_replaced())
+    @settings(max_examples=200, deadline=None)
+    def test_snapshot_or_format_error(self, text):
+        try:
+            read_snapshot(io.StringIO(text))
+        except SnapshotFormatError:
+            pass
+
 
 class TestRenderSvg:
     def test_radius_one_counts(self):

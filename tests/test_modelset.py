@@ -136,11 +136,22 @@ class TestEnumerate:
                coord_list(box_enumerate(r_sq, Window(w)))
 
     def test_search_is_output_sensitive(self):
-        # the ellipsoid F <= 2 has twice the volume of disc x window
+        # the half of the ellipsoid F <= 2 that is searched has the volume
+        # of disc x window
         n = len(enumerate_points(1600).points)
-        visited = sum(1 for _ in _ellipsoid_vectors(Fraction(1600), Fraction(1)))
+        visited = list(_ellipsoid_vectors(Fraction(1600), Fraction(1)))
         assert n == 5641
-        assert visited <= 2.5 * n + 100
+        assert len(visited) <= 1.25 * n + 50
+        # one of each pair +-a: nonzero, with the last nonzero coordinate positive
+        for a in visited:
+            assert next(x for x in reversed(a) if x) > 0
+
+    @pytest.mark.parametrize("r_sq, w", [(400, 1), (Fraction(73, 2), Fraction(49, 4))])
+    def test_places_are_the_embedding_bit_for_bit(self, r_sq, w):
+        # -z is placed by negating z's place; float.hex tells 0.0 from -0.0
+        for p in enumerate_points(r_sq, Window(w)).points:
+            e = embed_approx(p.coords)
+            assert (p.x.hex(), p.y.hex()) == (e.real.hex(), e.imag.hex()), p.coords
 
     def test_count_matches_density_at_radius_80(self):
         # density 4*pi*w/sqrt(125) (Baake-Grimm, Aperiodic Order 1, ch. 7)
