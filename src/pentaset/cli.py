@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import __version__
 from .io_render import RenderOptions, parse_rational, render_svg, write_snapshot
-from .modelset import SearchRangeError, Window, analyze, enumerate_points, stats
+from .modelset import SearchRangeError, Window, analyze, brief_rational, enumerate_points, stats
 from .verify import CHECK_NAMES, verify_all
 
 EXIT_OK = 0
@@ -118,8 +118,8 @@ def run_cli(argv) -> int:
 
 def _dispatch(cfg: argparse.Namespace) -> int:
     window = Window(cfg.window_sq)
-    print(f"pentaset {cfg.subcommand}: radius_sq={cfg.radius_sq} "
-          f"window_sq={cfg.window_sq}", file=sys.stderr)
+    print(f"pentaset {cfg.subcommand}: radius_sq={brief_rational(cfg.radius_sq)} "
+          f"window_sq={brief_rational(cfg.window_sq)}", file=sys.stderr)
 
     if cfg.subcommand == "generate":
         snap = enumerate_points(cfg.radius_sq, window)

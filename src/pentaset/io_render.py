@@ -16,8 +16,8 @@ from fractions import Fraction
 from itertools import chain
 
 from . import __version__
-from .cyclotomic import CycInt, ZETA_POWERS, abs_sq_coords, embed_approx, golden_cmp
-from .modelset import PointRecord, Snapshot, Window
+from .cyclotomic import CycInt, ZETA_POWERS, abs_sq_coords, embed_approx
+from .modelset import PointRecord, Snapshot, Window, _membership
 
 CSV_COLUMNS = ["a0", "a1", "a2", "a3", "x", "y", "iabs_p", "iabs_q", "class"]
 _CLASSES = {"short", "long", "other", "unknown"}
@@ -35,13 +35,16 @@ _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 def parse_rational(value) -> Fraction:
     """Fraction(value); ValueError when value is no rational number, or when
-    a decimal exponent of the text, or the numerator or denominator, has
-    more than MAX_DIGITS digits: such an R^2 or w could not be printed, and
-    the exponent is checked first because Fraction("1e999999999") alone runs
-    for minutes."""
-    exponent = _EXPONENT.search(value) if isinstance(value, str) else None
-    if exponent and abs(int(exponent[1])) > MAX_DIGITS:
-        raise ValueError(f"{value!r} has a decimal exponent beyond {MAX_DIGITS}")
+    a decimal exponent of the text, a run of digits in it, or the numerator
+    or denominator has more than MAX_DIGITS digits: such an R^2 or w could
+    not be printed.  The text is checked first, because Fraction("1e999999999")
+    alone runs for minutes and Python refuses to parse a longer run."""
+    if isinstance(value, str):
+        exponent = _EXPONENT.search(value)
+        if exponent and abs(int(exponent[1])) > MAX_DIGITS:
+            raise ValueError(f"{value!r} has a decimal exponent beyond {MAX_DIGITS}")
+        if any(len(run) - run.count("_") > MAX_DIGITS for run in re.findall(r"[\d_]+", value)):
+            raise ValueError(f"{value[:20]!r}... has a run of more than {MAX_DIGITS} digits")
     try:
         r = Fraction(value)
     except (ValueError, ZeroDivisionError) as e:
@@ -91,19 +94,17 @@ def _records(line: str, snapshot: Snapshot) -> str:
                     for p in snapshot.points])
 
 
-def _add_record(snapshot: Snapshot, seen: set, lineno, c, x, y, iabs, cls) -> None:
+def _add_record(snapshot: Snapshot, seen: set, inside, lineno, c, x, y, iabs, cls) -> None:
     """Append the record of one line, with coordinates c, to snapshot; seen
-    holds the coordinates read so far."""
+    holds the coordinates read so far, inside is _membership's memo."""
     if cls not in _CLASSES:
         raise SnapshotFormatError(f"line {lineno}: unknown class {cls!r}")
-    phys, intr = abs_sq_coords(*c)
+    _, intr = moduli = abs_sq_coords(*c)
     if list(intr) != list(iabs):
         raise SnapshotFormatError(
             f"line {lineno}: stored iabs {list(iabs)} does not match "
             f"recomputed {list(intr)} for a = {list(c)}")
-    r, w = snapshot.radius_sq, snapshot.window.w
-    if golden_cmp(*phys, r.numerator, r.denominator) > 0 or \
-       golden_cmp(*intr, w.numerator, w.denominator) > 0:
+    if not inside[moduli]:
         raise SnapshotFormatError(f"line {lineno}: point {list(c)} is outside the disc or window")
     if c in seen:
         raise SnapshotFormatError(f"line {lineno}: point {list(c)} appears more than once")
@@ -119,9 +120,9 @@ def _add_record(snapshot: Snapshot, seen: set, lineno, c, x, y, iabs, cls) -> No
     snapshot.points.append(PointRecord(c, intr, x, y, dist_class=cls))
 
 
-def _header_snapshot(fields: dict) -> Snapshot:
-    """An empty snapshot with R^2 and the window from a header's fields;
-    every fault is a line-1 error."""
+def _header_snapshot(fields: dict):
+    """An empty snapshot, set of coordinates seen and _membership memo for
+    R^2 and the window of a header's fields; every fault is a line-1 error."""
     try:
         text = fields["radius_sq"], fields["window_sq"]
     except KeyError as e:
@@ -135,7 +136,7 @@ def _header_snapshot(fields: dict) -> Snapshot:
         raise SnapshotFormatError(f"line 1: bad header value: {e}") from e
     if radius_sq < 0:
         raise SnapshotFormatError(f"line 1: radius_sq must be nonnegative, got {radius_sq}")
-    return Snapshot(window, radius_sq)
+    return Snapshot(window, radius_sq), set(), _membership(radius_sq, window.w)
 
 
 def read_snapshot(source) -> Snapshot:
@@ -157,7 +158,7 @@ def _read_jsonl(first: str, source) -> Snapshot:
         raise SnapshotFormatError(f"line 1: bad header: {e}") from e
     if header.get("format") != "pentaset-snapshot":
         raise SnapshotFormatError("line 1: missing snapshot header")
-    snapshot, seen = _header_snapshot(header), set()
+    snapshot, seen, inside = _header_snapshot(header)
     for lineno, line in enumerate(source, start=2):
         if not line.strip():
             continue
@@ -171,7 +172,7 @@ def _read_jsonl(first: str, source) -> Snapshot:
                 raise SnapshotFormatError(f"line {lineno}: a and iabs must hold integers")
             if type(x) not in (int, float) or type(y) not in (int, float):
                 raise SnapshotFormatError(f"line {lineno}: x and y must be numbers")
-            _add_record(snapshot, seen, lineno, (a0, a1, a2, a3), x, y, iabs, rec["class"])
+            _add_record(snapshot, seen, inside, lineno, (a0, a1, a2, a3), x, y, iabs, rec["class"])
         except SnapshotFormatError:
             raise
         except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as e:
@@ -185,7 +186,7 @@ def _read_csv(first: str, source) -> Snapshot:
         head = next(rows)
         if len(head) < 4 or head[0] != "radius_sq" or head[2] != "window_sq":
             raise SnapshotFormatError("line 1: missing snapshot header")
-        snapshot, seen = _header_snapshot({"radius_sq": head[1], "window_sq": head[3]}), set()
+        snapshot, seen, inside = _header_snapshot({"radius_sq": head[1], "window_sq": head[3]})
         if next(rows, None) != CSV_COLUMNS:
             raise SnapshotFormatError(f"line 2: expected columns {CSV_COLUMNS}")
         for row in rows:
@@ -195,7 +196,7 @@ def _read_csv(first: str, source) -> Snapshot:
             try:
                 c = (int(row[0]), int(row[1]), int(row[2]), int(row[3]))
                 iabs = [int(row[6]), int(row[7])]
-                _add_record(snapshot, seen, lineno, c, row[4], row[5], iabs, row[8])
+                _add_record(snapshot, seen, inside, lineno, c, row[4], row[5], iabs, row[8])
             except SnapshotFormatError:
                 raise
             except (ValueError, IndexError, OverflowError) as e:

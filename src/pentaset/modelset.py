@@ -78,14 +78,32 @@ class Snapshot:
         return {p.coords for p in self.points}
 
 
+class _Memo(dict):
+    """fn(*key) once per distinct key; one per call, as fn may bind R^2 and w."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(*key)
+        return value
+
+
+def _at_most(bound: Fraction) -> _Memo:
+    """A memo of p + q*phi <= bound, keyed by (p, q), decided exactly."""
+    n, d = bound.numerator, bound.denominator
+    return _Memo(lambda p, q: golden_cmp(p, q, n, d) <= 0)
+
+
+def _membership(radius_sq: Fraction, w: Fraction) -> _Memo:
+    """|z|^2 <= radius_sq and |sigma(z)|^2 <= w, memoised by abs_sq_coords(*c)."""
+    disc, window = _at_most(radius_sq), _at_most(w)
+    return _Memo(lambda phys, intr: disc[phys] and window[intr])
+
+
 def contains(z: CycInt, window: Window) -> bool:
     """Exact membership test; the window boundary is included."""
-    return _in_window(z.coords(), window.w)
-
-
-def _in_window(c: Coords, w: Fraction) -> bool:
-    p, q = abs_sq_coords(*c)[1]
-    return golden_cmp(p, q, w.numerator, w.denominator) <= 0
+    return _at_most(window.w)[abs_sq_coords(*z.coords())[1]]
 
 
 # Every member has F(a) = |z|^2/R^2 + |sigma(z)|^2/w <= 2.  Fincke-Pohst
@@ -121,6 +139,12 @@ class SearchRangeError(ValueError):
     """R^2 and w outside the range the enumeration is proven complete for."""
 
 
+def brief_rational(r: Fraction) -> str:
+    """str(r), with each part past 40 digits as its first 12 and a count."""
+    return "/".join(t if len(t) <= 40 else f"{t[:12]}...({len(t)} digits)"
+                    for t in str(r).split("/"))
+
+
 def _ellipsoid_vectors(radius_sq: Fraction, w: Fraction):
     """Yield every a != 0 with F(a) <= 2 and last nonzero coordinate
     positive: one of each pair +-a of members at (radius_sq, w), and few others."""
@@ -131,8 +155,9 @@ def _ellipsoid_vectors(radius_sq: Fraction, w: Fraction):
     if not (radius_sq <= _MAX_RATIO * w and w <= _MAX_RATIO * radius_sq
             and radius_sq <= _MAX_SQ and w <= _MAX_SQ):
         raise SearchRangeError(
-            f"R^2 = {radius_sq}, w = {w} is outside the range the enumeration is "
-            f"proven complete for (R^2/w and w/R^2 <= {_MAX_RATIO}, R^2 and w <= {_MAX_SQ})")
+            f"R^2 = {brief_rational(radius_sq)}, w = {brief_rational(w)} is outside the "
+            f"range the enumeration is proven complete for (R^2/w and w/R^2 <= {_MAX_RATIO}, "
+            f"R^2 and w <= {_MAX_SQ})")
     r, s = 1 / float(radius_sq), 1 / float(w)
     # G_jk = cos(2 pi k/5)/R^2 + cos(4 pi k/5)/w at lag k = |j - k|; lags 2, 3 agree
     lag = (r + s, _COS1 * r + _COS2 * s, _COS2 * r + _COS1 * s)
@@ -177,13 +202,11 @@ def _members(radius_sq: Fraction, w: Fraction):
     """(coords, |z|^2, |sigma z|^2) of every z with |z|^2 <= radius_sq and
     |sigma(z)|^2 <= w, decided exactly; squared moduli are (p, q) pairs.
     The origin comes first, then pairs a, -a, a's last nonzero coordinate > 0."""
-    rn, rd = radius_sq.numerator, radius_sq.denominator
-    wn, wd = w.numerator, w.denominator
+    inside = _membership(radius_sq, w)
     yield (0, 0, 0, 0), (0, 0), (0, 0)
     for a0, a1, a2, a3 in _ellipsoid_vectors(radius_sq, w):
-        phys, intr = abs_sq_coords(a0, a1, a2, a3)
-        if golden_cmp(phys[0], phys[1], rn, rd) <= 0 and \
-           golden_cmp(intr[0], intr[1], wn, wd) <= 0:
+        phys, intr = moduli = abs_sq_coords(a0, a1, a2, a3)
+        if inside[moduli]:
             yield (a0, a1, a2, a3), phys, intr
             yield (-a0, -a1, -a2, -a3), phys, intr
 
@@ -214,19 +237,27 @@ _DISPLACEMENT_CACHE: dict[Fraction, list[tuple[Coords, GoldenInt]]] = {}
 
 def displacement_candidates(window: Window) -> list[tuple[Coords, GoldenInt]]:
     """All nonzero d, as coordinate tuples with |d|^2, that can separate two
-    window members at distance <= 1.
+    window members at squared distance <= L: the points of the set at
+    R^2 = L with window 4w (both ends in the window force |sigma(d)|^2 <= 4w),
+    minus 0, finite as model sets have finite local complexity.  Sorted by
+    exact squared length, then coordinates, so a scan hits the nearest first.
 
-    Both endpoints in the window force |sigma(d)|^2 <= 4w, so these are the
-    points of the set at R^2 = 1 with window 4w, minus 0; the list is finite
-    because model sets have finite local complexity.  Sorted by exact
-    squared length, then lexicographic coordinates, so a scan hits the
-    minimal candidate first.
+    L = 1 for w >= 1, where every member has a neighbour at distance 1 (the
+    step argument in verify_two_distance).  For w < 1, S_w = phi^k S_{w phi^2k}
+    (eps = phi^-1), so once w (L_2k - 1) >= 1, and so w phi^2k > 1, the nearest
+    squared distance is at most phi^2k < L_2k (Lucas); L is the least such
+    L_2k, capped at 4w * _MAX_RATIO (proven range) and at least 1.  A point
+    with no hit is compared with every point, so L affects only the time.
     """
     cached = _DISPLACEMENT_CACHE.get(window.w)
     if cached is not None:
         return cached
+    w, lucas, step = window.w, 3, 7  # L_2k, L_2k+2; L_2k+4 = 3 L_2k+2 - L_2k
+    while w * (lucas - 1) < 1:
+        lucas, step = step, 3 * step - lucas
+    length = Fraction(max(1, min(lucas, 4 * w * _MAX_RATIO)) if w < 1 else 1)
     out = [(coords, GoldenInt(*phys))
-           for coords, phys, _ in _members(Fraction(1), window.diam_sq)
+           for coords, phys, _ in _members(length, window.diam_sq)
            if coords != (0, 0, 0, 0)]
 
     def cmp(a, b):
@@ -255,12 +286,10 @@ def _split(snapshot: Snapshot, ds: list):
     A bad point outside the box can share a good point's key, so a walk
     starts only from a point i with good.get(keys[i]) == i.
     """
-    rn, rd = snapshot.radius_sq.numerator, snapshot.radius_sq.denominator
-    wn, wd = snapshot.window.w.numerator, snapshot.window.w.denominator
+    member = _membership(snapshot.radius_sq, snapshot.window.w)
     coords = [p.coords for p in snapshot.points]
     moduli = [abs_sq_coords(*c) for c in coords]
-    inside = [i for i, (phys, intr) in enumerate(moduli)
-              if golden_cmp(*phys, rn, rd) <= 0 and golden_cmp(*intr, wn, wd) <= 0]
+    inside = [i for i, m in enumerate(moduli) if member[m]]
     m = max((abs(a) for i in inside for a in coords[i]), default=0)
     b = 2 * (m + max((abs(a) for d, _ in ds for a in d), default=0)) + 1
     keys = [((a0 * b + a1) * b + a2) * b + a3 for a0, a1, a2, a3 in coords]
@@ -314,18 +343,19 @@ def _nearest(i: int, coords: list[Coords], keys: list[int], good: dict,
     """The exact squared distance from point i to the nearest other point,
     as a (p, q) pair, or None when there is no other point.
 
-    walk is _split's keyed displacement_candidates: every difference of two
-    window members up to length 1, sorted by length.  So from a good point
+    walk is _split's keyed displacement_candidates: every difference d of two
+    window members with |d|^2 <= L, sorted by length.  So from a good point
     the first hit along it is the nearest good point, and only the bad
     points remain to compare; a bad point, or a good one with no hit, is
     compared with every point.
     """
-    k = keys[i]
-    first = next(_hits(k, walk, good), None) if good.get(k) == i else None
-    if first is None:
-        best, others = None, (j for j in range(len(coords)) if j != i)
-    else:
-        best, others = (first[0].p, first[0].q), bad
+    k, best, others = keys[i], None, bad
+    for kd, d in walk if good.get(k) == i else ():
+        if k + kd in good:
+            best = (d.p, d.q)
+            break
+    else:  # a bad point, or a good one with no hit
+        others = (j for j in range(len(coords)) if j != i)
     a0, a1, a2, a3 = coords[i]
     for j in others:
         o = coords[j]
@@ -342,22 +372,26 @@ def analyze(snapshot: Snapshot) -> Snapshot:
     an inner point that is the snapshot's only point.  min_dist_sq is the
     exact squared distance to the nearest other point of this snapshot
     (_nearest), whatever the snapshot holds.  A repeated inner point, at
-    distance 0 from its copy, raises ValueError.
+    distance 0 from its copy, raises ValueError.  Each distinct |z|^2 and
+    min_dist_sq is tested once; records share that frozen GoldenInt.
     """
     radius_sq = snapshot.radius_sq
-    rn, rd = radius_sq.numerator, radius_sq.denominator
     coords, phys, keys, good, bad, walk = _split(
         snapshot, displacement_candidates(snapshot.window))
+    inner = _Memo(lambda p, q: _is_inner(p, q, radius_sq.numerator, radius_sq.denominator))
+    def classified(p, q):
+        g = GoldenInt(p, q)
+        return g, classify_distance(g)
+    nearest = _Memo(classified)
+    nearest[None] = None, DIST_UNKNOWN  # not inner, or no other point
     new_points = []
     for i, rec in enumerate(snapshot.points):
         best = None
-        if _is_inner(*phys[i], rn, rd):
+        if inner[phys[i]]:
             best = _nearest(i, coords, keys, good, bad, walk)
             if best == (0, 0):
                 raise ValueError(f"point {coords[i]} appears more than once in the snapshot")
-        mds = None if best is None else GoldenInt(*best)
-        cls = DIST_UNKNOWN if mds is None else classify_distance(mds)
-        new_points.append(PointRecord(rec.coords, rec.iabs, rec.x, rec.y, mds, cls))
+        new_points.append(PointRecord(rec.coords, rec.iabs, rec.x, rec.y, *nearest[best]))
     return Snapshot(snapshot.window, radius_sq, new_points)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, cmp_to_key
 
 from .cyclotomic import (
     TENTH_ROOTS,
@@ -27,8 +27,9 @@ from .modelset import (
     DIST_SHORT,
     Snapshot,
     Window,
+    _Memo,
+    _at_most,
     _hits,
-    _in_window,
     _members,
     _nearest,
     _split,
@@ -79,25 +80,24 @@ def verify_separation(snapshot: Snapshot) -> VerificationReport:
     proof actually supports the stronger 1/(4w), which is tracked separately
     in the details rather than enforced.
 
-    The minimum pair distance is the minimum over the points of the exact
-    distance to the nearest other point (_nearest).  Both ends of a pair
-    closer than 1/(16w) have their nearest point that close, so only those
-    points are compared pairwise.
+    The minimum pair distance is the least distinct exact distance from a
+    point to its nearest other point (_nearest), each tested once against
+    1/(16w).  Both ends of a pair closer than 1/(16w) have their nearest
+    point that close, so only those points are compared pairwise.
     """
     w = snapshot.window.w
     weak = Fraction(1, 16) / w
     strong = Fraction(1, 4) / w
     coords, _, keys, good, bad, walk = _split(snapshot, displacement_candidates(snapshot.window))
     n = len(coords)
-    min_pq, close = None, []
+    below_weak = _Memo(lambda p, q: golden_cmp(p, q, weak.numerator, weak.denominator) < 0)
+    close = []
     for i in range(n):
         pq = _nearest(i, coords, keys, good, bad, walk)
-        if pq is None:
-            continue
-        if min_pq is None or golden_cmp(pq[0] - min_pq[0], pq[1] - min_pq[1], 0) < 0:
-            min_pq = pq
-        if golden_cmp(*pq, weak.numerator, weak.denominator) < 0:
+        if pq is not None and below_weak[pq]:
             close.append(coords[i])
+    min_pq = min(below_weak, default=None,
+                 key=cmp_to_key(lambda a, b: golden_cmp(a[0] - b[0], a[1] - b[1], 0)))
     violations = []
     for k, a in enumerate(close):
         for b in close[k + 1:]:
@@ -261,16 +261,16 @@ def verify_two_distance(snapshot: Snapshot) -> VerificationReport:
 
 def verify_step_existence(snapshot: Snapshot) -> VerificationReport:
     """Every point (boundary included) has a tenth-root-of-unity step that
-    stays in the infinite set; tested by exact membership."""
+    stays in the infinite set; exact, once per distinct |sigma(c + mu)|^2."""
     _require_unit_window(snapshot, "step existence")
-    w = snapshot.window.w
+    in_window = _at_most(snapshot.window.w)
     roots = [mu.coords() for mu in TENTH_ROOTS]
     violations = []
     tested = 0
     for p in snapshot.points:
         tested += 1
         a0, a1, a2, a3 = p.coords
-        if not any(_in_window((a0 + m0, a1 + m1, a2 + m2, a3 + m3), w)
+        if not any(in_window[abs_sq_coords(a0 + m0, a1 + m1, a2 + m2, a3 + m3)[1]]
                    for m0, m1, m2, m3 in roots):
             violations.append({"point": list(p.coords)})
     return VerificationReport("step-existence", not violations, tested,

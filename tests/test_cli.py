@@ -61,15 +61,28 @@ class TestParsing:
         ["stats", "--radius-sq", "1.5e-4300"],
         ["stats", "--radius-sq", "1e999999999"],
         ["stats", "--radius-sq", "0e1_000_000"],
+        ["stats", "--radius-sq", "1/" + "9" * 4301],
     ], ids=["1e4300", "1e-4300", "window-1e-5000", "radius-1e2200", "denominator-2e4300",
-            "exponent-1e999999999", "zero-with-huge-exponent"])
+            "exponent-1e999999999", "zero-with-huge-exponent", "run-of-4301-digits"])
     def test_more_than_4300_digits_is_usage_error(self, capsys, argv):
         # beyond 4300 digits an R^2 or w cannot be printed; a huge exponent
-        # is refused before Fraction spends time on it
+        # is refused before Fraction spends time on it, and a long run of
+        # digits before Python's int parser refuses it
         code = run_cli(argv)
         captured = capsys.readouterr()
         assert code == EXIT_USAGE and captured.out == ""
         assert "4300" in captured.err
+        assert len(captured.err) < 500
+        if "9" * 4301 in argv[-1]:
+            assert "more than 4300 digits" in captured.err
+
+    def test_long_rational_is_abbreviated_in_messages(self, capsys):
+        # accepted, but outside the proven range: the banner and the error
+        # give R^2 by its leading digits and digit count
+        code = run_cli(["stats", "--radius-sq", "1e4299"])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE and "proven complete" in err
+        assert len(err.encode()) < 500 and "(4300 digits)" in err
 
     def test_4300_digits_are_accepted(self):
         cfg = parse_config(["stats", "--radius-sq", "1e4299", "--window-sq", "1/" + "9" * 4300])

@@ -156,6 +156,17 @@ class TestValidation:
                            match=f"^line {len(lines) + 1}: .*outside the disc or window"):
             read_snapshot(io.StringIO("".join(lines) + record + "\n"))
 
+    @pytest.mark.parametrize("rejecting", [("1/2", "1"), ("1", "1/2")], ids=["disc", "window"])
+    def test_membership_is_decided_per_read(self, rejecting):
+        # the reader remembers each disc-and-window decision within one
+        # read only: the same record, accepted under one header, is
+        # rejected under a header with a smaller R^2 or w
+        header = '{"format":"pentaset-snapshot","radius_sq":"%s","version":"0","window_sq":"%s"}\n'
+        record = '{"a":[1,0,0,0],"x":1,"y":0,"iabs":[1,0],"class":"unknown"}\n'
+        assert len(read_snapshot(io.StringIO(header % ("1", "1") + record)).points) == 1
+        with pytest.raises(SnapshotFormatError, match="^line 2: .*outside the disc or window"):
+            read_snapshot(io.StringIO(header % rejecting + record))
+
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     @pytest.mark.parametrize("field, value", [
         ("x", "shift"), ("x", "nan"), ("y", "shift"),

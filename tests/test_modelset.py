@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from pentaset import cyclotomic, modelset
 from pentaset.cyclotomic import (
     CycInt,
     GoldenInt,
@@ -16,6 +17,7 @@ from pentaset.cyclotomic import (
     embed_approx,
     golden_cmp,
     norm_coords,
+    sqrt5_sign,
 )
 from pentaset.modelset import (
     PointRecord,
@@ -30,6 +32,7 @@ from pentaset.modelset import (
 )
 from pentaset.io_render import read_snapshot, write_snapshot
 from pentaset.modelset import SearchRangeError, _ellipsoid_vectors, _is_inner, _members
+from pentaset.verify import verify_separation, verify_step_existence
 
 from oracles import (
     EPSILON,
@@ -359,8 +362,8 @@ class TestAnalyze:
 
 class TestNoRingObjectPerPoint:
     """Points travel as coordinate tuples: enumerating, reading and writing
-    build no CycInt or GoldenInt, and analyze one GoldenInt per inner point
-    (its min_dist_sq)."""
+    build no CycInt or GoldenInt, and analyze one GoldenInt per distinct
+    min_dist_sq, which the records share."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -378,8 +381,8 @@ class TestNoRingObjectPerPoint:
         assert len(snap.points) == 1411
         assert built == {CycInt: 0, GoldenInt: 0}
         analyzed = analyze(snap)
-        inner = sum(p.min_dist_sq is not None for p in analyzed.points)
-        assert built[CycInt] == 0 and 0 < built[GoldenInt] <= inner
+        distinct = {p.min_dist_sq for p in analyzed.points if p.min_dist_sq is not None}
+        assert built[CycInt] == 0 and 0 < built[GoldenInt] <= len(distinct)
         built[GoldenInt] = 0
         for fmt in ("jsonl", "csv"):
             buf = io.StringIO()
@@ -387,6 +390,39 @@ class TestNoRingObjectPerPoint:
             buf.seek(0)
             assert len(read_snapshot(buf).points) == 1411
         assert built == {CycInt: 0, GoldenInt: 0}
+
+
+class TestOneDecisionPerValue:
+    """Each exact test runs once per distinct value, not once per point: at
+    R^2 = 400 (n = 1411, 79 distinct (|z|^2, |sigma z|^2) pairs, two nearest
+    distances) no layer makes more than n/3 exact sign decisions."""
+
+    @pytest.mark.parametrize("layer", ["enumerate", "analyze", "read-jsonl", "read-csv",
+                                       "separation", "step-existence"])
+    def test_sign_decisions_per_layer(self, monkeypatch, layer):
+        displacement_candidates(Window())  # fill the cache before counting
+        snap = analyze(enumerate_points(400))
+        texts = {}
+        for fmt in ("jsonl", "csv"):
+            buf = io.StringIO()
+            write_snapshot(snap, fmt, buf)
+            texts[fmt] = buf.getvalue()
+        run = {"enumerate": lambda: enumerate_points(400),
+               "analyze": lambda: analyze(snap),
+               "read-jsonl": lambda: read_snapshot(io.StringIO(texts["jsonl"])),
+               "read-csv": lambda: read_snapshot(io.StringIO(texts["csv"])),
+               "separation": lambda: verify_separation(snap),
+               "step-existence": lambda: verify_step_existence(snap)}[layer]
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return sqrt5_sign(a, b)
+        monkeypatch.setattr(cyclotomic, "sqrt5_sign", counting)
+        monkeypatch.setattr(modelset, "sqrt5_sign", counting)
+        run()
+        assert len(snap.points) == 1411
+        assert 0 < len(calls) <= len(snap.points) / 3
 
 
 class TestStats:

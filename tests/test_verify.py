@@ -116,7 +116,7 @@ class TestAgainstAllPairsOracle:
         (Fraction(4), Fraction(30)), (Fraction(49, 4), Fraction(9)),
         (Fraction(1, 5), Fraction(30)), (Fraction(1, 5), Fraction(3))])
     def test_separation_other_windows(self, window_sq, radius_sq):
-        # w = 1/5 has 1/(4w) > 1, beyond the displacement list: every pair is compared
+        # w = 1/5 has 1/(4w) > 1, so the displacement list reaches past length 1
         snap = enumerate_points(radius_sq, Window(window_sq))
         assert verify_separation(snap).to_json() == oracles.separation(snap).to_json()
 
@@ -192,11 +192,16 @@ class TestAgainstAllPairsOracle:
 
 
 class TestWorkBound:
-    """analyze and separation compute O(n) distances, not one per pair."""
+    """analyze and separation compute O(n) distances, not one per pair, at
+    small windows too, where the displacement list reaches past length 1."""
 
     @pytest.mark.parametrize("stage", [analyze, verify_separation], ids=["analyze", "separation"])
-    def test_linear_in_points(self, monkeypatch, stage):
-        snap = enumerate_points(400)
+    @pytest.mark.parametrize("window_sq,radius_sq,n", [
+        (Fraction(1), 400, 1411), (Fraction(1, 5), 1600, 1131),
+        (Fraction(1, 3), 400, 481), (Fraction(1, 10), 1600, 561)],
+        ids=["w=1", "w=1/5", "w=1/3", "w=1/10"])
+    def test_linear_in_points(self, monkeypatch, stage, window_sq, radius_sq, n):
+        snap = enumerate_points(radius_sq, Window(window_sq))
         calls = []
 
         def counting(*c):
@@ -204,7 +209,7 @@ class TestWorkBound:
             return abs_sq_coords(*c)
         monkeypatch.setattr(modelset, "abs_sq_coords", counting)
         stage(snap)
-        assert len(snap.points) == 1411
+        assert len(snap.points) == n
         assert 0 < len(calls) <= 4 * len(snap.points)
 
 
