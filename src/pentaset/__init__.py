@@ -15,7 +15,6 @@ from .modelset import (  # noqa: F401
     Window,
     analyze,
     classify_distance,
-    contains,
     enumerate_points,
     stats,
 )

@@ -121,14 +121,10 @@ def _dispatch(cfg: argparse.Namespace) -> int:
     print(f"pentaset {cfg.subcommand}: radius_sq={brief_rational(cfg.radius_sq)} "
           f"window_sq={brief_rational(cfg.window_sq)}", file=sys.stderr)
 
-    if cfg.subcommand == "generate":
+    if cfg.subcommand in ("generate", "analyze"):
         snap = enumerate_points(cfg.radius_sq, window)
-        with _open_out(cfg.out) as out:
-            write_snapshot(snap, cfg.format, out)
-        return EXIT_OK
-
-    if cfg.subcommand == "analyze":
-        snap = analyze(enumerate_points(cfg.radius_sq, window))
+        if cfg.subcommand == "analyze":
+            snap = analyze(snap)
         with _open_out(cfg.out) as out:
             write_snapshot(snap, cfg.format, out)
         return EXIT_OK

@@ -25,8 +25,9 @@ class CycInt:
     """a0 + a1*zeta + a2*zeta^2 + a3*zeta^3 in canonical coordinates.
 
     The basis (1, zeta, zeta^2, zeta^3) is a Z-basis, so equality of
-    coordinates is equality of ring elements.  zeta^4 is always rewritten
-    as -1 - zeta - zeta^2 - zeta^3.
+    coordinates is equality of ring elements.  The package computes on
+    plain coordinate tuples; this view of one remains for PointRecord.z,
+    which perfbench reads.  The ring operations are in tests/oracles.py.
     """
 
     a0: int
@@ -40,48 +41,18 @@ class CycInt:
     def __iter__(self):
         return iter((self.a0, self.a1, self.a2, self.a3))
 
-    def is_zero(self) -> bool:
-        return self.a0 == 0 and self.a1 == 0 and self.a2 == 0 and self.a3 == 0
-
-    def __add__(self, other: "CycInt") -> "CycInt":
-        return CycInt(self.a0 + other.a0, self.a1 + other.a1,
-                      self.a2 + other.a2, self.a3 + other.a3)
-
-    def __sub__(self, other: "CycInt") -> "CycInt":
-        return CycInt(self.a0 - other.a0, self.a1 - other.a1,
-                      self.a2 - other.a2, self.a3 - other.a3)
-
-    def __neg__(self) -> "CycInt":
-        return CycInt(-self.a0, -self.a1, -self.a2, -self.a3)
-
-    def __mul__(self, other: "CycInt") -> "CycInt":
-        s = self.coords()
-        o = other.coords()
-        c = [0] * 7
-        for i in range(4):
-            si = s[i]
-            if si:
-                for j in range(4):
-                    c[i + j] += si * o[j]
-        # zeta^5 = 1, zeta^6 = zeta
-        c[0] += c[5]
-        c[1] += c[6]
-        # zeta^4 = -1 - zeta - zeta^2 - zeta^3
-        e = c[4]
-        return CycInt(c[0] - e, c[1] - e, c[2] - e, c[3] - e)
-
 
 #: zeta^k for k = 0..4, in canonical coordinates
 ZETA_POWERS = (
-    CycInt(1, 0, 0, 0),
-    CycInt(0, 1, 0, 0),
-    CycInt(0, 0, 1, 0),
-    CycInt(0, 0, 0, 1),
-    CycInt(-1, -1, -1, -1),
+    (1, 0, 0, 0),
+    (0, 1, 0, 0),
+    (0, 0, 1, 0),
+    (0, 0, 0, 1),
+    (-1, -1, -1, -1),
 )
 
 #: the ten tenth roots of unity +-zeta^k
-TENTH_ROOTS = tuple(z for p in ZETA_POWERS for z in (p, -p))
+TENTH_ROOTS = tuple(z for p in ZETA_POWERS for z in (p, tuple(-a for a in p)))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import chain
 
 from . import __version__
-from .cyclotomic import CycInt, ZETA_POWERS, abs_sq_coords, embed_approx
+from .cyclotomic import ZETA_POWERS, abs_sq_coords, embed_approx
 from .modelset import PointRecord, Snapshot, Window, _membership
 
 CSV_COLUMNS = ["a0", "a1", "a2", "a3", "x", "y", "iabs_p", "iabs_q", "class"]
@@ -226,8 +226,12 @@ def render_svg(snapshot: Snapshot, options: RenderOptions | None = None) -> str:
     canvas; optional unfilled circles around 0 and the five fifth roots of
     unity, optional coloring by nearest-neighbor class."""
     opt = options or RenderOptions()
-    r = math.sqrt(float(snapshot.radius_sq))
-    scale = opt.canvas / (2.0 * r) if r > 0 else 1.0
+    try:
+        r = math.sqrt(float(snapshot.radius_sq))
+        scale = opt.canvas / (2.0 * r) if r > 0 else 1.0
+    except OverflowError:  # R^2 beyond float range: canvas/(2R) by logarithms
+        n, d = snapshot.radius_sq.numerator, snapshot.radius_sq.denominator
+        scale = opt.canvas / 2.0 * math.exp((math.log(d) - math.log(n)) / 2)
     c = opt.canvas / 2.0
 
     def place(x: float, y: float) -> tuple[str, str]:
@@ -247,9 +251,8 @@ def render_svg(snapshot: Snapshot, options: RenderOptions | None = None) -> str:
                      f'fill="{fill}" class="pt-{p.dist_class}"/>')
     if opt.highlight_roots:
         members = snapshot.coord_set()
-        targets = [CycInt(0, 0, 0, 0)] + list(ZETA_POWERS)
-        for z in targets:
-            if z.coords() not in members:
+        for z in ((0, 0, 0, 0),) + ZETA_POWERS:
+            if z not in members:
                 continue
             e = embed_approx(z)
             px, py = place(e.real, e.imag)

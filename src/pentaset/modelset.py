@@ -13,7 +13,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, lru_cache
 
 from .cyclotomic import (
     CycInt,
@@ -65,6 +65,7 @@ class PointRecord:
 
     @property
     def z(self) -> CycInt:
+        """The point as a CycInt; only perfbench reads it."""
         return CycInt(*self.coords)
 
 
@@ -99,11 +100,6 @@ def _membership(radius_sq: Fraction, w: Fraction) -> _Memo:
     """|z|^2 <= radius_sq and |sigma(z)|^2 <= w, memoised by abs_sq_coords(*c)."""
     disc, window = _at_most(radius_sq), _at_most(w)
     return _Memo(lambda phys, intr: disc[phys] and window[intr])
-
-
-def contains(z: CycInt, window: Window) -> bool:
-    """Exact membership test; the window boundary is included."""
-    return _at_most(window.w)[abs_sq_coords(*z.coords())[1]]
 
 
 # Every member has F(a) = |z|^2/R^2 + |sigma(z)|^2/w <= 2.  Fincke-Pohst
@@ -232,9 +228,7 @@ def enumerate_points(radius_sq: Fraction | int, window: Window | None = None) ->
     return Snapshot(window, radius_sq, [PointRecord(*row[1:]) for row in rows])
 
 
-_DISPLACEMENT_CACHE: dict[Fraction, list[tuple[Coords, GoldenInt]]] = {}
-
-
+@lru_cache(maxsize=8)
 def displacement_candidates(window: Window) -> list[tuple[Coords, GoldenInt]]:
     """All nonzero d, as coordinate tuples with |d|^2, that can separate two
     window members at squared distance <= L: the points of the set at
@@ -248,10 +242,9 @@ def displacement_candidates(window: Window) -> list[tuple[Coords, GoldenInt]]:
     squared distance is at most phi^2k < L_2k (Lucas); L is the least such
     L_2k, capped at 4w * _MAX_RATIO (proven range) and at least 1.  A point
     with no hit is compared with every point, so L affects only the time.
+    The lists of the last eight windows are kept, so that the calls at one
+    window build the list once.
     """
-    cached = _DISPLACEMENT_CACHE.get(window.w)
-    if cached is not None:
-        return cached
     w, lucas, step = window.w, 3, 7  # L_2k, L_2k+2; L_2k+4 = 3 L_2k+2 - L_2k
     while w * (lucas - 1) < 1:
         lucas, step = step, 3 * step - lucas
@@ -265,7 +258,6 @@ def displacement_candidates(window: Window) -> list[tuple[Coords, GoldenInt]]:
         return golden_cmp(g.p - h.p, g.q - h.q, 0) or (-1 if a[0] < b[0] else 1)
 
     out.sort(key=cmp_to_key(cmp))
-    _DISPLACEMENT_CACHE[window.w] = out
     return out
 
 
@@ -298,15 +290,6 @@ def _split(snapshot: Snapshot, ds: list):
     bad = [i for i in range(len(coords)) if good.get(keys[i]) != i]
     walk = [(((d0 * b + d1) * b + d2) * b + d3, x) for (d0, d1, d2, d3), x in ds]
     return coords, [phys for phys, _ in moduli], keys, good, bad, walk
-
-
-def _hits(k: int, walk: list, good: dict):
-    """(x, j) for each (kd, x) of walk, in order, where k + kd is the key of
-    the good point j."""
-    for kd, x in walk:
-        j = good.get(k + kd)
-        if j is not None:
-            yield x, j
 
 
 def classify_distance(d_sq: GoldenInt) -> str:
@@ -401,8 +384,11 @@ def stats(snapshot: Snapshot) -> dict:
     for p in snapshot.points:
         counts[p.dist_class] += 1
     n = len(snapshot.points)
-    r_sq = float(snapshot.radius_sq)
-    density = n / (math.pi * r_sq) if r_sq > 0 else None
+    try:
+        r_sq = float(snapshot.radius_sq)
+        density = n / (math.pi * r_sq) if r_sq > 0 else None
+    except OverflowError:  # R^2 beyond float range: exact, then rounded once
+        density = float(n / (Fraction(math.pi) * snapshot.radius_sq))
     ratio = counts[DIST_SHORT] / counts[DIST_LONG] if counts[DIST_LONG] else None
     return {
         "count": n,

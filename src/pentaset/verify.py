@@ -7,7 +7,6 @@ The pair checks' tested_count is the n(n-1)/2 pairs their verdict covers.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cmp_to_key
@@ -29,7 +28,6 @@ from .modelset import (
     Window,
     _Memo,
     _at_most,
-    _hits,
     _members,
     _nearest,
     _split,
@@ -59,9 +57,6 @@ class VerificationReport:
             "parameters": self.parameters,
             "details": self.details,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
 
 def _params(snapshot: Snapshot) -> dict:
@@ -166,8 +161,9 @@ def verify_unit_lemma(snapshot: Snapshot) -> VerificationReport:
     Two good points (_split) differ by a d with |d|^2 <= 4R^2 and
     |sigma(d)|^2 <= 4, and only the d that are close or have norm 2, 3 or 4
     can change the report; _unit_lemma_list holds all of them, in a list
-    that does not grow with R; each d is judged once and _hits carries that
-    judgement to its good pairs.
+    that does not grow with R.  It is closed under d -> -d, and -d gets d's
+    judgement, so only the d > -d are walked: each good pair i, j is hit
+    once, along c_j - c_i or c_i - c_j, and kept as (min(i, j), max(i, j)).
 
     Close: no d with |sigma(d)|^2 <= 4 has 1 < |d|^2 < 5/4 (the tests pin
     this), so every close d is in displacement_candidates(Window()), the d
@@ -199,16 +195,18 @@ def verify_unit_lemma(snapshot: Snapshot) -> VerificationReport:
             return close, {"norm": norm, "clause": "norm-gap"}
         return close, None
 
-    judged = [(d, judge(d, *abs_sq_coords(*d)[0])) for d in _unit_lemma_list(snapshot.radius_sq)]
+    judged = [(d, judge(d, *abs_sq_coords(*d)[0]))
+              for d in _unit_lemma_list(snapshot.radius_sq) if d > tuple(-a for a in d)]
     coords, _, _, good, bad, walk = _split(snapshot, judged)
     n = len(coords)
     close_pairs, rows = 0, []
     for k, i in good.items():
-        for (close, v), j in _hits(k, walk, good):
-            if i < j:
+        for kd, (close, v) in walk:
+            j = good.get(k + kd)
+            if j is not None:
                 close_pairs += close
                 if v:
-                    rows.append((i, j, v))
+                    rows.append((min(i, j), max(i, j), v))
     for i, j in {(min(b, j), max(b, j)) for b in bad for j in range(n) if j != b}:
         d = tuple(y - x for x, y in zip(coords[i], coords[j]))
         close, v = judge(d, *abs_sq_coords(*d)[0])
@@ -264,14 +262,13 @@ def verify_step_existence(snapshot: Snapshot) -> VerificationReport:
     stays in the infinite set; exact, once per distinct |sigma(c + mu)|^2."""
     _require_unit_window(snapshot, "step existence")
     in_window = _at_most(snapshot.window.w)
-    roots = [mu.coords() for mu in TENTH_ROOTS]
     violations = []
     tested = 0
     for p in snapshot.points:
         tested += 1
         a0, a1, a2, a3 = p.coords
         if not any(in_window[abs_sq_coords(a0 + m0, a1 + m1, a2 + m2, a3 + m3)[1]]
-                   for m0, m1, m2, m3 in roots):
+                   for m0, m1, m2, m3 in TENTH_ROOTS):
             violations.append({"point": list(p.coords)})
     return VerificationReport("step-existence", not violations, tested,
                               violations, _params(snapshot))

@@ -2,7 +2,8 @@
 
 They share no search logic with the package: enumeration scans the whole
 coordinate box, nearest-neighbor distances, separation and the unit lemma
-come from every pair, and conjugates, moduli and norms from ring products.
+come from every pair, and conjugates, moduli and norms from ring products
+(ring_mul), the reference for the package's closed forms.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from fractions import Fraction
 
 from pentaset.cyclotomic import (
     ArithmeticConsistencyError,
-    CycInt,
     GoldenInt,
     abs_sq_coords,
     embed_approx,
@@ -33,61 +33,91 @@ from pentaset.verify import VerificationReport
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
-ZERO = CycInt(0, 0, 0, 0)
-ONE = CycInt(1, 0, 0, 0)
-ZETA = CycInt(0, 1, 0, 0)
+# Elements of Z[zeta] are coordinate tuples (a0, a1, a2, a3) in the power
+# basis (1, zeta, zeta^2, zeta^3), as in the package.
+ZERO = (0, 0, 0, 0)
+ONE = (1, 0, 0, 0)
+ZETA = (0, 1, 0, 0)
 
 #: the fundamental unit eps = zeta + zeta^4 = phi - 1 (as a real number)
-EPSILON = CycInt(-1, 0, -1, -1)
+EPSILON = (-1, 0, -1, -1)
 #: eps^-1 = phi = eps + 1
-EPSILON_INV = CycInt(0, 0, -1, -1)
+EPSILON_INV = (0, 0, -1, -1)
 
 
-def galois_apply(z: CycInt, k: int) -> CycInt:
+def ring_add(x: tuple, y: tuple) -> tuple:
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def ring_sub(x: tuple, y: tuple) -> tuple:
+    return tuple(a - b for a, b in zip(x, y))
+
+
+def ring_neg(x: tuple) -> tuple:
+    return tuple(-a for a in x)
+
+
+def ring_mul(x: tuple, y: tuple) -> tuple:
+    """The product in Z[zeta]: polynomial product, then zeta^5 = 1 and
+    zeta^4 = -1 - zeta - zeta^2 - zeta^3."""
+    c = [0] * 7
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            c[i + j] += xi * yj
+    # zeta^5 = 1, zeta^6 = zeta
+    c[0] += c[5]
+    c[1] += c[6]
+    e = c[4]
+    return (c[0] - e, c[1] - e, c[2] - e, c[3] - e)
+
+
+def galois_apply(z: tuple, k: int) -> tuple:
     """Apply the field automorphism zeta -> zeta^k; k = 1 is the identity."""
     if k not in (1, 2, 3, 4):
         raise ValueError(f"Galois exponent must be in 1..4, got {k}")
     acc = [0] * 5
-    for i, ai in enumerate(z.coords()):
+    for i, ai in enumerate(z):
         acc[(i * k) % 5] += ai
     e = acc[4]
-    return CycInt(acc[0] - e, acc[1] - e, acc[2] - e, acc[3] - e)
+    return (acc[0] - e, acc[1] - e, acc[2] - e, acc[3] - e)
 
 
-def _to_golden(w: CycInt) -> GoldenInt:
+def _to_golden(w: tuple) -> GoldenInt:
     """Convert a totally real element to Z[phi].
 
     Real elements have coordinates (a0, 0, a2, a2): a0 + a2*(zeta^2 + zeta^3)
     with zeta^2 + zeta^3 = -phi.
     """
-    if w.a1 != 0 or w.a2 != w.a3:
+    a0, a1, a2, a3 = w
+    if a1 != 0 or a2 != a3:
         raise ArithmeticConsistencyError(
-            f"element {w.coords()} is not fixed by complex conjugation")
-    return GoldenInt(w.a0, -w.a2)
+            f"element {w} is not fixed by complex conjugation")
+    return GoldenInt(a0, -a2)
 
 
-def abs_sq(z: CycInt, which: str = "physical") -> GoldenInt:
+def abs_sq(z: tuple, which: str = "physical") -> GoldenInt:
     """Squared modulus by ring multiplication.
 
     physical: |z|^2 = z * conj(z); internal: |sigma(z)|^2 with sigma the
     embedding zeta -> zeta^2.
     """
     if which == "physical":
-        w = z * galois_apply(z, 4)
+        w = ring_mul(z, galois_apply(z, 4))
     elif which == "internal":
-        w = galois_apply(z, 2) * galois_apply(z, 3)
+        w = ring_mul(galois_apply(z, 2), galois_apply(z, 3))
     else:
         raise ValueError(f"unknown embedding {which!r}")
     return _to_golden(w)
 
 
-def field_norm(z: CycInt) -> int:
+def field_norm(z: tuple) -> int:
     """Product of the four Galois conjugates; a rational integer, >= 1 for z != 0."""
-    w = z * galois_apply(z, 2) * galois_apply(z, 3) * galois_apply(z, 4)
-    if w.a1 != 0 or w.a2 != 0 or w.a3 != 0:
+    w = ring_mul(ring_mul(ring_mul(z, galois_apply(z, 2)), galois_apply(z, 3)),
+                 galois_apply(z, 4))
+    if w[1:] != (0, 0, 0):
         raise ArithmeticConsistencyError(
-            f"norm product {w.coords()} is not rational")
-    return w.a0
+            f"norm product {w} is not rational")
+    return w[0]
 
 
 def golden_add(g: GoldenInt, h: GoldenInt) -> GoldenInt:
@@ -146,7 +176,7 @@ def box_enumerate(radius_sq, window: Window | None = None) -> Snapshot:
         phys, intr = abs_sq_coords(*a)
         if golden_cmp(*phys, radius_sq.numerator, radius_sq.denominator) <= 0 and \
            golden_cmp(*intr, window.w.numerator, window.w.denominator) <= 0:
-            e = embed_approx(CycInt(*a))
+            e = embed_approx(a)
             records.append(PointRecord(a, intr, e.real, e.imag))
     records.sort(key=lambda p: (quad_form(*p.coords), p.coords))
     return Snapshot(window, radius_sq, records)
@@ -163,7 +193,7 @@ def nearest_in_snapshot(snapshot: Snapshot) -> list[tuple[GoldenInt | None, str]
     distance from each inner point to the nearest other point of the
     snapshot; other points, and an inner point with no other point, get
     (None, "unknown")."""
-    coords = [p.z.coords() for p in snapshot.points]
+    coords = [p.coords for p in snapshot.points]
     r = snapshot.radius_sq
     out = []
     for i, c in enumerate(coords):
@@ -203,7 +233,7 @@ def separation(snapshot: Snapshot) -> VerificationReport:
     w = snapshot.window.w
     weak = Fraction(1, 16) / w
     strong = Fraction(1, 4) / w
-    coords = [p.z.coords() for p in snapshot.points]
+    coords = [p.coords for p in snapshot.points]
     n = len(coords)
     violations = []
     strong_violations = 0
@@ -233,7 +263,7 @@ def separation(snapshot: Snapshot) -> VerificationReport:
 
 def unit_lemma(snapshot: Snapshot) -> VerificationReport:
     """verify_unit_lemma over every pair (i, j), i < j, with field_norm."""
-    coords = [p.z.coords() for p in snapshot.points]
+    coords = [p.coords for p in snapshot.points]
     n = len(coords)
     violations = []
     tested = 0
@@ -244,8 +274,7 @@ def unit_lemma(snapshot: Snapshot) -> VerificationReport:
             tested += 1
             cj = coords[j]
             p, q = _pair_dist_sq(ci, cj)
-            norm = field_norm(CycInt(ci[0] - cj[0], ci[1] - cj[1],
-                                     ci[2] - cj[2], ci[3] - cj[3]))
+            norm = field_norm(ring_sub(ci, cj))
             close = golden_cmp(p, q, 5, 4) < 0
             if close:
                 close_pairs += 1

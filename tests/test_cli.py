@@ -1,6 +1,7 @@
 """CLI behavior: subcommand plumbing, exit codes, reproducibility."""
 
 import json
+from xml.etree import ElementTree
 
 import pytest
 
@@ -160,6 +161,14 @@ class TestStats:
         assert set(doc["classes"]) == {"short", "long", "other", "unknown"}
 
 
+    def test_radius_beyond_float_range(self, capsys):
+        # the set is {0}; n/(pi R^2) rounds to 0.0
+        code, out = run(capsys, "stats", "--radius-sq", "1e400", "--window-sq", "1e-401")
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["count"] == 1 and doc["density"] == 0.0
+
+
 class TestRender:
     def test_svg_with_highlights(self, capsys, tmp_path):
         dest = tmp_path / "fig.svg"
@@ -173,6 +182,14 @@ class TestRender:
         code, out = run(capsys, "render", "--radius", "3", "--color-classes")
         assert code == EXIT_OK
         assert 'fill="#d62728"' in out
+
+    def test_radius_beyond_float_range(self, capsys):
+        code, out = run(capsys, "render", "--radius-sq", "1e400", "--window-sq", "1e-401")
+        assert code == EXIT_OK
+        root = ElementTree.fromstring(out)
+        dots = [c.attrib for c in root if c.get("class") == "pt-unknown"]
+        assert dots == [{"cx": "500.000000", "cy": "500.000000", "r": "3",
+                         "fill": "#000000", "class": "pt-unknown"}]
 
     @pytest.mark.parametrize("canvas", ["0", "-5"])
     def test_nonpositive_canvas_is_usage_error(self, capsys, canvas):

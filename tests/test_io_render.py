@@ -31,7 +31,7 @@ def roundtrip(snapshot, fmt):
 
 
 def snapshot_key(snapshot):
-    return [(p.z.coords(), p.iabs,
+    return [(p.coords, p.iabs,
              p.dist_class, p.x, p.y) for p in snapshot.points]
 
 

@@ -23,9 +23,9 @@ from pentaset.modelset import (
     PointRecord,
     Snapshot,
     Window,
+    _at_most,
     analyze,
     classify_distance,
-    contains,
     displacement_candidates,
     enumerate_points,
     stats,
@@ -46,11 +46,14 @@ from oracles import (
     golden_cmp_golden,
     golden_to_float,
     nearest_in_snapshot,
+    ring_add,
+    ring_mul,
+    ring_sub,
 )
 
 
 def coord_list(snapshot):
-    return [p.z.coords() for p in snapshot.points]
+    return [p.coords for p in snapshot.points]
 
 
 class TestWindow:
@@ -65,17 +68,22 @@ class TestWindow:
             Window(0)
 
 
+def in_window(z, window):
+    """Exact window membership of the coordinates z, boundary included."""
+    return _at_most(window.w)[abs_sq_coords(*z)[1]]
+
+
 class TestContains:
     def test_zero(self):
-        assert contains(ZERO, Window())
+        assert in_window(ZERO, Window())
 
     def test_fifth_root_on_boundary(self):
         # the closed window keeps the roots of unity in the set
-        assert contains(ONE, Window())
-        assert contains(ZETA, Window())
+        assert in_window(ONE, Window())
+        assert in_window(ZETA, Window())
 
     def test_epsilon_excluded(self):
-        assert not contains(EPSILON, Window())
+        assert not in_window(EPSILON, Window())
 
 
 class TestEnumerate:
@@ -84,7 +92,7 @@ class TestEnumerate:
 
     def test_radius_one_is_eleven_points(self):
         got = set(coord_list(enumerate_points(1)))
-        expected = {(0, 0, 0, 0)} | {mu.coords() for mu in TENTH_ROOTS}
+        expected = {(0, 0, 0, 0)} | set(TENTH_ROOTS)
         assert got == expected
 
     def test_brute_force_oracle_radius_one(self):
@@ -116,11 +124,10 @@ class TestEnumerate:
     @pytest.mark.parametrize("r_sq", [1, 4, Fraction(25, 4), 16])
     def test_symmetry_closure(self, r_sq):
         members = set(coord_list(enumerate_points(r_sq)))
-        for c in members:
-            z = CycInt(*c)
+        for z in members:
             for mu in TENTH_ROOTS:
-                assert (mu * z).coords() in members
-            assert galois_apply(z, 4).coords() in members
+                assert ring_mul(mu, z) in members
+            assert galois_apply(z, 4) in members
 
     # windows 1 and 49/4 have members on the window boundary
     @pytest.mark.parametrize("w", [Fraction(1), Fraction(1, 4), Fraction(4),
@@ -175,15 +182,15 @@ class TestEnumerate:
     def test_unit_scaling_maps_into_larger_disc(self):
         # eps^-1 scales physical space by phi and internal space by 1/phi,
         # so eps^-1 * S(R) lies in S(R') for R'^2 >= phi^2 R^2
-        assert EPSILON * EPSILON_INV == ONE
+        assert ring_mul(EPSILON, EPSILON_INV) == ONE
         r_sq, r2_sq = 20, 53  # phi^2 * 20 = 52.36...
         larger = set(coord_list(enumerate_points(r2_sq)))
         for c in coord_list(enumerate_points(r_sq)):
-            img = EPSILON_INV * CycInt(*c)
+            img = ring_mul(EPSILON_INV, c)
             g = abs_sq(img, "physical")
             # |eps^-1 z|^2 <= phi^2 R^2 = R^2 + R^2 phi, exactly
             assert golden_cmp(g.p - r_sq, g.q - r_sq, 0) <= 0
-            assert img.coords() in larger
+            assert img in larger
 
     def test_deterministic_order(self):
         a = coord_list(enumerate_points(9))
@@ -198,7 +205,7 @@ def analyzed25():
 
 
 def _min_dist_sq(snap, z):
-    return next(p.min_dist_sq for p in snap.points if p.z == z)
+    return next(p.min_dist_sq for p in snap.points if p.coords == z)
 
 
 class TestMinDistance:
@@ -210,11 +217,11 @@ class TestMinDistance:
 
     def test_rotation_invariance(self, analyzed25):
         # |zeta z| = |z|, so an inner point's image is inner too
-        by_coords = {p.z.coords(): p.min_dist_sq for p in analyzed25.points}
+        by_coords = {p.coords: p.min_dist_sq for p in analyzed25.points}
         inner = [p for p in analyzed25.points if p.min_dist_sq is not None]
         assert len(inner) > 10
         for p in inner:
-            assert by_coords[(ZETA * p.z).coords()] == p.min_dist_sq
+            assert by_coords[ring_mul(ZETA, p.coords)] == p.min_dist_sq
 
     def test_candidate_set_completeness(self, analyzed25):
         # an inner point's nearest neighbor in the snapshot is its nearest
@@ -223,14 +230,14 @@ class TestMinDistance:
         window = Window()
         sample = [p for p in analyzed25.points if p.min_dist_sq is not None][::7]
         for p in sample:
-            c = p.z.coords()
-            r = math.sqrt(golden_to_float(abs_sq(p.z, "physical")))
+            c = p.coords
+            r = math.sqrt(golden_to_float(abs_sq(c, "physical")))
             oracle_snap = enumerate_points(math.ceil((r + 1.5) ** 2), window)
             best = None
             for c2 in coord_list(oracle_snap):
                 if c2 == c:
                     continue
-                d = abs_sq(CycInt(*c2) - p.z, "physical")
+                d = abs_sq(ring_sub(c2, c), "physical")
                 if best is None or golden_cmp_golden(d, best) < 0:
                     best = d
             assert p.min_dist_sq == best
@@ -239,14 +246,22 @@ class TestMinDistance:
         # the ten short steps +-zeta^k eps, then the ten long steps +-zeta^k
         cands = displacement_candidates(Window())
         assert [d for d, _ in cands] == \
-            sorted((mu * EPSILON).coords() for mu in TENTH_ROOTS) + \
-            sorted(mu.coords() for mu in TENTH_ROOTS)
+            sorted(ring_mul(mu, EPSILON) for mu in TENTH_ROOTS) + \
+            sorted(TENTH_ROOTS)
         assert [g for _, g in cands] == [GoldenInt(2, -1)] * 10 + [GoldenInt(1, 0)] * 10
         assert all(norm_coords(*d) == 1 for d, _ in cands)
         # no difference of unit-window members has 1 < |d|^2 < 5/4, so this
         # list holds every d closer than sqrt(5)/2
         assert [d for d, _, _ in _members(Fraction(5, 4), Fraction(4))] == \
             [d for d, _, _ in _members(Fraction(1), Fraction(4))]
+
+    def test_displacement_lists_are_bounded(self):
+        # a list is kept per window; many windows must not grow the cache
+        for k in range(2, 202):
+            displacement_candidates(Window(Fraction(1, k)))
+        maxsize = displacement_candidates.cache_parameters()["maxsize"]
+        assert maxsize is not None
+        assert displacement_candidates.cache_info().currsize <= maxsize
 
     def test_displacements_sorted_and_nonzero(self):
         cands = displacement_candidates(Window())
@@ -272,9 +287,9 @@ class TestClassify:
             classify_distance(GoldenInt(-1, 0))
 
 
-def _record(z: CycInt) -> PointRecord:
+def _record(z: tuple) -> PointRecord:
     e = embed_approx(z)
-    return PointRecord(z.coords(), abs_sq_coords(*z)[1], e.real, e.imag)
+    return PointRecord(z, abs_sq_coords(*z)[1], e.real, e.imag)
 
 
 def _mutated():
@@ -283,24 +298,25 @@ def _mutated():
     pts = list(snap.points)
     r = snap.radius_sq
     idx = next(i for i, p in enumerate(pts)
-               if not p.z.is_zero()
+               if any(p.coords)
                and _is_inner(*abs_sq_coords(*p.coords)[0], r.numerator, r.denominator))
-    pts[idx] = _record(pts[idx].z + EPSILON)
+    pts[idx] = _record(ring_add(pts[idx].coords, EPSILON))
     return Snapshot(snap.window, snap.radius_sq, pts)
 
 
 def _missing_orbit():
     snap = enumerate_points(25)
-    roots = {mu.coords() for mu in TENTH_ROOTS}
+    roots = set(TENTH_ROOTS)
     return Snapshot(snap.window, snap.radius_sq,
-                    [p for p in snap.points if p.z.coords() not in roots])
+                    [p for p in snap.points if p.coords not in roots])
 
 
 def _stray():
     # 1 + eps^3 lies outside the window, at distance eps^3 from 1
     snap = enumerate_points(25)
+    eps3 = ring_mul(EPSILON, ring_mul(EPSILON, EPSILON))
     return Snapshot(snap.window, snap.radius_sq,
-                    snap.points + [_record(ONE + EPSILON * EPSILON * EPSILON)])
+                    snap.points + [_record(ring_add(ONE, eps3))])
 
 
 _ORACLE_SNAPSHOTS = {
@@ -339,7 +355,7 @@ class TestAnalyze:
 
     def test_repeated_inner_point_rejected(self):
         snap = enumerate_points(25)
-        one = next(p for p in snap.points if p.z == ONE)
+        one = next(p for p in snap.points if p.coords == ONE)
         with pytest.raises(ValueError):
             analyze(Snapshot(snap.window, snap.radius_sq, snap.points + [one]))
 

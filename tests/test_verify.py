@@ -8,10 +8,9 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 import oracles
-from oracles import EPSILON, EPSILON_INV, ONE, ZETA
+from oracles import EPSILON, EPSILON_INV, ONE, ZETA, ring_add, ring_mul, ring_sub
 from pentaset import modelset, verify
 from pentaset.cyclotomic import (
-    CycInt,
     GoldenInt,
     TENTH_ROOTS,
     abs_sq_coords,
@@ -48,19 +47,19 @@ def snap25():
     return analyze(enumerate_points(25))
 
 
-def make_record(z: CycInt) -> PointRecord:
+def make_record(z: tuple) -> PointRecord:
     e = embed_approx(z)
-    return PointRecord(z.coords(), abs_sq_coords(*z)[1], e.real, e.imag)
+    return PointRecord(z, abs_sq_coords(*z)[1], e.real, e.imag)
 
 
-def with_extra_point(snap: Snapshot, z: CycInt) -> Snapshot:
+def with_extra_point(snap: Snapshot, z: tuple) -> Snapshot:
     return Snapshot(snap.window, snap.radius_sq, snap.points + [make_record(z)])
 
 
-EPS3 = EPSILON * EPSILON * EPSILON
+EPS3 = ring_mul(ring_mul(EPSILON, EPSILON), EPSILON)
 
 coords = st.integers(min_value=-50, max_value=50)
-cycints = st.builds(CycInt, coords, coords, coords, coords)
+cycints = st.tuples(coords, coords, coords, coords)
 
 
 def _key_base(snap: Snapshot) -> int:
@@ -78,23 +77,24 @@ def _corrupted(name: str) -> Snapshot:
     whose key is that of the good point 1, or three kinds at once."""
     snap4 = analyze(enumerate_points(4))
     if name == "eps3":
-        return with_extra_point(snap4, ONE + EPS3)
+        return with_extra_point(snap4, ring_add(ONE, EPS3))
     if name == "eps3-pair":
-        return with_extra_point(with_extra_point(snap4, ONE + EPS3), ONE - EPS3)
+        return with_extra_point(with_extra_point(snap4, ring_add(ONE, EPS3)),
+                                ring_sub(ONE, EPS3))
     if name == "eps3-non-unit":
-        return with_extra_point(snap4, ONE + EPS3 * CycInt(1, -1, 0, 0))
+        return with_extra_point(snap4, ring_add(ONE, ring_mul(EPS3, (1, -1, 0, 0))))
     if name == "duplicate":
-        return with_extra_point(snap4, snap4.points[5].z)
+        return with_extra_point(snap4, snap4.points[5].coords)
     if name == "far":
-        return with_extra_point(enumerate_points(1), CycInt(5, 0, 0, 0))
+        return with_extra_point(enumerate_points(1), (5, 0, 0, 0))
     if name == "key-collision":
         # k(c + (0, 0, 1, -B)) = k(c) + B - B
-        return with_extra_point(snap4, ONE + CycInt(0, 0, 1, -_key_base(snap4)))
+        return with_extra_point(snap4, ring_add(ONE, (0, 0, 1, -_key_base(snap4))))
     if name == "outside-disc":
         # zeta is in the window but not in the disc R^2 = 1/10
         return with_extra_point(enumerate_points(Fraction(1, 10)), ZETA)
     snap25 = analyze(enumerate_points(25))
-    for z in (ONE + EPS3, snap25.points[7].z, CycInt(5, 0, 0, 0)):
+    for z in (ring_add(ONE, EPS3), snap25.points[7].coords, (5, 0, 0, 0)):
         snap25 = with_extra_point(snap25, z)
     return snap25
 
@@ -109,8 +109,8 @@ class TestAgainstAllPairsOracle:
     @pytest.mark.parametrize("radius_sq", [0, 1, 4, 25])
     def test_clean_unit_window(self, radius_sq):
         snap = enumerate_points(radius_sq)
-        assert verify_separation(snap).to_json() == oracles.separation(snap).to_json()
-        assert verify_unit_lemma(snap).to_json() == oracles.unit_lemma(snap).to_json()
+        assert verify_separation(snap).to_json_dict() == oracles.separation(snap).to_json_dict()
+        assert verify_unit_lemma(snap).to_json_dict() == oracles.unit_lemma(snap).to_json_dict()
 
     @pytest.mark.parametrize("window_sq,radius_sq", [
         (Fraction(4), Fraction(30)), (Fraction(49, 4), Fraction(9)),
@@ -118,13 +118,13 @@ class TestAgainstAllPairsOracle:
     def test_separation_other_windows(self, window_sq, radius_sq):
         # w = 1/5 has 1/(4w) > 1, so the displacement list reaches past length 1
         snap = enumerate_points(radius_sq, Window(window_sq))
-        assert verify_separation(snap).to_json() == oracles.separation(snap).to_json()
+        assert verify_separation(snap).to_json_dict() == oracles.separation(snap).to_json_dict()
 
     @pytest.mark.parametrize("name", CORRUPTIONS)
     def test_corruptions(self, name):
         snap = _corrupted(name)
-        assert verify_separation(snap).to_json() == oracles.separation(snap).to_json()
-        assert verify_unit_lemma(snap).to_json() == oracles.unit_lemma(snap).to_json()
+        assert verify_separation(snap).to_json_dict() == oracles.separation(snap).to_json_dict()
+        assert verify_unit_lemma(snap).to_json_dict() == oracles.unit_lemma(snap).to_json_dict()
 
     def test_corruptions_are_caught(self):
         # the oracle comparisons above are not all vacuous passes
@@ -155,9 +155,9 @@ class TestAgainstAllPairsOracle:
         def fake_norm(*c):
             return 4 if c in {(2, 0, 0, 0), (-2, 0, 0, 0)} else norm_coords(*c)
         monkeypatch.setattr(verify, "norm_coords", fake_norm)
-        monkeypatch.setattr(oracles, "field_norm", lambda z: fake_norm(*z.coords()))
+        monkeypatch.setattr(oracles, "field_norm", lambda z: fake_norm(*z))
         r = verify_unit_lemma(snap25)
-        assert r.to_json() == oracles.unit_lemma(snap25).to_json()
+        assert r.to_json_dict() == oracles.unit_lemma(snap25).to_json_dict()
         assert not r.passed
         assert {v["clause"] for v in r.violations} == {"norm-gap"}
 
@@ -167,27 +167,27 @@ class TestAgainstAllPairsOracle:
         # |sigma|^2 ~ 1.53) are found only by walking the orbit
         orbit = set()
         for unit in (EPSILON, EPSILON_INV):
-            for z in (CycInt(2, 0, 0, 0), CycInt(-2, 0, 0, 0)):
+            for z in ((2, 0, 0, 0), (-2, 0, 0, 0)):
                 for _ in range(12):
-                    orbit.add(z.coords())
-                    z = z * unit
+                    orbit.add(z)
+                    z = ring_mul(z, unit)
 
         def fake_norm(*c):
             return 4 if c in orbit else norm_coords(*c)
         monkeypatch.setattr(verify, "norm_coords", fake_norm)
-        monkeypatch.setattr(oracles, "field_norm", lambda z: fake_norm(*z.coords()))
+        monkeypatch.setattr(oracles, "field_norm", lambda z: fake_norm(*z))
         r = verify_unit_lemma(snap25)
-        assert r.to_json() == oracles.unit_lemma(snap25).to_json()
+        assert r.to_json_dict() == oracles.unit_lemma(snap25).to_json_dict()
         flagged = {tuple(b - a for a, b in zip(*v["pair"])) for v in r.violations}
         assert flagged - {(2, 0, 0, 0), (-2, 0, 0, 0)}
 
     def test_no_two_points_within_one(self):
         # 0 and 1 + zeta are both in the window, |1 + zeta|^2 = phi^2 > 1:
         # the displacement list finds no pair, so every pair is compared
-        snap = Snapshot(Window(), Fraction(100), [make_record(CycInt(0, 0, 0, 0)),
-                                                  make_record(CycInt(1, 1, 0, 0))])
+        snap = Snapshot(Window(), Fraction(100), [make_record((0, 0, 0, 0)),
+                                                  make_record((1, 1, 0, 0))])
         r = verify_separation(snap)
-        assert r.to_json() == oracles.separation(snap).to_json()
+        assert r.to_json_dict() == oracles.separation(snap).to_json_dict()
         assert r.details["min_pair_dist_sq"] == [1, 1]
 
 
@@ -234,9 +234,23 @@ class TestUnitLemmaList:
         assert verify._unit_lemma_list(Fraction(1)) == units
         assert verify._unit_lemma_list(Fraction(6400)) == units
 
+    def test_walks_one_of_each_pair(self, monkeypatch):
+        # d and -d get one judgement, so only one of them is walked
+        judged = []
+        split = verify._split
+
+        def capture(snapshot, ds):
+            judged.append([d for d, _ in ds])
+            return split(snapshot, ds)
+        monkeypatch.setattr(verify, "_split", capture)
+        assert verify_unit_lemma(analyze(enumerate_points(37))).passed
+        [ds] = judged
+        assert len(ds) == 10
+        assert not {tuple(-a for a in d) for d in ds} & set(ds)
+
     @given(cycints)
     def test_eps_inv_map_matches_ring_multiplication(self, z):
-        assert verify._times_eps_inv(*z.coords()) == (EPSILON_INV * z).coords()
+        assert verify._times_eps_inv(*z) == ring_mul(EPSILON_INV, z)
 
 
 class TestSeparation:
@@ -258,8 +272,8 @@ class TestSeparation:
 
     def test_detects_seeded_close_pair(self, snap4):
         # |eps^3|^2 = (phi-1)^6 ~ 0.0557 < 1/16, so this neighbor of 1 is too close
-        eps3 = EPSILON * EPSILON * EPSILON
-        bad = with_extra_point(snap4, CycInt(1, 0, 0, 0) + eps3)
+        eps3 = ring_mul(ring_mul(EPSILON, EPSILON), EPSILON)
+        bad = with_extra_point(snap4, ring_add((1, 0, 0, 0), eps3))
         r = verify_separation(bad)
         assert not r.passed
         assert r.violations
@@ -273,26 +287,26 @@ class TestRotation:
         assert verify_rotation(enumerate_points(0)).passed
 
     def test_injected_point_fails(self, snap4):
-        bad = with_extra_point(snap4, ZETA * EPSILON)
+        bad = with_extra_point(snap4, ring_mul(ZETA, EPSILON))
         r = verify_rotation(bad)
         assert not r.passed
         assert {"point": [1, 0, 1, 0], "multiplier_index":
                 r.violations[0]["multiplier_index"]} in r.violations
 
     def test_violations_match_ring_multiplication(self, snap4):
-        bad = with_extra_point(snap4, ZETA * EPSILON)
+        bad = with_extra_point(snap4, ring_mul(ZETA, EPSILON))
         members = bad.coord_set()
         expected = [{"point": list(c), "multiplier_index": m}
                     for c in sorted(members) for m, mu in enumerate(TENTH_ROOTS)
-                    if (mu * CycInt(*c)).coords() not in members]
+                    if ring_mul(mu, c) not in members]
         assert len(expected) == 9
         assert verify_rotation(bad).violations == expected
 
     def test_mutated_point_fails(self, snap25):
         pts = list(snap25.points)
         idx = next(i for i, p in enumerate(pts)
-                   if p.dist_class != "unknown" and not p.z.is_zero())
-        pts[idx] = make_record(pts[idx].z + EPSILON)
+                   if p.dist_class != "unknown" and any(p.coords))
+        pts[idx] = make_record(ring_add(pts[idx].coords, EPSILON))
         assert not verify_rotation(Snapshot(snap25.window, snap25.radius_sq,
                                             pts)).passed
 
@@ -316,8 +330,8 @@ class TestUnitLemma:
 
     def test_close_non_unit_pair_detected(self, snap4):
         # eps^3 * (1 - zeta) has norm 5 but squared length ~ 0.077 < 5/4
-        delta = EPSILON * EPSILON * EPSILON * CycInt(1, -1, 0, 0)
-        bad = with_extra_point(snap4, CycInt(1, 0, 0, 0) + delta)
+        delta = ring_mul(ring_mul(ring_mul(EPSILON, EPSILON), EPSILON), (1, -1, 0, 0))
+        bad = with_extra_point(snap4, ring_add((1, 0, 0, 0), delta))
         r = verify_unit_lemma(bad)
         assert not r.passed
         assert any(v["clause"] == "close-pair-not-unit" for v in r.violations)
@@ -330,18 +344,18 @@ class TestTwoDistance:
         assert r.details["both_classes_present"]
 
     def test_origin_min_is_long(self, snap25):
-        origin = next(p for p in snap25.points if p.z.is_zero())
+        origin = next(p for p in snap25.points if not any(p.coords))
         assert origin.min_dist_sq == GoldenInt(1, 0)
 
     def test_one_min_is_short(self, snap25):
-        one = next(p for p in snap25.points if p.z.coords() == (1, 0, 0, 0))
+        one = next(p for p in snap25.points if p.coords == (1, 0, 0, 0))
         assert one.min_dist_sq == GoldenInt(2, -1)
 
     def test_mutated_point_fails(self, snap25):
         pts = list(snap25.points)
         idx = next(i for i, p in enumerate(pts)
-                   if p.dist_class != "unknown" and not p.z.is_zero())
-        pts[idx] = make_record(pts[idx].z + EPSILON)
+                   if p.dist_class != "unknown" and any(p.coords))
+        pts[idx] = make_record(ring_add(pts[idx].coords, EPSILON))
         mutated = analyze(Snapshot(snap25.window, snap25.radius_sq, pts))
         assert not verify_two_distance(mutated).passed
 
@@ -349,10 +363,10 @@ class TestTwoDistance:
         # without the ten points +-zeta^k the origin's nearest neighbor in
         # the snapshot is at distance phi, which is neither class
         pts = [p for p in snap25.points
-               if p.z.coords() not in {mu.coords() for mu in TENTH_ROOTS}]
+               if p.coords not in set(TENTH_ROOTS)]
         assert len(pts) == 91
         holed = analyze(Snapshot(snap25.window, snap25.radius_sq, pts))
-        origin = next(p for p in holed.points if p.z.is_zero())
+        origin = next(p for p in holed.points if not any(p.coords))
         assert origin.min_dist_sq == GoldenInt(1, 1)
         assert origin.dist_class == "other"
         r = verify_two_distance(holed)
@@ -397,8 +411,8 @@ class TestRunAll:
 
 class TestReportShape:
     def test_reproducible_json(self, snap4):
-        a = verify_separation(snap4).to_json()
-        b = verify_separation(snap4).to_json()
+        a = json.dumps(verify_separation(snap4).to_json_dict(), sort_keys=True)
+        b = json.dumps(verify_separation(snap4).to_json_dict(), sort_keys=True)
         assert a == b
         doc = json.loads(a)
         assert doc["pass"] is True
