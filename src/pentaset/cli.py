@@ -118,6 +118,7 @@ def run_cli(argv) -> int:
 
 def _dispatch(cfg: argparse.Namespace) -> int:
     window = Window(cfg.window_sq)
+    params = {"radius_sq": str(cfg.radius_sq), "window_sq": str(cfg.window_sq)}
     print(f"pentaset {cfg.subcommand}: radius_sq={brief_rational(cfg.radius_sq)} "
           f"window_sq={brief_rational(cfg.window_sq)}", file=sys.stderr)
 
@@ -133,8 +134,7 @@ def _dispatch(cfg: argparse.Namespace) -> int:
         checks = CHECK_NAMES if cfg.check == "all" else (cfg.check,)
         reports = verify_all(cfg.radius_sq, cfg.window_sq, checks)
         all_pass = all(r.passed for r in reports)
-        doc = {"parameters": {"radius_sq": str(cfg.radius_sq),
-                              "window_sq": str(cfg.window_sq)},
+        doc = {"parameters": params,
                "reports": [r.to_json_dict() for r in reports],
                "all_pass": all_pass}
         print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
@@ -142,9 +142,7 @@ def _dispatch(cfg: argparse.Namespace) -> int:
 
     if cfg.subcommand == "stats":
         snap = analyze(enumerate_points(cfg.radius_sq, window))
-        summary = stats(snap)
-        summary["radius_sq"] = str(cfg.radius_sq)
-        summary["window_sq"] = str(cfg.window_sq)
+        summary = {**stats(snap), **params}
         with _open_out(cfg.out) as out:
             out.write(json.dumps(summary, sort_keys=True, separators=(",", ":")) + "\n")
         return EXIT_OK

@@ -62,10 +62,6 @@ class GoldenInt:
     p: int
     q: int
 
-    def sign(self) -> int:
-        # p + q*phi = (2p + q + q*sqrt(5)) / 2
-        return sqrt5_sign(2 * self.p + self.q, self.q)
-
 
 #: squared short distance (phi - 1)^2 = 2 - phi
 SHORT_DIST_SQ = GoldenInt(2, -1)

@@ -17,10 +17,9 @@ from itertools import chain
 
 from . import __version__
 from .cyclotomic import ZETA_POWERS, abs_sq_coords, embed_approx
-from .modelset import PointRecord, Snapshot, Window, _membership
+from .modelset import DIST_CLASSES, PointRecord, Snapshot, Window, _membership
 
 CSV_COLUMNS = ["a0", "a1", "a2", "a3", "x", "y", "iabs_p", "iabs_q", "class"]
-_CLASSES = {"short", "long", "other", "unknown"}
 
 
 class SnapshotFormatError(ValueError):
@@ -54,50 +53,36 @@ def parse_rational(value) -> Fraction:
     return r
 
 
-# One record per line; %.17g is format(x, ".17g").  No CSV field holds a
-# comma, quote or line break, so the CSV lines are csv.writer's bytes.
-_JSONL_RECORD = '{"a":[%d,%d,%d,%d],"x":%.17g,"y":%.17g,"iabs":[%d,%d],"class":"%s"}\n'
-_CSV_RECORD = "%d,%d,%d,%d,%.17g,%.17g,%d,%d,%s\n"
+# Each format's header and record line; %.17g is format(x, ".17g").  No
+# rational, version or class string holds a quote, backslash, comma or line
+# break, so these are the bytes of json.dumps(sort_keys=True, compact
+# separators) and of csv.writer (tests/oracles.py pins the headers).
+_LAYOUTS = {
+    "jsonl": ('{"format":"pentaset-snapshot","radius_sq":"%(radius_sq)s",'
+              '"version":"%(version)s","window_sq":"%(window_sq)s"}\n',
+              '{"a":[%d,%d,%d,%d],"x":%.17g,"y":%.17g,"iabs":[%d,%d],"class":"%s"}\n'),
+    "csv": ("radius_sq,%(radius_sq)s,window_sq,%(window_sq)s,version,%(version)s\n"
+            + ",".join(CSV_COLUMNS) + "\n",
+            "%d,%d,%d,%d,%.17g,%.17g,%d,%d,%s\n"),
+}
 
 
 def write_snapshot(snapshot: Snapshot, fmt: str, destination) -> None:
     """Write one record per point in canonical order, preceded by a header
     carrying R^2, w, and the tool version.  destination is a text stream."""
-    if fmt == "jsonl":
-        _write_jsonl(snapshot, destination)
-    elif fmt == "csv":
-        _write_csv(snapshot, destination)
-    else:
+    if fmt not in _LAYOUTS:
         raise ValueError(f"unsupported format {fmt!r}")
-
-
-def _write_jsonl(snapshot: Snapshot, out) -> None:
-    header = {"format": "pentaset-snapshot",
-              "radius_sq": str(snapshot.radius_sq),
-              "window_sq": str(snapshot.window.w),
-              "version": __version__}
-    out.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
-    out.write(_records(_JSONL_RECORD, snapshot))
-
-
-def _write_csv(snapshot: Snapshot, out) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["radius_sq", str(snapshot.radius_sq),
-                     "window_sq", str(snapshot.window.w),
-                     "version", __version__])
-    writer.writerow(CSV_COLUMNS)
-    out.write(_records(_CSV_RECORD, snapshot))
-
-
-def _records(line: str, snapshot: Snapshot) -> str:
-    return "".join([line % (*p.coords, p.x, p.y, *p.iabs, p.dist_class)
-                    for p in snapshot.points])
+    header, record = _LAYOUTS[fmt]
+    destination.write(header % {"radius_sq": snapshot.radius_sq,
+                                "window_sq": snapshot.window.w, "version": __version__})
+    destination.write("".join([record % (*p.coords, p.x, p.y, *p.iabs, p.dist_class)
+                               for p in snapshot.points]))
 
 
 def _add_record(snapshot: Snapshot, seen: set, inside, lineno, c, x, y, iabs, cls) -> None:
     """Append the record of one line, with coordinates c, to snapshot; seen
     holds the coordinates read so far, inside is _membership's memo."""
-    if cls not in _CLASSES:
+    if cls not in DIST_CLASSES:
         raise SnapshotFormatError(f"line {lineno}: unknown class {cls!r}")
     _, intr = moduli = abs_sq_coords(*c)
     if list(intr) != list(iabs):

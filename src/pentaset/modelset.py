@@ -29,10 +29,11 @@ from .cyclotomic import (
 
 Coords = tuple[int, int, int, int]
 
-DIST_SHORT = "short"
-DIST_LONG = "long"
-DIST_OTHER = "other"
-DIST_UNKNOWN = "unknown"
+#: the nearest-neighbour classes; a point nearer the rim than 1 is "unknown"
+DIST_SHORT, DIST_LONG, DIST_OTHER, DIST_UNKNOWN = DIST_CLASSES = (
+    "short", "long", "other", "unknown")
+#: the class of each of the two nearest distances; any other is DIST_OTHER
+DIST_CLASS_OF = {SHORT_DIST_SQ: DIST_SHORT, LONG_DIST_SQ: DIST_LONG}
 
 
 @dataclass(frozen=True)
@@ -229,12 +230,13 @@ def enumerate_points(radius_sq: Fraction | int, window: Window | None = None) ->
 
 
 @lru_cache(maxsize=8)
-def displacement_candidates(window: Window) -> list[tuple[Coords, GoldenInt]]:
-    """All nonzero d, as coordinate tuples with |d|^2, that can separate two
-    window members at squared distance <= L: the points of the set at
-    R^2 = L with window 4w (both ends in the window force |sigma(d)|^2 <= 4w),
-    minus 0, finite as model sets have finite local complexity.  Sorted by
-    exact squared length, then coordinates, so a scan hits the nearest first.
+def displacement_candidates(window: Window) -> list[tuple[Coords, tuple[int, int]]]:
+    """All nonzero d, as coordinate tuples with |d|^2 as a (p, q) pair, that
+    can separate two window members at squared distance <= L: the points of
+    the set at R^2 = L with window 4w (both ends in the window force
+    |sigma(d)|^2 <= 4w), minus 0, finite as model sets have finite local
+    complexity.  Sorted by exact squared length, then coordinates, so a
+    scan hits the nearest first.
 
     L = 1 for w >= 1, where every member has a neighbour at distance 1 (the
     step argument in verify_two_distance).  For w < 1, S_w = phi^k S_{w phi^2k}
@@ -249,13 +251,12 @@ def displacement_candidates(window: Window) -> list[tuple[Coords, GoldenInt]]:
     while w * (lucas - 1) < 1:
         lucas, step = step, 3 * step - lucas
     length = Fraction(max(1, min(lucas, 4 * w * _MAX_RATIO)) if w < 1 else 1)
-    out = [(coords, GoldenInt(*phys))
-           for coords, phys, _ in _members(length, window.diam_sq)
+    out = [(coords, phys) for coords, phys, _ in _members(length, window.diam_sq)
            if coords != (0, 0, 0, 0)]
 
     def cmp(a, b):
-        g, h = a[1], b[1]
-        return golden_cmp(g.p - h.p, g.q - h.q, 0) or (-1 if a[0] < b[0] else 1)
+        (p, q), (r, s) = a[1], b[1]
+        return golden_cmp(p - r, q - s, 0) or (-1 if a[0] < b[0] else 1)
 
     out.sort(key=cmp_to_key(cmp))
     return out
@@ -293,13 +294,9 @@ def _split(snapshot: Snapshot, ds: list):
 
 
 def classify_distance(d_sq: GoldenInt) -> str:
-    if d_sq.sign() <= 0:
+    if golden_cmp(d_sq.p, d_sq.q, 0) <= 0:
         raise ValueError(f"squared distance must be positive, got ({d_sq.p},{d_sq.q})")
-    if d_sq == SHORT_DIST_SQ:
-        return DIST_SHORT
-    if d_sq == LONG_DIST_SQ:
-        return DIST_LONG
-    return DIST_OTHER
+    return DIST_CLASS_OF.get(d_sq, DIST_OTHER)
 
 
 def _is_inner(p: int, q: int, rn: int, rd: int) -> bool:
@@ -333,9 +330,9 @@ def _nearest(i: int, coords: list[Coords], keys: list[int], good: dict,
     compared with every point.
     """
     k, best, others = keys[i], None, bad
-    for kd, d in walk if good.get(k) == i else ():
+    for kd, d_sq in walk if good.get(k) == i else ():
         if k + kd in good:
-            best = (d.p, d.q)
+            best = d_sq
             break
     else:  # a bad point, or a good one with no hit
         others = (j for j in range(len(coords)) if j != i)
@@ -380,19 +377,22 @@ def analyze(snapshot: Snapshot) -> Snapshot:
 
 def stats(snapshot: Snapshot) -> dict:
     """Summary counts, empirical density, and short:long ratio."""
-    counts = {DIST_SHORT: 0, DIST_LONG: 0, DIST_OTHER: 0, DIST_UNKNOWN: 0}
+    counts = dict.fromkeys(DIST_CLASSES, 0)
     for p in snapshot.points:
         counts[p.dist_class] += 1
     n = len(snapshot.points)
-    try:
-        r_sq = float(snapshot.radius_sq)
-        density = n / (math.pi * r_sq) if r_sq > 0 else None
-    except OverflowError:  # R^2 beyond float range: exact, then rounded once
-        density = float(n / (Fraction(math.pi) * snapshot.radius_sq))
+    density = None  # R^2 = 0
+    if snapshot.radius_sq > 0:
+        try:
+            density = n / (math.pi * float(snapshot.radius_sq))
+        except OverflowError:  # R^2 beyond float range: exact, then rounded once
+            density = float(n / (Fraction(math.pi) * snapshot.radius_sq))
+        except ZeroDivisionError:  # R^2 rounds to 0.0, so n/(pi R^2) > 1e323
+            density = math.inf
     ratio = counts[DIST_SHORT] / counts[DIST_LONG] if counts[DIST_LONG] else None
     return {
         "count": n,
         "classes": dict(counts),
-        "density": density,
+        "density": None if density == math.inf else density,  # JSON has no inf
         "short_long_ratio": ratio,
     }

@@ -1,7 +1,7 @@
 """Machine checks of the stated properties of the point set.
 
-Every accept/reject decision is exact integer arithmetic; floats only appear
-as annotations in report details.  Reports serialize to a stable JSON shape.
+Every accept/reject decision is exact integer arithmetic, and no report
+holds a float.  Reports serialize to a stable JSON shape.
 The pair checks' tested_count is the n(n-1)/2 pairs their verdict covers.
 """
 
@@ -16,14 +16,12 @@ from .cyclotomic import (
     abs_sq_coords,
     golden_cmp,
     norm_coords,
-    LONG_DIST_SQ,
-    SHORT_DIST_SQ,
 )
 from .modelset import (
     Coords,
-    DIST_LONG,
+    DIST_CLASS_OF,
+    DIST_CLASSES,
     DIST_OTHER,
-    DIST_SHORT,
     Snapshot,
     Window,
     _Memo,
@@ -233,22 +231,20 @@ def verify_two_distance(snapshot: Snapshot) -> VerificationReport:
     """
     _require_unit_window(snapshot, "two-distance")
     violations = []
-    counts = {DIST_SHORT: 0, DIST_LONG: 0, DIST_OTHER: 0}
+    counts = dict.fromkeys(DIST_CLASSES[:3], 0)  # short, long, other
     tested = 0
     for p in snapshot.points:
         if p.min_dist_sq is None:
             continue
         tested += 1
-        if p.min_dist_sq == SHORT_DIST_SQ:
-            counts[DIST_SHORT] += 1
-        elif p.min_dist_sq == LONG_DIST_SQ:
-            counts[DIST_LONG] += 1
-        else:
-            counts[DIST_OTHER] += 1
+        # not classify_distance, which rejects a nonpositive distance
+        cls = DIST_CLASS_OF.get(p.min_dist_sq, DIST_OTHER)
+        counts[cls] += 1
+        if cls == DIST_OTHER:
             violations.append({"point": list(p.coords),
                                "min_dist_sq": [p.min_dist_sq.p, p.min_dist_sq.q]})
     both_required = snapshot.radius_sq >= 4
-    both_present = counts[DIST_SHORT] > 0 and counts[DIST_LONG] > 0
+    both_present = all(counts[c] > 0 for c in DIST_CLASS_OF.values())
     if both_required and not both_present:
         violations.append({"clause": "missing-distance-class", "counts": dict(counts)})
     return VerificationReport("two-distance", not violations, tested,

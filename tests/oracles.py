@@ -8,10 +8,13 @@ come from every pair, and conjugates, moduli and norms from ring products
 
 from __future__ import annotations
 
+import csv
 import io
+import json
 import math
 from fractions import Fraction
 
+from pentaset import __version__
 from pentaset.cyclotomic import (
     ArithmeticConsistencyError,
     GoldenInt,
@@ -20,7 +23,7 @@ from pentaset.cyclotomic import (
     golden_cmp,
     quad_form,
 )
-from pentaset.io_render import write_snapshot
+from pentaset.io_render import CSV_COLUMNS, write_snapshot
 from pentaset.modelset import (
     DIST_UNKNOWN,
     PointRecord,
@@ -186,6 +189,25 @@ def snapshot_to_jsonl_bytes(snapshot: Snapshot) -> bytes:
     buf = io.StringIO()
     write_snapshot(snapshot, "jsonl", buf)
     return buf.getvalue().encode("utf-8")
+
+
+def snapshot_header(snapshot: Snapshot, fmt: str) -> str:
+    """The header line(s) of a snapshot in format fmt as json.dumps and
+    csv.writer write them, the reference for write_snapshot's layouts."""
+    buf = io.StringIO()
+    if fmt == "jsonl":
+        header = {"format": "pentaset-snapshot",
+                  "radius_sq": str(snapshot.radius_sq),
+                  "window_sq": str(snapshot.window.w),
+                  "version": __version__}
+        buf.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
+    else:
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["radius_sq", str(snapshot.radius_sq),
+                         "window_sq", str(snapshot.window.w),
+                         "version", __version__])
+        writer.writerow(CSV_COLUMNS)
+    return buf.getvalue()
 
 
 def nearest_in_snapshot(snapshot: Snapshot) -> list[tuple[GoldenInt | None, str]]:

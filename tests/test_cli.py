@@ -5,13 +5,20 @@ from xml.etree import ElementTree
 
 import pytest
 
-from pentaset.cli import EXIT_OK, EXIT_USAGE, parse_config, run_cli
+from pentaset.cli import EXIT_OK, EXIT_OVERFLOW, EXIT_USAGE, parse_config, run_cli
 
 
 def run(capsys, *argv):
     code = run_cli(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def strict_json(text: str):
+    """json.loads, refusing Infinity and NaN, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
 
 
 class TestParsing:
@@ -168,6 +175,15 @@ class TestStats:
         doc = json.loads(out)
         assert doc["count"] == 1 and doc["density"] == 0.0
 
+    @pytest.mark.parametrize("radius_sq", ["1e-320", "1e-400"])
+    def test_tiny_disc_has_null_density(self, capsys, radius_sq):
+        # n/(pi R^2) has no finite float value: 1e-320 is subnormal, 1e-400
+        # rounds to 0.0
+        code, out = run(capsys, "stats", "--radius-sq", radius_sq)
+        assert code == EXIT_OK
+        doc = strict_json(out)
+        assert doc["count"] == 1 and doc["density"] is None
+
 
 class TestRender:
     def test_svg_with_highlights(self, capsys, tmp_path):
@@ -190,6 +206,12 @@ class TestRender:
         dots = [c.attrib for c in root if c.get("class") == "pt-unknown"]
         assert dots == [{"cx": "500.000000", "cy": "500.000000", "r": "3",
                          "fill": "#000000", "class": "pt-unknown"}]
+
+    def test_canvas_beyond_float_range_is_overflow(self, capsys):
+        code = run_cli(["render", "--radius", "2", "--canvas", "1" + "0" * 400])
+        captured = capsys.readouterr()
+        assert code == EXIT_OVERFLOW and captured.out == ""
+        assert "arithmetic overflow" in captured.err
 
     @pytest.mark.parametrize("canvas", ["0", "-5"])
     def test_nonpositive_canvas_is_usage_error(self, capsys, canvas):

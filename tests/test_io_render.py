@@ -18,9 +18,9 @@ from pentaset.io_render import (
     render_svg,
     write_snapshot,
 )
-from pentaset.modelset import Window, analyze, enumerate_points
+from pentaset.modelset import Snapshot, Window, analyze, enumerate_points
 
-from oracles import snapshot_to_jsonl_bytes
+from oracles import snapshot_header, snapshot_to_jsonl_bytes
 
 
 def roundtrip(snapshot, fmt):
@@ -70,6 +70,28 @@ class TestRoundTrip:
     def test_unsupported_format(self, snap4):
         with pytest.raises(ValueError):
             write_snapshot(snap4, "xml", io.StringIO())
+
+    def test_blank_jsonl_lines_are_skipped(self):
+        snap = enumerate_points(4)
+        buf = io.StringIO()
+        write_snapshot(snap, "jsonl", buf)
+        head, *records = buf.getvalue().splitlines(keepends=True)
+        text = head + "".join("\n" + r + "  \n" for r in records)
+        assert read_snapshot(io.StringIO(text)) == snap
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("radius_sq", [
+        Fraction(0), Fraction(9, 4), Fraction(10 ** 4299), Fraction(1, 10 ** 4300 - 1)],
+        ids=["0", "9/4", "10^4299", "1/(10^4300-1)"])
+    @pytest.mark.parametrize("w", [Fraction(1), Fraction(49, 4), Fraction(1, 1000)],
+                             ids=["1", "49/4", "1/1000"])
+    def test_header_matches_json_and_csv_writers(self, fmt, radius_sq, w):
+        # the layout table's header is the bytes json.dumps and csv.writer
+        # write, for every rational the header can hold
+        snap = Snapshot(Window(w), radius_sq)
+        buf = io.StringIO()
+        write_snapshot(snap, fmt, buf)
+        assert buf.getvalue() == snapshot_header(snap, fmt)
 
 
 class TestValidation:
@@ -277,6 +299,11 @@ class TestRenderSvg:
                          RenderOptions(highlight_roots=True))
         assert svg.count('class="pt-') == 11
         assert svg.count('class="highlight"') == 6
+
+    def test_highlight_only_roots_in_the_snapshot(self):
+        # at R^2 = 0 only the origin is a member: the five roots get no circle
+        svg = render_svg(enumerate_points(0), RenderOptions(highlight_roots=True))
+        assert svg.count('class="highlight"') == 1
 
     def test_no_highlight_without_option(self):
         svg = render_svg(enumerate_points(1))

@@ -248,7 +248,7 @@ class TestMinDistance:
         assert [d for d, _ in cands] == \
             sorted(ring_mul(mu, EPSILON) for mu in TENTH_ROOTS) + \
             sorted(TENTH_ROOTS)
-        assert [g for _, g in cands] == [GoldenInt(2, -1)] * 10 + [GoldenInt(1, 0)] * 10
+        assert [g for _, g in cands] == [(2, -1)] * 10 + [(1, 0)] * 10
         assert all(norm_coords(*d) == 1 for d, _ in cands)
         # no difference of unit-window members has 1 < |d|^2 < 5/4, so this
         # list holds every d closer than sqrt(5)/2
@@ -267,7 +267,7 @@ class TestMinDistance:
         cands = displacement_candidates(Window())
         assert all(d != (0, 0, 0, 0) for d, _ in cands)
         for (_, a), (_, b) in zip(cands, cands[1:]):
-            assert golden_cmp_golden(a, b) <= 0
+            assert golden_cmp_golden(GoldenInt(*a), GoldenInt(*b)) <= 0
 
 
 class TestClassify:

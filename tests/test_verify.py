@@ -373,6 +373,24 @@ class TestTwoDistance:
         assert not r.passed
         assert {"point": [0, 0, 0, 0], "min_dist_sq": [1, 1]} in r.violations
 
+    def test_missing_short_class_fails(self, snap4):
+        # the short-class points removed and the rest not re-analyzed: the
+        # origin keeps its long distance and no short one is left
+        pts = [p for p in snap4.points if p.dist_class != "short"]
+        r = verify_two_distance(Snapshot(snap4.window, snap4.radius_sq, pts))
+        assert not r.passed
+        assert r.violations == [{"clause": "missing-distance-class",
+                                 "counts": {"short": 0, "long": 1, "other": 0}}]
+
+    @pytest.mark.parametrize("pq", [(0, 0), (-1, 0)])
+    def test_nonpositive_distance_is_other(self, pq):
+        # a hand-built record; classify_distance would reject the value
+        rec = make_record((0, 0, 0, 0))
+        rec.min_dist_sq = GoldenInt(*pq)
+        r = verify_two_distance(Snapshot(Window(), Fraction(0), [rec]))
+        assert r.violations == [{"point": [0, 0, 0, 0], "min_dist_sq": list(pq)}]
+        assert r.details["counts"] == {"short": 0, "long": 0, "other": 1}
+
 
 class TestStepExistence:
     def test_origin_all_steps_stay(self):
@@ -381,6 +399,14 @@ class TestStepExistence:
 
     def test_clean_pass_includes_boundary(self, snap25):
         assert verify_step_existence(snap25).passed
+
+    def test_point_with_no_step_fails(self):
+        # sigma(3 + mu) = 3 + sigma(mu) has modulus at least 2 for every
+        # tenth root mu, so 3 has no step that stays in the unit window
+        pts = [make_record((0, 0, 0, 0)), make_record((3, 0, 0, 0))]
+        r = verify_step_existence(Snapshot(Window(), Fraction(100), pts))
+        assert not r.passed
+        assert r.violations == [{"point": [3, 0, 0, 0]}]
 
     def test_rejects_non_unit_window(self):
         with pytest.raises(ValueError):
