@@ -66,6 +66,13 @@ _LAYOUTS = {
             "%d,%d,%d,%d,%.17g,%.17g,%d,%d,%s\n"),
 }
 
+# The JSONL record line as json.loads reads it: %d a JSON integer of at most
+# MAX_DIGITS digits (int() refuses more), %.17g a JSON number, %s a class word.
+_INT = r"(-?(?:0|[1-9][0-9]{0,%d}))" % (MAX_DIGITS - 1)
+_FIELD = {"%d": _INT, "%.17g": _INT + r"((?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)", "%s": "([a-z]+)"}
+_RECORD = re.compile("".join(_FIELD[t] if k % 2 else re.escape(t) for k, t in
+                             enumerate(re.split(r"(%d|%\.17g|%s)", _LAYOUTS["jsonl"][1]))))
+
 
 def write_snapshot(snapshot: Snapshot, fmt: str, destination) -> None:
     """Write one record per point in canonical order, preceded by a header
@@ -80,12 +87,12 @@ def write_snapshot(snapshot: Snapshot, fmt: str, destination) -> None:
 
 
 def _add_record(snapshot: Snapshot, seen: set, inside, lineno, c, x, y, iabs, cls) -> None:
-    """Append the record of one line, with coordinates c, to snapshot; seen
-    holds the coordinates read so far, inside is _membership's memo."""
+    """Append the record of one line, with coordinates c and iabs int tuples,
+    to snapshot; seen holds the coordinates read so far, inside is _membership's memo."""
     if cls not in DIST_CLASSES:
         raise SnapshotFormatError(f"line {lineno}: unknown class {cls!r}")
     _, intr = moduli = abs_sq_coords(*c)
-    if list(intr) != list(iabs):
+    if intr != iabs:
         raise SnapshotFormatError(
             f"line {lineno}: stored iabs {list(iabs)} does not match "
             f"recomputed {list(intr)} for a = {list(c)}")
@@ -145,19 +152,26 @@ def _read_jsonl(first: str, source) -> Snapshot:
         raise SnapshotFormatError("line 1: missing snapshot header")
     snapshot, seen, inside = _header_snapshot(header)
     for lineno, line in enumerate(source, start=2):
-        if not line.strip():
-            continue
         try:
-            rec = json.loads(line)
-            a, x, y, iabs = rec["a"], rec["x"], rec["y"], rec["iabs"]
-            a0, a1, a2, a3 = a
-            p, q = iabs
-            # JSON true and 1.0 would pass as coordinates
-            if not (type(a0) is type(a1) is type(a2) is type(a3) is type(p) is type(q) is int):
-                raise SnapshotFormatError(f"line {lineno}: a and iabs must hold integers")
-            if type(x) not in (int, float) or type(y) not in (int, float):
-                raise SnapshotFormatError(f"line {lineno}: x and y must be numbers")
-            _add_record(snapshot, seen, inside, lineno, (a0, a1, a2, a3), x, y, iabs, rec["class"])
+            m = _RECORD.fullmatch(line)
+            if m:  # as json.loads reads it: an x or y with no . or e is an int
+                a0, a1, a2, a3, xi, xf, yi, yf, p, q, cls = m.groups()
+                a0, a1, a2, a3, p, q = int(a0), int(a1), int(a2), int(a3), int(p), int(q)
+                x, y = float(xi + xf) if xf else int(xi), float(yi + yf) if yf else int(yi)
+            elif not line.strip():
+                continue
+            else:
+                rec = json.loads(line)
+                a, x, y, iabs = rec["a"], rec["x"], rec["y"], rec["iabs"]
+                a0, a1, a2, a3 = a
+                p, q = iabs
+                # JSON true and 1.0 would pass as coordinates
+                if not (type(a0) is type(a1) is type(a2) is type(a3) is type(p) is type(q) is int):
+                    raise SnapshotFormatError(f"line {lineno}: a and iabs must hold integers")
+                if type(x) not in (int, float) or type(y) not in (int, float):
+                    raise SnapshotFormatError(f"line {lineno}: x and y must be numbers")
+                cls = rec["class"]
+            _add_record(snapshot, seen, inside, lineno, (a0, a1, a2, a3), x, y, (p, q), cls)
         except SnapshotFormatError:
             raise
         except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as e:
@@ -180,7 +194,7 @@ def _read_csv(first: str, source) -> Snapshot:
             lineno = rows.line_num
             try:
                 c = (int(row[0]), int(row[1]), int(row[2]), int(row[3]))
-                iabs = [int(row[6]), int(row[7])]
+                iabs = (int(row[6]), int(row[7]))
                 _add_record(snapshot, seen, inside, lineno, c, row[4], row[5], iabs, row[8])
             except SnapshotFormatError:
                 raise

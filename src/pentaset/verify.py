@@ -109,20 +109,26 @@ def verify_separation(snapshot: Snapshot) -> VerificationReport:
 
 
 def verify_rotation(snapshot: Snapshot) -> VerificationReport:
-    """Closure of the snapshot under all ten unit multipliers +-zeta^k."""
+    """Closure of the snapshot under all ten unit multipliers +-zeta^k.
+
+    zeta and -1 generate the ten units and are injective on Z^4, so for the
+    finite set S of coordinates zeta S <= S and -S <= S force zeta S = S = -S,
+    and every +-zeta^k maps S onto S.  The 2n lookups zeta c, -c in S decide the
+    verdict; tested_count is the 10n memberships it covers.  Only a failure
+    walks the ten multipliers, to list the violations in order."""
     members = snapshot.coord_set()
     violations = []
-    tested = 0
-    for c in sorted(members):
-        t = c
-        for k in range(5):  # t = zeta^k * c; multiplier 2k is zeta^k, 2k + 1 is -zeta^k
-            a0, a1, a2, a3 = t
-            for m, u in ((2 * k, t), (2 * k + 1, (-a0, -a1, -a2, -a3))):
-                tested += 1
-                if u not in members:
-                    violations.append({"point": list(c), "multiplier_index": m})
-            t = (-a3, a0 - a3, a1 - a3, a2 - a3)
-    return VerificationReport("rotation", not violations, tested,
+    if not all((-a3, a0 - a3, a1 - a3, a2 - a3) in members and (-a0, -a1, -a2, -a3) in members
+               for a0, a1, a2, a3 in members):
+        for c in sorted(members):
+            t = c
+            for k in range(5):  # t = zeta^k * c; multiplier 2k is zeta^k, 2k + 1 is -zeta^k
+                a0, a1, a2, a3 = t
+                for m, u in ((2 * k, t), (2 * k + 1, (-a0, -a1, -a2, -a3))):
+                    if u not in members:
+                        violations.append({"point": list(c), "multiplier_index": m})
+                t = (-a3, a0 - a3, a1 - a3, a2 - a3)
+    return VerificationReport("rotation", not violations, 10 * len(members),
                               violations, _params(snapshot))
 
 

@@ -4,12 +4,15 @@ import io
 import json
 import math
 import re
+import struct
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from pentaset import io_render
 from pentaset.io_render import (
     CSV_COLUMNS,
     RenderOptions,
@@ -18,7 +21,7 @@ from pentaset.io_render import (
     render_svg,
     write_snapshot,
 )
-from pentaset.modelset import Snapshot, Window, analyze, enumerate_points
+from pentaset.modelset import DIST_CLASSES, Snapshot, Window, analyze, enumerate_points
 
 from oracles import snapshot_header, snapshot_to_jsonl_bytes
 
@@ -291,6 +294,138 @@ class TestReaderFuzz:
             read_snapshot(io.StringIO(text))
         except SnapshotFormatError:
             pass
+
+
+def _read_outcome(text):
+    """The records read from text, with the reprs of their integers and the
+    bits of x and y, or the message of the SnapshotFormatError."""
+    try:
+        snap = read_snapshot(io.StringIO(text))
+    except SnapshotFormatError as e:
+        return str(e)
+    return [(repr(p.coords), repr(p.iabs), p.dist_class, struct.pack("<dd", p.x, p.y))
+            for p in snap.points]
+
+
+def _assert_paths_agree(text):
+    """Reading text with the layout fast path gives what reading every line
+    through json.loads gives."""
+    fast = _read_outcome(text)
+    with mock.patch.object(io_render, "_RECORD", re.compile(r"(?!)")):
+        assert _read_outcome(text) == fast
+    return fast
+
+
+# the JSONL record layout with every field a %s
+_RECORD_TEXT = re.sub(r"%(d|\.17g)", "%s", io_render._LAYOUTS["jsonl"][1])
+_SNAP4 = analyze(enumerate_points(4))
+_ORIGIN = '{"a":[0,0,0,0],"x":0,"y":0,"iabs":[0,0],"class":"long"}\n'
+
+# integer and number texts that JSON, int() or float() read differently
+_ODD_NUMBERS = ["-0", "-0.0", "00", "01", "+1", "1_0", "1.", ".5", "1e", "1E5", "1e400",
+                "1e-400", "1.5E+3", "NaN", "Infinity", "-Infinity", "nan", "inf", "0x1",
+                "\u0661", " 1", "1 ", "true", '"1"', "1" * 18, "1" * 19, "-" + "9" * 19,
+                "1" * 4300, "1" * 4301, "1" * 4300 + ".5"]
+
+
+@st.composite
+def _generated_record(draw):
+    """The JSONL snapshot at R^2 = 4 with one record line rebuilt from the
+    layout, each of its fields kept (three times in four) or replaced by an
+    odd number, an integer, a float written as %.17g or repr, or a word, and
+    its line end varied."""
+    lines = list(_SNAP4_LINES["jsonl"])
+    k = draw(st.integers(1, len(lines) - 1))
+    p = _SNAP4.points[k - 1]
+    fields = [*map(str, p.coords), format(p.x, ".17g"), format(p.y, ".17g"),
+              *map(str, p.iabs), p.dist_class]
+    other = (st.sampled_from(_ODD_NUMBERS) | st.integers().map(str)
+             | st.floats().map(lambda f: format(f, ".17g")) | st.floats().map(repr)
+             | st.sampled_from(DIST_CLASSES) | st.text("abcsortlng\\u0", max_size=8))
+    fields = [f if draw(st.integers(0, 3)) else draw(other) for f in fields]
+    end = draw(st.sampled_from(["\n", "\n", "", "\r\n", "  \n", "\t\n"]))
+    lines[k] = _RECORD_TEXT.rstrip("\n") % tuple(fields) + end
+    return "".join(lines)
+
+
+@st.composite
+def _mutated_record(draw):
+    """The JSONL snapshot at R^2 = 4 with a slice of one record line replaced
+    by generated text."""
+    lines = list(_SNAP4_LINES["jsonl"])
+    k = draw(st.integers(1, len(lines) - 1))
+    line = lines[k]
+    i = draw(st.integers(0, len(line)))
+    j = draw(st.integers(i, min(len(line), i + 8)))
+    text = "".join(draw(st.lists(st.sampled_from(_NEAR_SNAPSHOT + _ODD_NUMBERS)
+                                 | st.characters(), max_size=6)))
+    lines[k] = line[:i] + text + line[j:]
+    return "".join(lines)
+
+
+class TestLayoutFastPath:
+    """A JSONL record line that matches the writer's layout is parsed by one
+    regular expression; every other line goes through json.loads.  Both must
+    give the same record, with the same x and y bits, or the same error."""
+
+    @pytest.mark.parametrize("old, new, fast", [
+        ('"x":0,', '"x":-0,', True),
+        ('"a":[0,0,0,0]', '"a":[%s,0,0,0]' % ("1" * 18), True),
+        ('"a":[0,0,0,0]', '"a":[%s,0,0,0]' % ("1" * 19), True),
+        ('"a":[0,0,0,0]', '"a":[%s,0,0,0]' % ("1" * 4300), True),
+        ('"a":[0,0,0,0]', '"a":[%s,0,0,0]' % ("1" * 4301), False),
+        ('"iabs":[0,0]', '"iabs":[0,%s]' % ("1" * 4301), False),
+        ('"x":0,', '"x":%s,' % ("1" * 4300), True),
+        ('"x":0,', '"x":%s,' % ("1" * 4301), False),
+        ('"x":0,', '"x":1E5,', True),
+        ('"x":0,', '"x":1e400,', True),
+        ('"x":0,', '"x":nan,', False),
+        ('"x":0,', '"x":NaN,', False),
+        ('"x":0,', '"x":inf,', False),
+        ('"x":0,', '"x":Infinity,', False),
+        ('"x":0,', '"x":1_0,', False),
+        ('"x":0,', '"x":+1,', False),
+        ('"a":[0,0,0,0]', '"a":[+0,0,0,0]', False),
+        ('"a":[0,0,0,0]', '"a":[1\u0660,0,0,0]', False),
+        ('"class":"long"}\n', '"class":"long"}', False),
+        ('"class":"long"}\n', '"class":"long"}\r\n', False),
+        ('"class":"long"}\n', '"class":"long"}  \n', False),
+        ('"class":"long"', '"class":"\\u006cong"', False),
+        ('"class":"long"', '"class":"weird"', True),
+    ], ids=["x-minus-zero", "18-digits", "19-digits", "4300-digits", "4301-digits",
+            "iabs-4301-digits", "x-4300-digits", "x-4301-digits", "1E5", "1e400", "nan",
+            "NaN", "inf", "Infinity", "underscore", "plus-x", "plus-a", "arabic-digit",
+            "no-final-newline", "crlf", "trailing-spaces", "class-u-escape", "weird-class"])
+    def test_named_lines(self, old, new, fast):
+        assert _ORIGIN.count(old) == 1
+        line = _ORIGIN.replace(old, new)
+        assert bool(io_render._RECORD.fullmatch(line)) == fast
+        lines = list(_SNAP4_LINES["jsonl"])
+        k = lines.index(_ORIGIN)
+        lines[k] = line
+        if not line.endswith("\n"):  # the last line of the file
+            lines.append(lines.pop(k))
+        outcome = _assert_paths_agree("".join(lines))
+        if new == '"x":-0,':
+            # json reads -0 as the int 0, and so must the fast path: the
+            # float -0.0 would be written back as -0
+            assert outcome == _read_outcome("".join(_SNAP4_LINES["jsonl"]))
+
+    def test_written_lines_take_the_fast_path(self):
+        snap = analyze(enumerate_points(Fraction(49, 4), Window(Fraction(1, 5))))
+        lines = _snapshot_lines(snap, "jsonl")
+        assert all(io_render._RECORD.fullmatch(line) for line in lines[1:])
+        assert len(_assert_paths_agree("".join(lines))) == len(snap.points)
+
+    @given(_generated_record())
+    @settings(max_examples=300, deadline=None)
+    def test_generated_records(self, text):
+        _assert_paths_agree(text)
+
+    @given(_mutated_record())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_records(self, text):
+        _assert_paths_agree(text)
 
 
 class TestRenderSvg:

@@ -279,6 +279,48 @@ class TestSeparation:
         assert r.violations
 
 
+ROTATION_CASES = ("removed", "zeta-orbit-removed", "eps-shift", "duplicated", "clean-w49/4",
+                  "clean-w1/5")
+
+
+def _rotation_case(snap4: Snapshot, case: str) -> Snapshot:
+    """snap4 with a non-origin point removed, the five zeta^k multiples of
+    one removed (the set stays closed under zeta, not under -1), a point
+    replaced by its eps-shift or a record repeated; or a clean set at a
+    non-unit window."""
+    pts = list(snap4.points)
+    k = next(i for i, p in enumerate(pts) if any(p.coords))
+    if case == "removed":
+        del pts[k]
+    elif case == "zeta-orbit-removed":
+        orbit = {ring_mul(mu, pts[k].coords) for mu in TENTH_ROOTS[::2]}
+        pts = [p for p in pts if p.coords not in orbit]
+    elif case == "eps-shift":
+        pts[k] = make_record(ring_add(pts[k].coords, EPSILON))
+    elif case == "duplicated":
+        pts.append(pts[k])
+    else:
+        return (enumerate_points(9, Window(Fraction(49, 4))) if case == "clean-w49/4"
+                else enumerate_points(100, Window(Fraction(1, 5))))
+    return Snapshot(snap4.window, snap4.radius_sq, pts)
+
+
+def _ten_multiplier_violations(snap: Snapshot) -> list:
+    """The rotation violations by ring multiplication with each of the ten
+    units, in the order verify_rotation lists them."""
+    members = snap.coord_set()
+    return [{"point": list(c), "multiplier_index": m}
+            for c in sorted(members) for m, mu in enumerate(TENTH_ROOTS)
+            if ring_mul(mu, c) not in members]
+
+
+def _assert_rotation_report(snap: Snapshot, expected: list) -> None:
+    r = verify_rotation(snap)
+    assert r.violations == expected
+    assert r.passed == (not expected)
+    assert r.tested_count == 10 * len(snap.coord_set())
+
+
 class TestRotation:
     def test_clean_pass(self, snap4):
         assert verify_rotation(snap4).passed
@@ -295,12 +337,35 @@ class TestRotation:
 
     def test_violations_match_ring_multiplication(self, snap4):
         bad = with_extra_point(snap4, ring_mul(ZETA, EPSILON))
-        members = bad.coord_set()
-        expected = [{"point": list(c), "multiplier_index": m}
-                    for c in sorted(members) for m, mu in enumerate(TENTH_ROOTS)
-                    if ring_mul(mu, c) not in members]
+        expected = _ten_multiplier_violations(bad)
         assert len(expected) == 9
-        assert verify_rotation(bad).violations == expected
+        _assert_rotation_report(bad, expected)
+
+    @pytest.mark.parametrize("case", ROTATION_CASES)
+    def test_more_sets_match_ring_multiplication(self, snap4, case):
+        snap = _rotation_case(snap4, case)
+        expected = _ten_multiplier_violations(snap)
+        assert bool(expected) == (case in ("removed", "zeta-orbit-removed", "eps-shift"))
+        _assert_rotation_report(snap, expected)
+
+    def test_lookups_at_most_2n(self, monkeypatch):
+        # zeta and -1 generate the ten units: a clean set needs only the
+        # lookups of zeta c and -c, where the ten multipliers would make 10n
+        lookups = []
+
+        class CountingSet(set):
+            def __contains__(self, c):
+                lookups.append(c)
+                return super().__contains__(c)
+
+        snap = enumerate_points(400)
+        n = len(snap.points)
+        assert n == 1411
+        coord_set = Snapshot.coord_set
+        monkeypatch.setattr(Snapshot, "coord_set", lambda s: CountingSet(coord_set(s)))
+        r = verify_rotation(snap)
+        assert r.passed and r.tested_count == 10 * n
+        assert 0 < len(lookups) <= 2 * n
 
     def test_mutated_point_fails(self, snap25):
         pts = list(snap25.points)
