@@ -11,6 +11,7 @@ import json
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import cache
 
 from . import __version__
 from .io_render import RenderOptions, parse_rational, render_svg, write_snapshot
@@ -31,7 +32,10 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(e)) from e
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later one;
+    parsing leaves it unchanged, and callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="pentaset",
         description="Enumerate and verify the discrete golden-ratio point set "
@@ -137,7 +141,8 @@ def _dispatch(cfg: argparse.Namespace) -> int:
         doc = {"parameters": params,
                "reports": [r.to_json_dict() for r in reports],
                "all_pass": all_pass}
-        print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+        with _open_out(cfg.out) as out:
+            out.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
         return EXIT_OK if all_pass else EXIT_VIOLATION
 
     if cfg.subcommand == "stats":

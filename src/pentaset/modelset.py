@@ -262,35 +262,43 @@ def displacement_candidates(window: Window) -> list[tuple[Coords, tuple[int, int
     return out
 
 
-def _split(snapshot: Snapshot, ds: list):
-    """(coords, phys, keys, good, bad, walk) for walks along ds, a list of
-    (d, x) pairs: each point's coordinates, |z|^2 as a (p, q) pair and key
-    k(c); good, mapping the key of each point in the disc and the window
-    that appears once to its index; bad, the other indices; and walk, the
-    (k(d), x) of ds.
+def _split(snapshot: Snapshot):
+    """(coords, phys, keys, good, bad, b) of a snapshot: each point's
+    coordinates, |z|^2 as a (p, q) pair and key k(c); good, mapping the key
+    of each point in the disc and the window that appears once to its index;
+    bad, the other indices; and the key base b, for which _walk keys a
+    displacement list.
 
     k(c) = ((c0*B + c1)*B + c2)*B + c3 is linear, so a lookup of c + d costs
-    one addition.  B = 2(M + D) + 1, M the largest |coordinate| of a point
-    in the disc and the window, D that of a d.  k is injective on
-    [-(M + D), M + D]^4: if k(c) = k(c'), each |c_i - c'_i| < B, so
-    reducing modulo B gives c3 = c'3, then c2 = c'2 after dividing by B,
-    and so on.  Every good point, and a good point plus a d, lies in that
-    box, so k(c) + k(d) is the key of the good point j only if c + d is j.
-    A bad point outside the box can share a good point's key, so a walk
-    starts only from a point i with good.get(keys[i]) == i.
+    one addition.  B = 6M + 1, M the largest |coordinate| of a point in the
+    disc and the window.  k is injective on [-3M, 3M]^4: if k(c) = k(c'),
+    each |c_i - c'_i| <= 6M < B, so reducing modulo B gives c3 = c'3, then
+    c2 = c'2 after dividing by B, and so on.  Two good points c and c + d lie
+    in [-M, M]^4, so only a d in [-2M, 2M]^4 can join them, and _walk keeps
+    only those; c + d then lies in [-3M, 3M]^4, so k(c) + k(d) is the key of
+    the good point j only if c + d is j.  A bad point outside the box can
+    share a good point's key, so a walk starts only from a point i with
+    good.get(keys[i]) == i.  B depends on the points alone, so one split
+    serves every walk over the snapshot.
     """
     member = _membership(snapshot.radius_sq, snapshot.window.w)
     coords = [p.coords for p in snapshot.points]
     moduli = [abs_sq_coords(*c) for c in coords]
     inside = [i for i, m in enumerate(moduli) if member[m]]
-    m = max((abs(a) for i in inside for a in coords[i]), default=0)
-    b = 2 * (m + max((abs(a) for d, _ in ds for a in d), default=0)) + 1
+    b = 6 * max((abs(a) for i in inside for a in coords[i]), default=0) + 1
     keys = [((a0 * b + a1) * b + a2) * b + a3 for a0, a1, a2, a3 in coords]
     counts = Counter(keys[i] for i in inside)
     good = {keys[i]: i for i in inside if counts[keys[i]] == 1}
     bad = [i for i in range(len(coords)) if good.get(keys[i]) != i]
-    walk = [(((d0 * b + d1) * b + d2) * b + d3, x) for (d0, d1, d2, d3), x in ds]
-    return coords, [phys for phys, _ in moduli], keys, good, bad, walk
+    return coords, [phys for phys, _ in moduli], keys, good, bad, b
+
+
+def _walk(ds: list, b: int) -> list:
+    """(k(d), x) for each (d, x) of ds that can join two good points of a
+    split with key base b = 6M + 1 (_split): the d with every |d_i| <= 2M."""
+    reach = (b - 1) // 3
+    return [(((d0 * b + d1) * b + d2) * b + d3, x) for (d0, d1, d2, d3), x in ds
+            if max(abs(d0), abs(d1), abs(d2), abs(d3)) <= reach]
 
 
 def classify_distance(d_sq: GoldenInt) -> str:
@@ -323,11 +331,11 @@ def _nearest(i: int, coords: list[Coords], keys: list[int], good: dict,
     """The exact squared distance from point i to the nearest other point,
     as a (p, q) pair, or None when there is no other point.
 
-    walk is _split's keyed displacement_candidates: every difference d of two
-    window members with |d|^2 <= L, sorted by length.  So from a good point
-    the first hit along it is the nearest good point, and only the bad
-    points remain to compare; a bad point, or a good one with no hit, is
-    compared with every point.
+    walk is displacement_candidates keyed by _walk: every difference d of
+    two window members with |d|^2 <= L that can join two good points,
+    sorted by length.  So from a good point the first hit along it is the
+    nearest good point, and only the bad points remain to compare; a bad
+    point, or a good one with no hit, is compared with every point.
     """
     k, best, others = keys[i], None, bad
     for kd, d_sq in walk if good.get(k) == i else ():
@@ -345,7 +353,7 @@ def _nearest(i: int, coords: list[Coords], keys: list[int], good: dict,
     return best
 
 
-def analyze(snapshot: Snapshot) -> Snapshot:
+def analyze(snapshot: Snapshot, split: tuple | None = None) -> Snapshot:
     """Fill min_dist_sq and dist_class for every inner point.
 
     Inner means |z| <= R - 1 (exact); other points stay "unknown", as does
@@ -354,10 +362,11 @@ def analyze(snapshot: Snapshot) -> Snapshot:
     (_nearest), whatever the snapshot holds.  A repeated inner point, at
     distance 0 from its copy, raises ValueError.  Each distinct |z|^2 and
     min_dist_sq is tested once; records share that frozen GoldenInt.
+    split is _split(snapshot), for a caller that has it already.
     """
     radius_sq = snapshot.radius_sq
-    coords, phys, keys, good, bad, walk = _split(
-        snapshot, displacement_candidates(snapshot.window))
+    coords, phys, keys, good, bad, b = split or _split(snapshot)
+    walk = _walk(displacement_candidates(snapshot.window), b)
     inner = _Memo(lambda p, q: _is_inner(p, q, radius_sq.numerator, radius_sq.denominator))
     def classified(p, q):
         g = GoldenInt(p, q)

@@ -5,7 +5,14 @@ from xml.etree import ElementTree
 
 import pytest
 
-from pentaset.cli import EXIT_OK, EXIT_OVERFLOW, EXIT_USAGE, parse_config, run_cli
+from pentaset.cli import (
+    EXIT_OK,
+    EXIT_OVERFLOW,
+    EXIT_USAGE,
+    build_parser,
+    parse_config,
+    run_cli,
+)
 
 
 def run(capsys, *argv):
@@ -92,6 +99,25 @@ class TestParsing:
         assert code == EXIT_USAGE and "proven complete" in err
         assert len(err.encode()) < 500 and "(4300 digits)" in err
 
+    def test_reused_parser_keeps_no_state(self, capsys):
+        # each call gives what it gives with a parser of its own, and the
+        # parser is built once for the whole sequence
+        seq = [["render", "--radius", "2", "--canvas", "50", "--highlight-roots"],
+               ["render", "--radius", "2"],
+               ["verify", "--radius-sq", "4", "--check", "rotation"],
+               ["verify", "--radius-sq", "4", "--check", "nope"],
+               ["render", "--radius", "2", "--canvas", "0"],
+               ["verify", "--radius-sq", "4"]]
+        alone = []
+        for argv in seq:
+            build_parser.cache_clear()
+            alone.append(run(capsys, *argv))
+        assert [code for code, _ in alone] == [EXIT_OK, EXIT_OK, EXIT_OK, EXIT_USAGE,
+                                                EXIT_USAGE, EXIT_OK]
+        build_parser.cache_clear()
+        assert [run(capsys, *argv) for argv in seq] == alone
+        assert build_parser.cache_info().misses == 1
+
     def test_4300_digits_are_accepted(self):
         cfg = parse_config(["stats", "--radius-sq", "1e4299", "--window-sq", "1/" + "9" * 4300])
         assert cfg.radius_sq == 10 ** 4299 and cfg.window_sq.denominator == 10 ** 4300 - 1
@@ -157,6 +183,13 @@ class TestVerify:
     def test_stdout_is_valid_json(self, capsys):
         _, out = run(capsys, "verify", "--radius", "2")
         json.loads(out)
+
+    def test_out_file_holds_the_stdout_report(self, capsys, tmp_path):
+        argv = ("verify", "--radius-sq", "4", "--check", "rotation")
+        code, out = run(capsys, *argv)
+        dest = tmp_path / "v.json"
+        assert run(capsys, *argv, "--out", str(dest)) == (code, "")
+        assert dest.read_bytes() == out.encode()
 
 
 class TestStats:

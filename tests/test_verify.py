@@ -1,5 +1,6 @@
 """Theorem-check tests: clean snapshots pass, seeded corruptions fail."""
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -65,7 +66,7 @@ cycints = st.tuples(coords, coords, coords, coords)
 def _key_base(snap: Snapshot) -> int:
     """The base B of modelset._split's point key for snap at w = 1: the key
     of zeta^2 = (0, 0, 1, 0) is B."""
-    coords, _, keys, *_ = modelset._split(snap, displacement_candidates(Window()))
+    coords, _, keys, *_ = modelset._split(snap)
     return keys[coords.index((0, 0, 1, 0))]
 
 
@@ -143,10 +144,34 @@ class TestAgainstAllPairsOracle:
         # started from a bad point that shares a good point's key shows here
         # and not only through the reports above
         snap = _corrupted(name)
-        coords, _, keys, good, bad, walk = modelset._split(
-            snap, displacement_candidates(snap.window))
+        coords, _, keys, good, bad, b = modelset._split(snap)
+        walk = modelset._walk(displacement_candidates(snap.window), b)
         if name == "key-collision":
             assert good.get(keys[-1]) == coords.index((1, 0, 0, 0))
+        got = [modelset._nearest(i, coords, keys, good, bad, walk) for i in range(len(coords))]
+        assert got == [oracles.nearest_dist_sq(coords, i) for i in range(len(coords))]
+
+    @pytest.mark.parametrize("m,radius_sq", [(1, 1), (2, 7)])
+    def test_key_injective_on_box(self, m, radius_sq):
+        # every point of [-3M, 3M]^4, the members among them giving M
+        box = itertools.product(range(-3 * m, 3 * m + 1), repeat=4)
+        snap = Snapshot(Window(), Fraction(radius_sq), [make_record(c) for c in box])
+        *_, keys, _, _, b = modelset._split(snap)
+        assert b == 6 * m + 1
+        assert len(set(keys)) == len(keys) == (6 * m + 1) ** 4
+
+    @pytest.mark.parametrize("window_sq,radius_sq", [
+        (Fraction(1, 5), Fraction(3)), (Fraction(4), Fraction(1, 10)),
+        (Fraction(4), Fraction(1)), (Fraction(49, 4), Fraction(1, 2))])
+    def test_nearest_with_displacements_beyond_2m(self, window_sq, radius_sq):
+        # the walk drops the d with a coordinate beyond 2M, which join no
+        # two good points; at w = 4, R^2 = 1/10 the origin alone gives B = 1,
+        # and (1, -1, 1, -1) in the list has the origin's key
+        snap = enumerate_points(radius_sq, Window(window_sq))
+        coords, _, keys, good, bad, b = modelset._split(snap)
+        ds = displacement_candidates(snap.window)
+        assert any(max(map(abs, d)) > (b - 1) // 3 for d, _ in ds)
+        walk = modelset._walk(ds, b)
         got = [modelset._nearest(i, coords, keys, good, bad, walk) for i in range(len(coords))]
         assert got == [oracles.nearest_dist_sq(coords, i) for i in range(len(coords))]
 
@@ -237,12 +262,12 @@ class TestUnitLemmaList:
     def test_walks_one_of_each_pair(self, monkeypatch):
         # d and -d get one judgement, so only one of them is walked
         judged = []
-        split = verify._split
+        walk = verify._walk
 
-        def capture(snapshot, ds):
+        def capture(ds, b):
             judged.append([d for d, _ in ds])
-            return split(snapshot, ds)
-        monkeypatch.setattr(verify, "_split", capture)
+            return walk(ds, b)
+        monkeypatch.setattr(verify, "_walk", capture)
         assert verify_unit_lemma(analyze(enumerate_points(37))).passed
         [ds] = judged
         assert len(ds) == 10
@@ -494,6 +519,28 @@ class TestRunAll:
         assert not by_name["rotation"].skipped
         for name in ("unit-lemma", "two-distance", "step-existence"):
             assert by_name[name].skipped and by_name[name].passed
+
+    @pytest.mark.parametrize("radius_sq,window_sq", [
+        (0, 1), (1, 1), (25, 1), (37, 1), (30, 4), (20, Fraction(49, 4)),
+        (400, Fraction(1, 5))])
+    def test_shared_split_changes_nothing(self, radius_sq, window_sq):
+        snap = analyze(enumerate_points(radius_sq, Window(window_sq)))
+        alone = [run_check(c, snap).to_json_dict() for c in CHECK_NAMES]
+        shared = [r.to_json_dict() for r in verify_all(radius_sq, window_sq)]
+        assert json.dumps(shared, sort_keys=True) == json.dumps(alone, sort_keys=True)
+
+    @pytest.mark.parametrize("window_sq", [1, 4])
+    def test_one_split_per_call(self, monkeypatch, window_sq):
+        calls = []
+        split = modelset._split
+
+        def counted(snapshot):
+            calls.append(snapshot)
+            return split(snapshot)
+        monkeypatch.setattr(modelset, "_split", counted)
+        monkeypatch.setattr(verify, "_split", counted)
+        assert all(r.passed for r in verify_all(25, window_sq))
+        assert len(calls) == 1
 
     def test_unknown_check_rejected(self, snap4):
         with pytest.raises(ValueError):
