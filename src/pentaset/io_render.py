@@ -86,9 +86,9 @@ def write_snapshot(snapshot: Snapshot, fmt: str, destination) -> None:
                                for p in snapshot.points]))
 
 
-def _add_record(snapshot: Snapshot, seen: set, inside, lineno, c, x, y, iabs, cls) -> None:
+def _add_record(points: list, seen: set, inside, lineno, c, x, y, iabs, cls) -> None:
     """Append the record of one line, with coordinates c and iabs int tuples,
-    to snapshot; seen holds the coordinates read so far, inside is _membership's memo."""
+    to points; seen holds the coordinates read so far, inside is _membership's memo."""
     if cls not in DIST_CLASSES:
         raise SnapshotFormatError(f"line {lineno}: unknown class {cls!r}")
     _, intr = moduli = abs_sq_coords(*c)
@@ -102,14 +102,16 @@ def _add_record(snapshot: Snapshot, seen: set, inside, lineno, c, x, y, iabs, cl
         raise SnapshotFormatError(f"line {lineno}: point {list(c)} appears more than once")
     x, y = float(x), float(y)
     e = embed_approx(c)
-    # relative tolerance 1e-9; written as "not <=" so that a NaN fails
-    if not (abs(x - e.real) <= 1e-9 * max(1.0, abs(e.real))
+    # a written x, y equals the embedding bit for bit; any other must be within
+    # the relative tolerance 1e-9, written as "not <=" so that a NaN fails
+    if not (x == e.real and y == e.imag) and not (
+            abs(x - e.real) <= 1e-9 * max(1.0, abs(e.real))
             and abs(y - e.imag) <= 1e-9 * max(1.0, abs(e.imag))):
         raise SnapshotFormatError(
             f"line {lineno}: stored x, y = {x!r}, {y!r} do not match the embedding "
             f"{e.real!r}, {e.imag!r} of a = {list(c)}")
     seen.add(c)
-    snapshot.points.append(PointRecord(c, intr, x, y, dist_class=cls))
+    points.append(PointRecord(c, intr, x, y, None, cls))
 
 
 def _header_snapshot(fields: dict):
@@ -151,9 +153,10 @@ def _read_jsonl(first: str, source) -> Snapshot:
     if header.get("format") != "pentaset-snapshot":
         raise SnapshotFormatError("line 1: missing snapshot header")
     snapshot, seen, inside = _header_snapshot(header)
+    points, match = snapshot.points, _RECORD.fullmatch
     for lineno, line in enumerate(source, start=2):
         try:
-            m = _RECORD.fullmatch(line)
+            m = match(line)
             if m:  # as json.loads reads it: an x or y with no . or e is an int
                 a0, a1, a2, a3, xi, xf, yi, yf, p, q, cls = m.groups()
                 a0, a1, a2, a3, p, q = int(a0), int(a1), int(a2), int(a3), int(p), int(q)
@@ -171,7 +174,7 @@ def _read_jsonl(first: str, source) -> Snapshot:
                 if type(x) not in (int, float) or type(y) not in (int, float):
                     raise SnapshotFormatError(f"line {lineno}: x and y must be numbers")
                 cls = rec["class"]
-            _add_record(snapshot, seen, inside, lineno, (a0, a1, a2, a3), x, y, (p, q), cls)
+            _add_record(points, seen, inside, lineno, (a0, a1, a2, a3), x, y, (p, q), cls)
         except SnapshotFormatError:
             raise
         except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as e:
@@ -195,7 +198,7 @@ def _read_csv(first: str, source) -> Snapshot:
             try:
                 c = (int(row[0]), int(row[1]), int(row[2]), int(row[3]))
                 iabs = (int(row[6]), int(row[7]))
-                _add_record(snapshot, seen, inside, lineno, c, row[4], row[5], iabs, row[8])
+                _add_record(snapshot.points, seen, inside, lineno, c, row[4], row[5], iabs, row[8])
             except SnapshotFormatError:
                 raise
             except (ValueError, IndexError, OverflowError) as e:
@@ -212,8 +215,11 @@ class RenderOptions:
     color_classes: bool = False
 
 
-_DOT_RADIUS = 3
-_HIGHLIGHT_RADIUS = 10
+# A dot and a highlight ring at (cx, cy); "%.6f" % v is format(v, ".6f"),
+# -0.000000 included.
+_DOT = '<circle cx="%.6f" cy="%.6f" r="3" fill="%s" class="pt-%s"/>'
+_RING = ('<circle cx="%.6f" cy="%.6f" r="10" fill="none" stroke="#000000" '
+         'stroke-width="1.5" class="highlight"/>')
 
 
 _CLASS_COLORS = {"short": "#d62728", "long": "#000000",
@@ -232,10 +238,7 @@ def render_svg(snapshot: Snapshot, options: RenderOptions | None = None) -> str:
         n, d = snapshot.radius_sq.numerator, snapshot.radius_sq.denominator
         scale = opt.canvas / 2.0 * math.exp((math.log(d) - math.log(n)) / 2)
     c = opt.canvas / 2.0
-
-    def place(x: float, y: float) -> tuple[str, str]:
-        return format(c + x * scale, ".6f"), format(c - y * scale, ".6f")
-
+    colored = opt.color_classes
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -243,20 +246,14 @@ def render_svg(snapshot: Snapshot, options: RenderOptions | None = None) -> str:
         f'viewBox="0 0 {opt.canvas} {opt.canvas}">',
         f'<rect width="{opt.canvas}" height="{opt.canvas}" fill="#ffffff"/>',
     ]
-    for p in snapshot.points:
-        fill = _CLASS_COLORS[p.dist_class] if opt.color_classes else "#000000"
-        px, py = place(p.x, p.y)
-        lines.append(f'<circle cx="{px}" cy="{py}" r="{_DOT_RADIUS}" '
-                     f'fill="{fill}" class="pt-{p.dist_class}"/>')
+    lines += [_DOT % (c + p.x * scale, c - p.y * scale,
+                      _CLASS_COLORS[p.dist_class] if colored else "#000000", p.dist_class)
+              for p in snapshot.points]
     if opt.highlight_roots:
         members = snapshot.coord_set()
         for z in ((0, 0, 0, 0),) + ZETA_POWERS:
-            if z not in members:
-                continue
-            e = embed_approx(z)
-            px, py = place(e.real, e.imag)
-            lines.append(f'<circle cx="{px}" cy="{py}" r="{_HIGHLIGHT_RADIUS}" '
-                         f'fill="none" stroke="#000000" stroke-width="1.5" '
-                         f'class="highlight"/>')
+            if z in members:
+                e = embed_approx(z)
+                lines.append(_RING % (c + e.real * scale, c - e.imag * scale))
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
+from itertools import chain
 
 from .cyclotomic import (
     CycInt,
@@ -285,7 +286,7 @@ def _split(snapshot: Snapshot):
     coords = [p.coords for p in snapshot.points]
     moduli = [abs_sq_coords(*c) for c in coords]
     inside = [i for i, m in enumerate(moduli) if member[m]]
-    b = 6 * max((abs(a) for i in inside for a in coords[i]), default=0) + 1
+    b = 6 * max(map(abs, chain.from_iterable([coords[i] for i in inside])), default=0) + 1
     keys = [((a0 * b + a1) * b + a2) * b + a3 for a0, a1, a2, a3 in coords]
     counts = Counter(keys[i] for i in inside)
     good = {keys[i]: i for i in inside if counts[keys[i]] == 1}

@@ -310,3 +310,23 @@ def unit_lemma(snapshot: Snapshot) -> VerificationReport:
     return VerificationReport("unit-lemma", not violations, tested,
                               violations, _params(snapshot),
                               details={"close_pairs": close_pairs})
+
+
+def step_existence(snapshot: Snapshot) -> VerificationReport:
+    """verify_step_existence trying all ten tenth roots +-zeta^k at every
+    point, built by ring products, with |sigma(c + mu)|^2 from abs_sq."""
+    w = snapshot.window.w
+    roots, z = [], ONE
+    for _ in range(5):
+        roots += [z, ring_neg(z)]
+        z = ring_mul(z, ZETA)
+    violations = []
+    for p in snapshot.points:
+        stays = []
+        for mu in roots:
+            g = abs_sq(ring_add(p.coords, mu), "internal")
+            stays.append(golden_cmp(g.p, g.q, w.numerator, w.denominator) <= 0)
+        if not any(stays):
+            violations.append({"point": list(p.coords)})
+    return VerificationReport("step-existence", not violations, len(snapshot.points),
+                              violations, _params(snapshot))

@@ -1,5 +1,6 @@
 """Round-trip, validation, and SVG determinism tests."""
 
+import hashlib
 import io
 import json
 import math
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from pentaset import io_render
+from pentaset.cyclotomic import embed_approx
 from pentaset.io_render import (
     CSV_COLUMNS,
     RenderOptions,
@@ -21,7 +23,14 @@ from pentaset.io_render import (
     render_svg,
     write_snapshot,
 )
-from pentaset.modelset import DIST_CLASSES, Snapshot, Window, analyze, enumerate_points
+from pentaset.modelset import (
+    DIST_CLASSES,
+    PointRecord,
+    Snapshot,
+    Window,
+    analyze,
+    enumerate_points,
+)
 
 from oracles import snapshot_header, snapshot_to_jsonl_bytes
 
@@ -428,6 +437,109 @@ class TestLayoutFastPath:
         _assert_paths_agree(text)
 
 
+_HEADER_LINES = {"jsonl": 1, "csv": 2}
+
+
+def _lines_with(fmt, i, **fields):
+    """The R^2 = 4 snapshot's text with point i's record rewritten in fmt's
+    layout with some of c, x, y, iabs, cls changed, and that record's line
+    number.  x and y are written by json.dumps: the shortest repr, or
+    Infinity, which json.loads and float() both read."""
+    p = _SNAP4.points[i]
+    rec = {"c": p.coords, "x": p.x, "y": p.y, "iabs": p.iabs, "cls": p.dist_class} | fields
+    layout = io_render._LAYOUTS[fmt][1].replace("%.17g", "%s")
+    lines = list(_SNAP4_LINES[fmt])
+    k = _HEADER_LINES[fmt] + i
+    lines[k] = layout % (*rec["c"], json.dumps(rec["x"]), json.dumps(rec["y"]),
+                         *rec["iabs"], rec["cls"])
+    return "".join(lines), k + 1
+
+
+class TestReaderTolerance:
+    """A written x, y equals the embedding bit for bit and passes the exact
+    test; any other x, y must be within the relative tolerance 1e-9."""
+
+    I = 5  # a point off both axes
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("field", ["x", "y"])
+    def test_within_tolerance_keeps_the_files_value(self, fmt, field):
+        p = _SNAP4.points[self.I]
+        value = getattr(p, field) * (1 + 1e-12)
+        assert value != getattr(p, field) and p.x and p.y
+        text, _ = _lines_with(fmt, self.I, **{field: value})
+        got = read_snapshot(io.StringIO(text)).points
+        assert struct.pack("<d", getattr(got[self.I], field)) == struct.pack("<d", value)
+        del got[self.I]
+        assert [(q.coords, q.x, q.y) for q in got] == [
+            (q.coords, q.x, q.y) for k, q in enumerate(_SNAP4.points) if k != self.I]
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("field", ["x", "y"])
+    @pytest.mark.parametrize("value", ["inf", "shift"])
+    def test_off_the_embedding_rejected(self, fmt, field, value):
+        p = _SNAP4.points[self.I]
+        e = embed_approx(p.coords)
+        assert (p.x, p.y) == (e.real, e.imag)
+        bad = math.inf if value == "inf" else getattr(p, field) + 1e-6
+        x, y = (bad, p.y) if field == "x" else (p.x, bad)
+        text, lineno = _lines_with(fmt, self.I, **{field: bad})
+        message = (f"line {lineno}: stored x, y = {x!r}, {y!r} do not match the embedding "
+                   f"{e.real!r}, {e.imag!r} of a = {list(p.coords)}")
+        with pytest.raises(SnapshotFormatError, match=f"^{re.escape(message)}$"):
+            read_snapshot(io.StringIO(text))
+
+
+class _InsideOnce(dict):
+    """A membership memo that puts a moduli pair inside the first time it is
+    asked and outside after."""
+
+    def __missing__(self, key):
+        self[key] = False
+        return True
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+class TestCheckOrder:
+    """_add_record checks the class, then iabs, the disc and window, a
+    repeat, and x/y; a line that fails two adjacent checks reports the
+    earlier one, at its own line."""
+
+    I = 5
+
+    @staticmethod
+    def _rejects(text, message):
+        with pytest.raises(SnapshotFormatError, match=f"^{re.escape(message)}$"):
+            read_snapshot(io.StringIO(text))
+
+    def test_class_before_iabs(self, fmt):
+        text, lineno = _lines_with(fmt, self.I, iabs=(7, 0), cls="weird")
+        self._rejects(text, f"line {lineno}: unknown class 'weird'")
+
+    def test_iabs_before_outside(self, fmt):
+        e = embed_approx((5, 0, 0, 0))  # |5|^2 = 25 > 4
+        text, lineno = _lines_with(fmt, self.I, c=(5, 0, 0, 0), x=e.real, y=e.imag,
+                                   iabs=(7, 0))
+        self._rejects(text, f"line {lineno}: stored iabs [7, 0] does not match "
+                            f"recomputed [25, 0] for a = [5, 0, 0, 0]")
+
+    def test_outside_before_repeat(self, fmt):
+        # in a real read the first copy of a point was inside under the same
+        # header, so a memo that answers inside once lets one line fail both
+        lines = _snapshot_lines(enumerate_points(0), fmt)  # the origin alone
+        with mock.patch.object(io_render, "_membership", lambda *_: _InsideOnce()):
+            self._rejects("".join(lines + lines[-1:]),
+                          f"line {len(lines) + 1}: point [0, 0, 0, 0] is outside "
+                          f"the disc or window")
+
+    def test_repeat_before_xy(self, fmt):
+        origin = _SNAP4.points[0]
+        assert origin.coords == (0, 0, 0, 0)
+        text, lineno = _lines_with(fmt, self.I, c=origin.coords, x=1e-6, y=0.0,
+                                   iabs=origin.iabs, cls=origin.dist_class)
+        self._rejects(text, f"line {lineno}: point [0, 0, 0, 0] appears more than once")
+
+
 class TestRenderSvg:
     def test_radius_one_counts(self):
         svg = render_svg(enumerate_points(1),
@@ -477,3 +589,29 @@ class TestRenderSvg:
 
     def test_jsonl_bytes_helper_deterministic(self, snap4):
         assert snapshot_to_jsonl_bytes(snap4) == snapshot_to_jsonl_bytes(snap4)
+
+    @pytest.mark.parametrize("radius_sq, options, digest", [
+        (37, None, "afcf39f0f51363d71c5d018da9e9af3cb0df54cc51a750c15fb4f17ba543b0a6"),
+        (37, RenderOptions(color_classes=True),
+         "70771290684a1945a56691db84404fb1fa796c6334ad9bab70438655073c013f"),
+        (37, RenderOptions(highlight_roots=True),
+         "6eef17d93a8d2bd111fa715c41ef553c8f033ba29d7ead004a858bc6958887ac"),
+        (37, RenderOptions(canvas=333),
+         "a271885a24ffccc1555f84921930ebda1c7b9c735067fed6c2d6532f9adb75b1"),
+        (0, None, "b0ddeaf3ed231d21368ac64f377677e15ad4298b6a34c3e3e7611e0b4cc8400e"),
+    ], ids=["plain", "color-classes", "highlight-roots", "canvas-333", "origin-only"])
+    def test_pinned_bytes(self, radius_sq, options, digest):
+        # sha256 of the bytes that format(v, ".6f") per coordinate gave
+        svg = render_svg(analyze(enumerate_points(radius_sq)), options)
+        assert hashlib.sha256(svg.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("v", [0.0, -0.0, -1e-9, 5e-7, -5e-7, 0.1234565,
+                                   1e22, math.inf, -math.inf, math.nan])
+    def test_dot_layout_formats_as_format(self, v):
+        assert "%.6f" % v == format(v, ".6f")
+
+    def test_uncolored_render_reads_no_class_color(self):
+        rec = PointRecord((0, 0, 0, 0), (0, 0), 0.0, 0.0, None, "weird")
+        svg = render_svg(Snapshot(Window(), Fraction(1), [rec]))
+        assert ('<circle cx="500.000000" cy="500.000000" r="3" fill="#000000" '
+                'class="pt-weird"/>') in svg

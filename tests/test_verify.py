@@ -502,6 +502,25 @@ class TestStepExistence:
         with pytest.raises(ValueError):
             verify_step_existence(enumerate_points(1, Window(Fraction(4))))
 
+    @pytest.mark.parametrize("positions", [(0, 1, 2), (0, 40, 200), (5, 6, 317)],
+                             ids=["front", "spread", "back"])
+    def test_stepless_points_match_ten_root_oracle(self, positions):
+        # 3, 3 zeta and -3 have no step that stays in the unit window
+        pts = list(enumerate_points(100).points)
+        for k, z in zip(positions, [(3, 0, 0, 0), (0, 3, 0, 0), (-3, 0, 0, 0)]):
+            pts.insert(k, make_record(z))
+        snap = Snapshot(Window(), Fraction(100), pts)
+        r = verify_step_existence(snap)
+        assert not r.passed and len(r.violations) == 3
+        assert r.to_json_dict() == oracles.step_existence(snap).to_json_dict()
+
+    @given(st.lists(st.tuples(*[st.integers(-4, 4)] * 4), max_size=12))
+    def test_box_points_match_ten_root_oracle(self, extra):
+        pts = list(enumerate_points(4).points) + [make_record(z) for z in extra]
+        snap = Snapshot(Window(), Fraction(100), pts)
+        assert (verify_step_existence(snap).to_json_dict()
+                == oracles.step_existence(snap).to_json_dict())
+
 
 class TestRunAll:
     def test_all_pass(self):
