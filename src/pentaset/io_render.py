@@ -165,6 +165,8 @@ def _read_jsonl(first: str, source) -> Snapshot:
                 continue
             else:
                 rec = json.loads(line)
+                if not isinstance(rec, dict) or rec.keys() != {"a", "x", "y", "iabs", "class"}:
+                    raise SnapshotFormatError(f"line {lineno}: malformed record: wrong keys")
                 a, x, y, iabs = rec["a"], rec["x"], rec["y"], rec["iabs"]
                 a0, a1, a2, a3 = a
                 p, q = iabs
@@ -195,13 +197,13 @@ def _read_csv(first: str, source) -> Snapshot:
             if not row:
                 continue
             lineno = rows.line_num
-            try:
-                c = (int(row[0]), int(row[1]), int(row[2]), int(row[3]))
-                iabs = (int(row[6]), int(row[7]))
-                _add_record(snapshot.points, seen, inside, lineno, c, row[4], row[5], iabs, row[8])
+            try:  # unpacking refuses a row of more or fewer fields
+                a0, a1, a2, a3, x, y, p, q, cls = row
+                c = (int(a0), int(a1), int(a2), int(a3))
+                _add_record(snapshot.points, seen, inside, lineno, c, x, y, (int(p), int(q)), cls)
             except SnapshotFormatError:
                 raise
-            except (ValueError, IndexError, OverflowError) as e:
+            except (ValueError, OverflowError) as e:
                 raise SnapshotFormatError(f"line {lineno}: malformed record: {e}") from e
     except csv.Error as e:
         raise SnapshotFormatError(f"line {rows.line_num}: malformed CSV: {e}") from e

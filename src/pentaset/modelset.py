@@ -1,10 +1,9 @@
 """Enumeration and nearest-neighbor analysis of the cut-and-project set.
 
 The point set is S = {z in Z[zeta_5] : |sigma(z)|^2 <= w} intersected with a
-physical disc |z|^2 <= R^2; both constraints are tested exactly.  The
-search runs over one half of the ellipsoid |z|^2/R^2 + |sigma(z)|^2/w <= 2,
-which holds one of each pair +-z of members and about as many lattice
-vectors as there are members.
+physical disc |z|^2 <= R^2; both constraints are tested exactly.  As
+z = alpha + beta*zeta, alpha, beta in Z[phi], S is a stack of 1-dimensional
+model sets; the search visits its rows for one of each pair +-z (below).
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from .cyclotomic import (
     abs_sq_coords,
     embed_approx,
     golden_cmp,
-    quad_form,
     sqrt5_sign,
     LONG_DIST_SQ,
     SHORT_DIST_SQ,
@@ -104,33 +102,41 @@ def _membership(radius_sq: Fraction, w: Fraction) -> _Memo:
     return _Memo(lambda phys, intr: disc[phys] and window[intr])
 
 
-# Every member has F(a) = |z|^2/R^2 + |sigma(z)|^2/w <= 2.  Fincke-Pohst
-# search (Math. Comp. 44, 1985) writes F(a) = sum_i d_i (a_i - c_i)^2, the
-# centre c_i linear in a_{i+1}..a_3, and fixes a_3, ..., a_0 in turn within
-# the interval the partial sum leaves.  F(-a) = F(a), so it searches only
-# the a != 0 whose last nonzero coordinate is positive: where a_{i+1}..a_3
-# are 0, c_i = 0 and a_i starts at 0 (a_0 at 1).  That half-ellipsoid has the
-# volume of disc x window, so it yields about n vectors for n members; the
-# exact filter in _members decides membership once per pair +-a.  -a is
-# placed at 0.0 - x, not -x: embed_approx never returns -0.0 and rounds
-# symmetrically, so that is embed_approx(-a) bit for bit.
+# Rows.  z = alpha + beta*zeta, alpha = m1 + n1*phi, beta = m2 + n2*phi in
+# Z[phi], has coordinates (m1 + n2, m2 + n2, n2 - n1, -n1), a unimodular
+# change of basis.  With c = cos 72 deg = (phi - 1)/2 and s^2 = (2 + phi)/4,
+# |z|^2 = (alpha + beta c)^2 + beta^2 s^2, and |sigma z|^2 is its conjugate
+# (phi -> psi = 1 - phi; alpha', beta', c' = -phi/2, s'^2 = (2 + psi)/4).  So
+# for fixed beta and n1 the disc holds the m1 in -n1 phi - beta c +- sqrt(h),
+# h = R^2 - beta^2 s^2, the window those in -n1 psi - beta' c' +- sqrt(h'),
+# h' = w - beta'^2 s'^2, and the members are the integers of both, [lo, hi].
+# |beta| <= R/s and |beta'| <= sqrt(w)/s' bound n2 = (beta - beta')/sqrt(5),
+# then m2; n1 = (alpha - alpha')/sqrt(5) lies between differences of the ends
+# of alpha's intervals.  Of each pair +-z the search visits the one with
+# (n2, m2) > (0, 0), or beta = 0 and (n1, m1) > (0, 0), lexicographically.
 #
-# Completeness: floats only widen the search.  The form that the float Gram
-# matrix G and its LDL^T factors represent, evaluated in floats, is within
-# C*u*(sum_j |y_j| sqrt(G_jj))^2 of F(y) at every real y, u = 2^-53, C < 100
-# (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.3).  With
-# G_jj = 1/R^2 + 1/w and G >= min(1/R^2, 1/w)/2 (|z|^2 + |sigma z|^2 has
-# eigenvalues 1/2 and 5/2) that is at most 8*C*u*(1 + rho)*F(y),
-# rho = max(R^2/w, w/R^2), below 1e-7 * F(y) for rho <= 10^6.  A partial sum
-# is the minimum of the form over the coordinates not yet fixed, so for a
-# member it is computed below 2*(1 + 1e-7) < 2*(1 + _SLACK) and is never
-# pruned.  For R^2, w <= 10^12 coordinates stay below 10^7, so rounding the
-# interval ends errs far less than the unit each end is widened by.  Outside
-# that range the search raises SearchRangeError rather than risk a miss.
-_SLACK = 1e-6
-_MAX_RATIO = 10 ** 6
-_MAX_SQ = 10 ** 12
-_COS1, _COS2 = math.cos(2 * math.pi / 5), math.cos(4 * math.pi / 5)
+# Every m1 of [ceil(lo - D), floor(hi + D)] is decided by the exact
+# _membership memo, so no float accepts a point.  Completeness: each range is
+# widened by D = 2^-20 (T + 1), T = R + sqrt(w), over four times the error of
+# any float end.  Proof, u = 2^-53: each float operation and stored constant,
+# R^2 and w included, errs by a factor within 1 +- u, so a value with k <= 12
+# roundings errs by at most 1.01 k u |e|, |e| its expression with every term
+# made nonnegative.  D <= 2 for R^2, w <= 10^12, so the visited beta have
+# |beta| <= R/s + 2 and |beta'| <= sqrt(w)/s' + 2; as n2 = (beta - beta')/
+# sqrt(5) and m2 = (phi beta' - psi beta)/sqrt(5), |e| <= |beta| + 1.45|beta'|
+# for beta and 0.56|beta| + |beta'| for beta'.  So h errs by at most
+# 12.2u (2.4T + 5)^2 and, as |sqrt(a) - sqrt(b)| <= sqrt|a - b| for a, b >= 0,
+# sqrt(max(h, 0)) by at most 3.7e-8 (2.4T + 5) where h >= 0 (a row with h < 0
+# holds no member); sqrt(max(h', 0)) by at most 3.7e-8 (2T + 5).  This term
+# grows with T: at a near-tangent row h ~ 0, and sqrt(h) errs by ~sqrt(u) T.
+# The rest of an end has |e| < 20(T + 5) and errs by < 1e-13 (T + 5).  So an
+# m1 end errs by < 9e-8 T + 2e-7 < D/4, an n1 end (two such, over sqrt(5)) by
+# less, the n2 and m2 bounds by far less.  Outside R^2, w <= 10^12 and R^2/w,
+# w/R^2 <= 10^6 the search raises SearchRangeError.
+_MAX_RATIO, _MAX_SQ = 10 ** 6, 10 ** 12
+_SQRT5 = math.sqrt(5)
+_PHI, _PSI = (1 + _SQRT5) / 2, (1 - _SQRT5) / 2
+_C, _S2, _C_I, _S2_I = (_PHI - 1) / 2, (2 + _PHI) / 4, -_PHI / 2, (2 + _PSI) / 4
 
 
 class SearchRangeError(ValueError):
@@ -143,12 +149,36 @@ def brief_rational(r: Fraction) -> str:
                     for t in str(r).split("/"))
 
 
-def _ellipsoid_vectors(radius_sq: Fraction, w: Fraction):
-    """Yield every a != 0 with F(a) <= 2 and last nonzero coordinate
-    positive: one of each pair +-a of members at (radius_sq, w), and few others."""
-    if radius_sq * w < 1:
-        # a nonzero z has |z|^2 |sigma z|^2 = N(z) >= 1; this covers R^2 = 0,
-        # where G is singular
+def _margin(r2: float, wf: float) -> float:
+    """D, by which every float range of the search is widened (above)."""
+    return 2.0 ** -20 * (math.sqrt(r2) + math.sqrt(wf) + 1)
+
+
+def _rows(n2: int, m2: int, r2: float, wf: float, d: float):
+    """(n1, first, last) for each row of beta = m2 + n2*phi in the search:
+    every member m1 + n1*phi + beta*zeta has first <= m1 <= last."""
+    b, bi = m2 + n2 * _PHI, m2 + n2 * _PSI
+    hp = math.sqrt(max(r2 - _S2 * b * b, 0.0))
+    hw = math.sqrt(max(wf - _S2_I * bi * bi, 0.0))
+    cp, ci = -b * _C, -bi * _C_I
+    p0, p1, i0, i1 = cp - hp, cp + hp, ci - hw, ci + hw
+    start = math.ceil((p0 - i1) / _SQRT5 - d)
+    origin_row = not (n2 or m2)  # beta = 0: only (n1, m1) > (0, 0)
+    for n1 in range(max(start, 0) if origin_row else start,
+                    math.floor((p1 - i0) / _SQRT5 + d) + 1):
+        fp, fi = n1 * _PHI, n1 * _PSI
+        first = math.ceil(max(p0 - fp, i0 - fi) - d)
+        yield n1, max(first, 1) if origin_row and not n1 else first, \
+            math.floor(min(p1 - fp, i1 - fi) + d)
+
+
+def _members(radius_sq: Fraction, w: Fraction):
+    """(coords, |z|^2, |sigma z|^2) of every z with |z|^2 <= radius_sq and
+    |sigma(z)|^2 <= w, decided exactly, moduli as (p, q) pairs: the origin,
+    then pairs z, -z in the row search's order (above), z the one it visits."""
+    inside = _membership(radius_sq, w)
+    yield (0, 0, 0, 0), (0, 0), (0, 0)
+    if radius_sq * w < 1:  # z != 0 has |z|^2 |sigma z|^2 = N(z) >= 1
         return
     if not (radius_sq <= _MAX_RATIO * w and w <= _MAX_RATIO * radius_sq
             and radius_sq <= _MAX_SQ and w <= _MAX_SQ):
@@ -156,57 +186,21 @@ def _ellipsoid_vectors(radius_sq: Fraction, w: Fraction):
             f"R^2 = {brief_rational(radius_sq)}, w = {brief_rational(w)} is outside the "
             f"range the enumeration is proven complete for (R^2/w and w/R^2 <= {_MAX_RATIO}, "
             f"R^2 and w <= {_MAX_SQ})")
-    r, s = 1 / float(radius_sq), 1 / float(w)
-    # G_jk = cos(2 pi k/5)/R^2 + cos(4 pi k/5)/w at lag k = |j - k|; lags 2, 3 agree
-    lag = (r + s, _COS1 * r + _COS2 * s, _COS2 * r + _COS1 * s)
-    g = [[lag[min(abs(j - k), 2)] for k in range(4)] for j in range(4)]
-    # LDL^T: F(a) = sum_i d[i] * (a_i + sum_{j>i} m[i][j] a_j)^2
-    d, m = [], []
-    for i in range(4):
-        d.append(g[i][i])
-        m.append([gij / g[i][i] for gij in g[i]])
-        for j in range(i + 1, 4):
-            for k in range(i + 1, 4):
-                g[j][k] -= g[i][j] * m[i][k]
-    bound = 2 * (1 + _SLACK)
-    d0, d1, d2, d3 = d
-    (_, m01, m02, m03), (_, _, m12, m13), m23 = m[0], m[1], m[2][3]
-    for a3 in range(math.floor(math.sqrt(bound / d3)) + 2):
-        t3 = d3 * a3 ** 2
-        if t3 > bound:
-            continue
-        c2 = -m23 * a3
-        h2 = math.sqrt((bound - t3) / d2)
-        for a2 in range(math.ceil(c2 - h2) - 1 if a3 else 0, math.floor(c2 + h2) + 2):
-            t2 = t3 + d2 * (a2 - c2) ** 2
-            if t2 > bound:
-                continue
-            c1 = -m12 * a2 - m13 * a3
-            h1 = math.sqrt((bound - t2) / d1)
-            for a1 in range(math.ceil(c1 - h1) - 1 if a3 or a2 else 0,
-                            math.floor(c1 + h1) + 2):
-                t1 = t2 + d1 * (a1 - c1) ** 2
-                if t1 > bound:
-                    continue
-                c0 = -m01 * a1 - m02 * a2 - m03 * a3
-                h0 = math.sqrt((bound - t1) / d0)
-                for a0 in range(math.ceil(c0 - h0) - 1 if a3 or a2 or a1 else 1,
-                                math.floor(c0 + h0) + 2):
-                    if t1 + d0 * (a0 - c0) ** 2 <= bound:
-                        yield a0, a1, a2, a3
-
-
-def _members(radius_sq: Fraction, w: Fraction):
-    """(coords, |z|^2, |sigma z|^2) of every z with |z|^2 <= radius_sq and
-    |sigma(z)|^2 <= w, decided exactly; squared moduli are (p, q) pairs.
-    The origin comes first, then pairs a, -a, a's last nonzero coordinate > 0."""
-    inside = _membership(radius_sq, w)
-    yield (0, 0, 0, 0), (0, 0), (0, 0)
-    for a0, a1, a2, a3 in _ellipsoid_vectors(radius_sq, w):
-        phys, intr = moduli = abs_sq_coords(a0, a1, a2, a3)
-        if inside[moduli]:
-            yield (a0, a1, a2, a3), phys, intr
-            yield (-a0, -a1, -a2, -a3), phys, intr
+    r2, wf = float(radius_sq), float(w)
+    d = _margin(r2, wf)
+    bp, bw = math.sqrt(r2 / _S2), math.sqrt(wf / _S2_I)
+    for n2 in range(math.floor((bp + bw) / _SQRT5 + d) + 1):
+        cp, ci = -n2 * _PHI, -n2 * _PSI
+        for m2 in range(math.ceil(max(cp - bp, ci - bw) - d) if n2 else 0,
+                        math.floor(min(cp + bp, ci + bw) + d) + 1):
+            a1 = m2 + n2
+            for n1, first, last in _rows(n2, m2, r2, wf, d):
+                a2 = n2 - n1
+                for a0 in range(first + n2, last + n2 + 1):
+                    phys, intr = moduli = abs_sq_coords(a0, a1, a2, -n1)
+                    if inside[moduli]:
+                        yield (a0, a1, a2, -n1), phys, intr
+                        yield (-a0, -a1, -a2, n1), phys, intr
 
 
 def enumerate_points(radius_sq: Fraction | int, window: Window | None = None) -> Snapshot:
@@ -222,12 +216,15 @@ def enumerate_points(radius_sq: Fraction | int, window: Window | None = None) ->
         raise ValueError(f"radius_sq must be nonnegative, got {radius_sq}")
     found = _members(radius_sq, window.w)
     origin, _, intr = next(found)
-    rows = [(0, origin, intr, 0.0, 0.0)]
-    for (c, _, intr), (neg, _, _) in zip(found, found):
-        q, e = quad_form(*c), embed_approx(c)
-        rows += (q, c, intr, e.real, e.imag), (q, neg, intr, 0.0 - e.real, 0.0 - e.imag)
-    rows.sort()
-    return Snapshot(window, radius_sq, [PointRecord(*row[1:]) for row in rows])
+    rows = [(0, origin, PointRecord(origin, intr, 0.0, 0.0))]
+    # -z at 0.0 - x is embed_approx(-z): it rounds symmetrically, never to -0.0
+    for (c, phys, intr), (neg, _, _) in zip(found, found):
+        q, e = phys[0] + intr[0], embed_approx(c)  # Q(a); the phi parts cancel
+        x, y = e.real, e.imag
+        rows += ((q, c, PointRecord(c, intr, x, y)),
+                 (q, neg, PointRecord(neg, intr, 0.0 - x, 0.0 - y)))
+    rows.sort()  # (Q, coords) is unique, so records are never compared
+    return Snapshot(window, radius_sq, [row[2] for row in rows])
 
 
 @lru_cache(maxsize=8)

@@ -185,6 +185,137 @@ def box_enumerate(radius_sq, window: Window | None = None) -> Snapshot:
     return Snapshot(window, radius_sq, records)
 
 
+def floor_sqrt5(a: int, b: int, den: int) -> int:
+    """floor((a + b*sqrt(5)) / den) for integers a, b and den > 0, exactly.
+
+    sqrt(5 b^2) lies in [r, r + 1), r = isqrt(5 b^2), and is irrational for
+    b != 0, so no multiple of den lies strictly between the value times den
+    and the integer a + r (b >= 0) or a - r - 1 (b < 0) below it."""
+    r = math.isqrt(5 * b * b)
+    return (a + r) // den if b >= 0 else (a - r - 1) // den
+
+
+def _run(inside, anchor: int, half: int) -> tuple[int, int] | None:
+    """(lo, hi), the integers m with inside(m), or None if there are none.
+
+    inside must hold on one real interval whose centre has floor anchor,
+    and half estimates its half-length.  A nonempty run holds anchor or
+    anchor + 1, so each end is reached by exact +-1 steps from
+    anchor -+ half."""
+    a = next((m for m in (anchor, anchor + 1) if inside(m)), None)
+    if a is None:
+        return None
+    lo, hi = min(a, anchor - half), max(a, anchor + half)
+    if inside(lo):
+        while inside(lo - 1):
+            lo -= 1
+    else:
+        while not inside(lo):
+            lo += 1
+    if inside(hi):
+        while inside(hi + 1):
+            hi += 1
+    else:
+        while not inside(hi):
+            hi -= 1
+    return lo, hi
+
+
+def _overlap(a, b) -> tuple[int, int] | None:
+    """The integers in both runs a and b, each (lo, hi) or None."""
+    if a and b and max(a[0], b[0]) <= min(a[1], b[1]):
+        return max(a[0], b[0]), min(a[1], b[1])
+    return None
+
+
+def _parts(r) -> tuple[int, int]:
+    r = Fraction(r)
+    return r.numerator, r.denominator
+
+
+def row_runs(radius_sq, w, n2: int, m2: int) -> dict[int, tuple[int, int]]:
+    """{n1: (lo, hi)} for every row of beta = m2 + n2*phi that holds a
+    member z = alpha + beta*zeta, alpha = m1 + n1*phi, of the set at
+    (radius_sq, w): its members are the m1 in [lo, hi].  No floats.
+
+    4|z|^2 = X^2 + beta^2 (2 + phi) with X = 2 alpha + beta (phi - 1) =
+    x + y*phi, x = 2 m1 - m2 + n2, y = 2 n1 + m2, and 4|sigma z|^2 is its
+    conjugate (p + q*phi -> (p + q) - q*phi).  So the disc holds the m1
+    within sqrt(H)/2 of the zero of X, H = 4R^2 - beta^2 (2 + phi), and the
+    window those within sqrt(H')/2 of the zero of sigma(X),
+    H' = 4w - sigma(beta^2 (2 + phi)); the zeros are y*sqrt(5)/2 apart, so a
+    row with a member has |y| <= (sqrt(H) + sqrt(H'))/sqrt(5).
+    """
+    rn, rd = _parts(radius_sq)
+    wn, wd = _parts(w)
+    a, b = m2 * m2 + n2 * n2, 2 * m2 * n2 + n2 * n2  # beta^2 = a + b*phi
+    h = floor_sqrt5(8 * rn - 5 * rd * (a + b), -rd * (a + 3 * b), 2 * rd)
+    h_i = floor_sqrt5(8 * wn - 5 * wd * (a + b), wd * (a + 3 * b), 2 * wd)
+    if h < 0 or h_i < 0:
+        return {}
+    root, root_i = math.isqrt(h), math.isqrt(h_i)
+    k = (root + root_i + 2) // 2  # > (sqrt(H) + sqrt(H'))/2
+    runs = {}
+    for n1 in range(-((k + m2) // 2), (k - m2) // 2 + 1):
+        y = 2 * n1 + m2
+        p0, q0 = y * y + 2 * a + b, y * y + a + 3 * b
+
+        def disc(m1):
+            x = 2 * m1 - m2 + n2
+            return golden_cmp(x * x + p0, 2 * x * y + q0, 4 * rn, rd) <= 0
+
+        def window(m1):
+            x = 2 * m1 - m2 + n2
+            p, q = x * x + p0, 2 * x * y + q0
+            return golden_cmp(p + q, -q, 4 * wn, wd) <= 0
+
+        c = 2 * (m2 - n2) - y
+        run = _overlap(_run(disc, floor_sqrt5(c, -y, 4), root // 2),
+                       _run(window, floor_sqrt5(c, y, 4), root_i // 2))
+        if run:
+            runs[n1] = run
+    return runs
+
+
+def beta_run(radius_sq, w, n2: int) -> tuple[int, int] | None:
+    """(lo, hi), the m2 with s^2 beta^2 <= R^2 and s'^2 beta'^2 <= w for
+    beta = m2 + n2*phi (s = sin 72 deg, s' = sin 144 deg), or None: the
+    betas whose rows can hold a member, |z|^2 = (alpha + beta c)^2 + s^2 beta^2."""
+    rn, rd = _parts(radius_sq)
+    wn, wd = _parts(w)
+
+    def disc(m2):  # (2 + phi) beta^2 <= 4 R^2
+        a, b = m2 * m2 + n2 * n2, 2 * m2 * n2 + n2 * n2
+        return golden_cmp(2 * a + b, a + 3 * b, 4 * rn, rd) <= 0
+
+    def window(m2):
+        a, b = m2 * m2 + n2 * n2, 2 * m2 * n2 + n2 * n2
+        return golden_cmp(3 * a + 4 * b, -a - 3 * b, 4 * wn, wd) <= 0
+
+    # R^2/s^2 = 2R^2 (5 - sqrt 5)/5, w/s'^2 = 2w (5 + sqrt 5)/5
+    return _overlap(
+        _run(disc, floor_sqrt5(-n2, -n2, 2),
+             math.isqrt(max(floor_sqrt5(10 * rn, -2 * rn, 5 * rd), 0))),
+        _run(window, floor_sqrt5(-n2, n2, 2),
+             math.isqrt(max(floor_sqrt5(10 * wn, 2 * wn, 5 * wd), 0))))
+
+
+def row_enumerate(radius_sq, window: Window | None = None) -> set[tuple]:
+    """The coordinates of every member at (radius_sq, window), both of each
+    pair +-z, from exact row runs: z = (m1 + n1*phi) + (m2 + n2*phi)*zeta has
+    coordinates (m1 + n2, m2 + n2, n2 - n1, -n1).  |n2| = |beta -
+    beta'|/sqrt(5) <= (R/s + sqrt(w)/s')/sqrt(5) < R + sqrt(w)."""
+    w = (window or Window()).w
+    big = math.isqrt(math.ceil(Fraction(radius_sq))) + math.isqrt(math.ceil(w)) + 2
+    out = set()
+    for n2 in range(-big, big + 1):
+        betas = beta_run(radius_sq, w, n2)
+        for m2 in range(betas[0], betas[1] + 1) if betas else ():
+            for n1, (lo, hi) in row_runs(radius_sq, w, n2, m2).items():
+                out.update((m1 + n2, m2 + n2, n2 - n1, -n1) for m1 in range(lo, hi + 1))
+    return out
+
+
 def snapshot_to_jsonl_bytes(snapshot: Snapshot) -> bytes:
     buf = io.StringIO()
     write_snapshot(snapshot, "jsonl", buf)

@@ -255,6 +255,28 @@ class TestValidation:
         with pytest.raises(SnapshotFormatError, match="^line 1: .*4300"):
             read_snapshot(io.StringIO("".join(lines)))
 
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("change", ["extra", "missing", "bare"])
+    def test_record_fields_must_be_exactly_the_layouts(self, snap4, fmt, change):
+        # one field or key too many or too few, or a single bare value
+        lines = _snapshot_lines(snap4, fmt)
+        k = 3  # a record line in both formats
+        if change == "bare":
+            lines[k] = "[0]\n" if fmt == "jsonl" else "0\n"
+        elif fmt == "jsonl":
+            rec = json.loads(lines[k])
+            if change == "extra":
+                rec["extra"] = 1
+            else:
+                del rec["class"]
+            lines[k] = json.dumps(rec) + "\n"
+        else:
+            row = lines[k].rstrip("\n").split(",")
+            row = row + ["junk"] if change == "extra" else row[:-1]
+            lines[k] = ",".join(row) + "\n"
+        with pytest.raises(SnapshotFormatError, match=f"^line {k + 1}: malformed record: "):
+            read_snapshot(io.StringIO("".join(lines)))
+
     @pytest.mark.parametrize("k", [0, 4], ids=["header", "record"])
     def test_csv_reader_error_is_line_error(self, snap4, k):
         # csv.reader raises csv.Error on a carriage return inside a field

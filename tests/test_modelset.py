@@ -31,7 +31,7 @@ from pentaset.modelset import (
     stats,
 )
 from pentaset.io_render import read_snapshot, write_snapshot
-from pentaset.modelset import SearchRangeError, _ellipsoid_vectors, _is_inner, _members
+from pentaset.modelset import SearchRangeError, _is_inner, _members
 from pentaset.verify import verify_separation, verify_step_existence
 
 from oracles import (
@@ -41,14 +41,19 @@ from oracles import (
     ZERO,
     ZETA,
     abs_sq,
+    beta_run,
     box_enumerate,
+    floor_sqrt5,
     galois_apply,
     golden_cmp_golden,
     golden_to_float,
     nearest_in_snapshot,
     ring_add,
     ring_mul,
+    ring_neg,
     ring_sub,
+    row_enumerate,
+    row_runs,
 )
 
 
@@ -145,16 +150,34 @@ class TestEnumerate:
         assert coord_list(enumerate_points(r_sq, Window(w))) == \
                coord_list(box_enumerate(r_sq, Window(w)))
 
-    def test_search_is_output_sensitive(self):
-        # the half of the ellipsoid F <= 2 that is searched has the volume
-        # of disc x window
+    def test_search_is_output_sensitive(self, monkeypatch):
+        # the row search decides one candidate per pair +-z, plus the few
+        # that end rows: at R = 40 it visits 1836 rows and makes 2822 exact
+        # tests for the 2820 pairs
+        rows, tests = [], 0
+        visit, membership = modelset._rows, modelset._membership
+
+        def counted_rows(*args):
+            for row in visit(*args):
+                rows.append(row)
+                yield row
+
+        class Counted(dict):
+            def __init__(self, memo):
+                self.memo = memo
+
+            def __getitem__(self, key):
+                nonlocal tests
+                tests += 1
+                return self.memo[key]
+
+        monkeypatch.setattr(modelset, "_rows", counted_rows)
+        monkeypatch.setattr(modelset, "_membership", lambda r, w: Counted(membership(r, w)))
         n = len(enumerate_points(1600).points)
-        visited = list(_ellipsoid_vectors(Fraction(1600), Fraction(1)))
         assert n == 5641
-        assert len(visited) <= 1.25 * n + 50
-        # one of each pair +-a: nonzero, with the last nonzero coordinate positive
-        for a in visited:
-            assert next(x for x in reversed(a) if x) > 0
+        assert tests == sum(max(0, last - first + 1) for _, first, last in rows)
+        assert (n - 1) // 2 <= tests <= 0.5 * n + 50
+        assert len(rows) <= 0.4 * n + 50
 
     @pytest.mark.parametrize("r_sq, w", [(400, 1), (Fraction(73, 2), Fraction(49, 4))])
     def test_places_are_the_embedding_bit_for_bit(self, r_sq, w):
@@ -285,6 +308,100 @@ class TestClassify:
             classify_distance(GoldenInt(0, 0))
         with pytest.raises(ValueError):
             classify_distance(GoldenInt(-1, 0))
+
+
+def _members_pm(r_sq, w) -> set:
+    """_members' coordinates as a set, checked to be the origin, then pairs
+    z, -z, each point once, z with (n2, m2, n1, m1) > 0 lexicographically in
+    the row coordinates z = (m1 + n1 phi) + (m2 + n2 phi) zeta."""
+    found = [c for c, _, _ in _members(Fraction(r_sq), Fraction(w))]
+    assert found[0] == ZERO
+    for (a0, a1, a2, a3), neg in zip(found[1::2], found[2::2]):
+        assert neg == ring_neg((a0, a1, a2, a3))
+        assert (a2 - a3, a1 - a2 + a3, -a3, a0 - a2 + a3) > (0, 0, 0, 0)
+    assert len(set(found)) == len(found)
+    return set(found)
+
+
+class TestRowOracle:
+    """_members against oracles.row_enumerate, whose row ends are exact."""
+
+    @pytest.mark.parametrize("r_sq, w, n", [
+        (400, 1, 1411), (6400, 1, 22621), (25600, 1, 90381),
+        (Fraction(73, 2), Fraction(49, 4), 1581), (1600, Fraction(1, 5), 1131),
+        (1000, Fraction(49, 4), 43261),
+        # the two ends of the ratio range, R^2/w = 10^6 and 10^-6
+        (10 ** 4, Fraction(1, 100), 351), (Fraction(1, 100), 10 ** 4, 351)])
+    def test_members_match_row_oracle(self, r_sq, w, n):
+        members = _members_pm(r_sq, w)
+        assert len(members) == n
+        assert members == row_enumerate(r_sq, Window(w))
+
+    # beta = 2 phi^6 = 10 + 16 phi has beta*c = phi^5, so z = -phi^5 + beta*zeta
+    # = (13, 26, 21, 5) has alpha + beta*c = 0: its row touches the circle
+    # |z|^2 = s^2 beta^2 = 322 + 521 phi at z.  Likewise beta = 2 psi^6 =
+    # 26 - 16 phi touches the window's circle |sigma z|^2 = 123 + 199 phi at
+    # (5, 10, -3, 13).  R^2, or w, is set 10^-30 below or above the touch.
+    @pytest.mark.parametrize("above", [False, True])
+    @pytest.mark.parametrize("z, which, p, q", [((13, 26, 21, 5), 0, 322, 521),
+                                                ((5, 10, -3, 13), 1, 123, 199)])
+    def test_near_tangent_rows(self, z, which, p, q, above):
+        assert abs_sq_coords(*z)[which] == (p, q)
+        hair = 10 ** 30  # p + q phi = (2p + q + q sqrt 5)/2
+        edge = Fraction(floor_sqrt5((2 * p + q) * hair, q * hair, 2) + above, hair)
+        r_sq, w = (edge, 1) if which == 0 else (1, edge)
+        members = _members_pm(r_sq, w)
+        assert (z in members) == above
+        assert members == row_enumerate(r_sq, Window(w))
+
+    @pytest.mark.parametrize("s", [1, -1])
+    @pytest.mark.parametrize("which", [0, 1], ids=["disc", "window"])
+    def test_near_tangent_rows_at_the_range_edge(self, which, s):
+        # beta = 2 phi^25 with alpha = s - phi^24 (disc), or beta = -2 psi^25
+        # with alpha = -(s + psi^26) (window), puts z one unit from where its
+        # row touches the circle: alpha + beta c = s, or alpha' + beta' c' = -s.
+        # R^2, or w, is set 10^-40 above |z|^2 ~ 1e11, or |sigma z|^2 ~ 4e10,
+        # the other at 10^6, so z ends its row; there D is 0.2 to 0.3, and
+        # with D = 0 these rows lose z
+        f = [0, 1]
+        while len(f) < 28:
+            f.append(f[-1] + f[-2])
+        n2, m2, n1, m1 = ((2 * f[25], 2 * f[24], -f[24], s - f[23]) if which == 0
+                          else (2 * f[25], -2 * f[26], f[26], -s - f[27]))
+        p, q = abs_sq_coords(m1 + n2, m2 + n2, n2 - n1, -n1)[which]
+        hair = 10 ** 40
+        edge = Fraction(floor_sqrt5((2 * p + q) * hair, q * hair, 2) + 1, hair)
+        r_sq, w = (edge, 10 ** 6) if which == 0 else (10 ** 6, edge)
+        exact = row_runs(r_sq, w, n2, m2)
+        assert m1 in exact[n1]
+        r2, wf = float(r_sq), float(w)
+        rows = {k: (first, last) for k, first, last
+                in modelset._rows(n2, m2, r2, wf, modelset._margin(r2, wf))}
+        for k, (lo, hi) in exact.items():
+            assert rows[k][0] <= lo and hi <= rows[k][1], k
+
+    @pytest.mark.parametrize("r_sq, w", [(10 ** 12, 10 ** 6), (10 ** 6, 10 ** 12),
+                                         (10 ** 12, 10 ** 12)])
+    def test_float_rows_hold_the_exact_rows_at_the_range_edges(self, r_sq, w):
+        # at the corners of the range the search accepts, D is 1 to 2; the
+        # three largest n2 hold the betas nearest both rims, and the ends of
+        # their m2 runs the near-tangent rows
+        r2, wf = float(r_sq), float(w)
+        d = modelset._margin(r2, wf)
+        n2 = math.floor((math.sqrt(r2 / modelset._S2) + math.sqrt(wf / modelset._S2_I))
+                        / math.sqrt(5)) + 3
+        checked = 0
+        while checked < 3:
+            betas = beta_run(r_sq, w, n2)
+            for m2 in sorted(set(betas or ())):
+                exact = row_runs(r_sq, w, n2, m2)
+                rows = {n1: (first, last)
+                        for n1, first, last in modelset._rows(n2, m2, r2, wf, d)}
+                assert exact and exact.keys() <= rows.keys()
+                for n1, (lo, hi) in exact.items():
+                    assert rows[n1][0] <= lo and hi <= rows[n1][1], (n2, m2, n1)
+            checked += betas is not None
+            n2 -= 1
 
 
 def _record(z: tuple) -> PointRecord:
