@@ -145,10 +145,17 @@ def read_snapshot(source) -> Snapshot:
     return _read_csv(first, source)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """json.loads' object_pairs_hook: a dict, refusing a repeated key."""
+    if len(obj := dict(pairs)) < len(pairs):
+        raise ValueError(f"repeated key among {[k for k, _ in pairs]}")
+    return obj
+
+
 def _read_jsonl(first: str, source) -> Snapshot:
     try:
-        header = json.loads(first)
-    except (json.JSONDecodeError, RecursionError) as e:
+        header = json.loads(first, object_pairs_hook=_unique_keys)
+    except (ValueError, RecursionError) as e:
         raise SnapshotFormatError(f"line 1: bad header: {e}") from e
     if header.get("format") != "pentaset-snapshot":
         raise SnapshotFormatError("line 1: missing snapshot header")
@@ -164,7 +171,7 @@ def _read_jsonl(first: str, source) -> Snapshot:
             elif not line.strip():
                 continue
             else:
-                rec = json.loads(line)
+                rec = json.loads(line, object_pairs_hook=_unique_keys)
                 if not isinstance(rec, dict) or rec.keys() != {"a", "x", "y", "iabs", "class"}:
                     raise SnapshotFormatError(f"line {lineno}: malformed record: wrong keys")
                 a, x, y, iabs = rec["a"], rec["x"], rec["y"], rec["iabs"]

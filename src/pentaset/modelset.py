@@ -74,6 +74,8 @@ class Snapshot:
     window: Window
     radius_sq: Fraction
     points: list[PointRecord] = field(default_factory=list)
+    #: (radius_sq, w, split) of the last split (_split), kept for reuse
+    _split_memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def coord_set(self) -> set[Coords]:
         return {p.coords for p in self.points}
@@ -215,16 +217,24 @@ def enumerate_points(radius_sq: Fraction | int, window: Window | None = None) ->
     if radius_sq < 0:
         raise ValueError(f"radius_sq must be nonnegative, got {radius_sq}")
     found = _members(radius_sq, window.w)
-    origin, _, intr = next(found)
-    rows = [(0, origin, PointRecord(origin, intr, 0.0, 0.0))]
+    origin, phys, intr = next(found)
+    rows = [(0, origin, PointRecord(origin, intr, 0.0, 0.0), phys)]
     # -z at 0.0 - x is embed_approx(-z): it rounds symmetrically, never to -0.0
     for (c, phys, intr), (neg, _, _) in zip(found, found):
         q, e = phys[0] + intr[0], embed_approx(c)  # Q(a); the phi parts cancel
         x, y = e.real, e.imag
-        rows += ((q, c, PointRecord(c, intr, x, y)),
-                 (q, neg, PointRecord(neg, intr, 0.0 - x, 0.0 - y)))
+        rows += ((q, c, PointRecord(c, intr, x, y), phys),
+                 (q, neg, PointRecord(neg, intr, 0.0 - x, 0.0 - y), phys))
     rows.sort()  # (Q, coords) is unique, so records are never compared
-    return Snapshot(window, radius_sq, [row[2] for row in rows])
+    coords, points, phys = ([row[k] for row in rows] for k in (1, 2, 3))
+    # the split (_split) by the search's exact decisions: each point is in the
+    # disc and the window once, so all are good; and as S = -S, M = max coordinate
+    b = 6 * max(chain.from_iterable(coords)) + 1
+    keys = [((a0 * b + a1) * b + a2) * b + a3 for a0, a1, a2, a3 in coords]
+    snapshot = Snapshot(window, radius_sq, points)
+    snapshot._split_memo = radius_sq, window.w, (
+        coords, phys, keys, dict(zip(keys, range(len(keys)))), [], b)
+    return snapshot
 
 
 @lru_cache(maxsize=8)
@@ -277,10 +287,15 @@ def _split(snapshot: Snapshot):
     the good point j only if c + d is j.  A bad point outside the box can
     share a good point's key, so a walk starts only from a point i with
     good.get(keys[i]) == i.  B depends on the points alone, so one split
-    serves every walk over the snapshot.
+    serves every walk over the snapshot.  The split is a function of the
+    coordinates, R^2 and w alone, so the split kept in snapshot._split_memo
+    is returned while all three equal those it was made from.
     """
-    member = _membership(snapshot.radius_sq, snapshot.window.w)
+    radius_sq, w = snapshot.radius_sq, snapshot.window.w
     coords = [p.coords for p in snapshot.points]
+    if (memo := snapshot._split_memo) and memo[:2] == (radius_sq, w) and memo[2][0] == coords:
+        return memo[2]
+    member = _membership(radius_sq, w)
     moduli = [abs_sq_coords(*c) for c in coords]
     inside = [i for i, m in enumerate(moduli) if member[m]]
     b = 6 * max(map(abs, chain.from_iterable([coords[i] for i in inside])), default=0) + 1
@@ -288,7 +303,8 @@ def _split(snapshot: Snapshot):
     counts = Counter(keys[i] for i in inside)
     good = {keys[i]: i for i in inside if counts[keys[i]] == 1}
     bad = [i for i in range(len(coords)) if good.get(keys[i]) != i]
-    return coords, [phys for phys, _ in moduli], keys, good, bad, b
+    snapshot._split_memo = radius_sq, w, (coords, [p for p, _ in moduli], keys, good, bad, b)
+    return snapshot._split_memo[2]
 
 
 def _walk(ds: list, b: int) -> list:
@@ -351,7 +367,7 @@ def _nearest(i: int, coords: list[Coords], keys: list[int], good: dict,
     return best
 
 
-def analyze(snapshot: Snapshot, split: tuple | None = None) -> Snapshot:
+def analyze(snapshot: Snapshot) -> Snapshot:
     """Fill min_dist_sq and dist_class for every inner point.
 
     Inner means |z| <= R - 1 (exact); other points stay "unknown", as does
@@ -360,10 +376,10 @@ def analyze(snapshot: Snapshot, split: tuple | None = None) -> Snapshot:
     (_nearest), whatever the snapshot holds.  A repeated inner point, at
     distance 0 from its copy, raises ValueError.  Each distinct |z|^2 and
     min_dist_sq is tested once; records share that frozen GoldenInt.
-    split is _split(snapshot), for a caller that has it already.
+    The snapshot returned keeps the split, as its coordinates are the same.
     """
     radius_sq = snapshot.radius_sq
-    coords, phys, keys, good, bad, b = split or _split(snapshot)
+    coords, phys, keys, good, bad, b = _split(snapshot)
     walk = _walk(displacement_candidates(snapshot.window), b)
     inner = _Memo(lambda p, q: _is_inner(p, q, radius_sq.numerator, radius_sq.denominator))
     def classified(p, q):
@@ -379,7 +395,9 @@ def analyze(snapshot: Snapshot, split: tuple | None = None) -> Snapshot:
             if best == (0, 0):
                 raise ValueError(f"point {coords[i]} appears more than once in the snapshot")
         new_points.append(PointRecord(rec.coords, rec.iabs, rec.x, rec.y, *nearest[best]))
-    return Snapshot(snapshot.window, radius_sq, new_points)
+    out = Snapshot(snapshot.window, radius_sq, new_points)
+    out._split_memo = snapshot._split_memo
+    return out
 
 
 def stats(snapshot: Snapshot) -> dict:

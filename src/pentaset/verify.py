@@ -67,7 +67,7 @@ def _require_unit_window(snapshot: Snapshot, check: str) -> None:
         raise ValueError(f"{check} applies only to the unit window, got w = {snapshot.window.w}")
 
 
-def verify_separation(snapshot: Snapshot, split: tuple | None = None) -> VerificationReport:
+def verify_separation(snapshot: Snapshot) -> VerificationReport:
     """Uniform discreteness: every pairwise squared distance >= 1/(4*diam^2).
 
     The stated constant gives |dz|^2 >= 1/(16w); the norm argument in the
@@ -78,12 +78,11 @@ def verify_separation(snapshot: Snapshot, split: tuple | None = None) -> Verific
     point to its nearest other point (_nearest), each tested once against
     1/(16w).  Both ends of a pair closer than 1/(16w) have their nearest
     point that close, so only those points are compared pairwise.
-    split is _split(snapshot), for a caller that has it already.
     """
     w = snapshot.window.w
     weak = Fraction(1, 16) / w
     strong = Fraction(1, 4) / w
-    coords, _, keys, good, bad, b = split or _split(snapshot)
+    coords, _, keys, good, bad, b = _split(snapshot)
     walk = _walk(displacement_candidates(snapshot.window), b)
     n = len(coords)
     below_weak = _Memo(lambda p, q: golden_cmp(p, q, weak.numerator, weak.denominator) < 0)
@@ -161,7 +160,7 @@ def _unit_lemma_list(radius_sq: Fraction) -> list[Coords]:
     return list(ds)
 
 
-def verify_unit_lemma(snapshot: Snapshot, split: tuple | None = None) -> VerificationReport:
+def verify_unit_lemma(snapshot: Snapshot) -> VerificationReport:
     """Pairs closer than sqrt(5)/2 differ by a unit; non-unit differences
     have norm at least 5 (norms 2, 3, 4 never occur).
 
@@ -190,7 +189,6 @@ def verify_unit_lemma(snapshot: Snapshot, split: tuple | None = None) -> Verific
     and d == a0 + a1 + a2 + a3 modulo it, so N(d) == (a0 + a1 + a2 + a3)^4
     (mod 5), which is 0 or 1 (Kummer; Fermat).  The seeds' norms are still
     computed on every call, so a faulty norm is caught.
-    split is _split(snapshot), for a caller that has it already.
     """
     _require_unit_window(snapshot, "unit lemma")
 
@@ -205,7 +203,7 @@ def verify_unit_lemma(snapshot: Snapshot, split: tuple | None = None) -> Verific
 
     judged = [(d, judge(d, *abs_sq_coords(*d)[0]))
               for d in _unit_lemma_list(snapshot.radius_sq) if d > tuple(-a for a in d)]
-    coords, _, _, good, bad, b = split or _split(snapshot)
+    coords, _, _, good, bad, b = _split(snapshot)
     walk = _walk(judged, b)
     n = len(coords)
     close_pairs, rows = 0, []
@@ -292,26 +290,22 @@ _CHECKS = {
 }
 
 CHECK_NAMES = tuple(_CHECKS)
-_WALKING_CHECKS = ("separation", "unit-lemma")  # these take a _split
 
 
-def run_check(name: str, snapshot: Snapshot, split: tuple | None = None) -> VerificationReport:
-    """One check's report; split is _split(snapshot), for a caller that has it."""
+def run_check(name: str, snapshot: Snapshot) -> VerificationReport:
+    """One check's report."""
     if name not in _CHECKS:
         raise ValueError(f"unknown check {name!r}")
     if name in UNIT_WINDOW_CHECKS and snapshot.window.w != 1:
         return VerificationReport(name, True, 0, [], _params(snapshot),
                                   skipped=True,
                                   details={"reason": "requires unit window"})
-    check = _CHECKS[name]
-    return check(snapshot, split) if name in _WALKING_CHECKS else check(snapshot)
+    return _CHECKS[name](snapshot)
 
 
 def verify_all(radius_sq: Fraction | int, window_sq: Fraction | int = 1,
                checks: tuple[str, ...] = CHECK_NAMES) -> list[VerificationReport]:
-    """Enumerate, analyze, and run the selected checks, all on one _split:
-    analyze keeps every point's coordinates and their order."""
-    snap = enumerate_points(Fraction(radius_sq), Window(Fraction(window_sq)))
-    split = _split(snap)
-    snap = analyze(snap, split)
-    return [run_check(name, snap, split) for name in checks]
+    """Enumerate, analyze, and run the selected checks, all on the split
+    enumerate_points keeps with its snapshot (modelset._split)."""
+    snap = analyze(enumerate_points(Fraction(radius_sq), Window(Fraction(window_sq))))
+    return [run_check(name, snap) for name in checks]

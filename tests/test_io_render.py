@@ -277,6 +277,18 @@ class TestValidation:
         with pytest.raises(SnapshotFormatError, match=f"^line {k + 1}: malformed record: "):
             read_snapshot(io.StringIO("".join(lines)))
 
+    @pytest.mark.parametrize("k, old, new", [
+        (0, '"radius_sq":"4"', '"radius_sq":"999","radius_sq":"4"'),
+        (1, '"a":[0,0,0,0]', '"a":[9,9,9,9],"a":[0,0,0,0]'),
+    ], ids=["header", "record"])
+    def test_repeated_key_is_line_error(self, snap4, k, old, new):
+        # json.loads alone keeps the last value: R^2 = 4, and the origin
+        lines = _snapshot_lines(snap4, "jsonl")
+        assert lines[k].count(old) == 1
+        lines[k] = lines[k].replace(old, new)
+        with pytest.raises(SnapshotFormatError, match=f"^line {k + 1}: .*repeated key"):
+            read_snapshot(io.StringIO("".join(lines)))
+
     @pytest.mark.parametrize("k", [0, 4], ids=["header", "record"])
     def test_csv_reader_error_is_line_error(self, snap4, k):
         # csv.reader raises csv.Error on a carriage return inside a field

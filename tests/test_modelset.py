@@ -493,6 +493,47 @@ class TestAnalyze:
             assert _is_inner(g_p, 0, r_sq.numerator, r_sq.denominator) == expected
 
 
+def _memo_free(snap: Snapshot) -> Snapshot:
+    return Snapshot(snap.window, snap.radius_sq, list(snap.points))
+
+
+class TestSplitMemo:
+    """enumerate_points keeps its snapshot's split (modelset._split), made
+    from the search's own decisions; _split serves a kept split only while
+    the coordinates, R^2 and w are those it was made from."""
+
+    @pytest.mark.parametrize("radius_sq, w", [
+        (0, 1), (Fraction(1, 1000), 1), (4, 1), (Fraction(73, 2), Fraction(49, 4)),
+        (248, 1), (30, 4), (400, Fraction(1, 5)), (6400, 1),
+        (10 ** 4, Fraction(1, 100)), (Fraction(1, 100), 10 ** 4)])
+    def test_enumerator_split_is_the_general_split(self, radius_sq, w):
+        snap = enumerate_points(radius_sq, Window(w))
+        kept = snap._split_memo
+        assert modelset._split(snap) is kept[2]
+        assert kept[2] == modelset._split(_memo_free(snap))
+
+    @pytest.mark.parametrize("change", [
+        "append", "swap", "assign-coords", "reverse", "radius", "window"])
+    def test_changed_snapshot_takes_the_general_path(self, change):
+        snap = enumerate_points(400)
+        kept, pts = snap._split_memo[2], snap.points
+        if change == "append":
+            pts.append(_record((5, 0, 0, 0)))
+        elif change == "swap":
+            pts[7] = _record(ring_add(pts[7].coords, EPSILON))
+        elif change == "assign-coords":
+            pts[7].coords = pts[8].coords
+        elif change == "reverse":
+            pts.reverse()
+        elif change == "radius":
+            snap.radius_sq = Fraction(100)
+        else:
+            snap.window = Window(Fraction(1, 2))
+        split = modelset._split(snap)
+        assert split != kept
+        assert split == modelset._split(_memo_free(snap))
+
+
 class TestNoRingObjectPerPoint:
     """Points travel as coordinate tuples: enumerating, reading and writing
     build no CycInt or GoldenInt, and analyze one GoldenInt per distinct

@@ -127,6 +127,18 @@ class TestAgainstAllPairsOracle:
         assert verify_separation(snap).to_json_dict() == oracles.separation(snap).to_json_dict()
         assert verify_unit_lemma(snap).to_json_dict() == oracles.unit_lemma(snap).to_json_dict()
 
+    @pytest.mark.parametrize("name", ["eps3", "duplicate"])
+    def test_corruptions_in_place(self, name):
+        # the corruption made in an analyzed enumeration, which keeps the
+        # enumerator's split: the checks see the change
+        snap = analyze(enumerate_points(4))
+        z = ring_add(ONE, EPS3) if name == "eps3" else snap.points[5].coords
+        snap.points.append(make_record(z))
+        sep, unit = verify_separation(snap), verify_unit_lemma(snap)
+        assert sep.to_json_dict() == oracles.separation(snap).to_json_dict()
+        assert unit.to_json_dict() == oracles.unit_lemma(snap).to_json_dict()
+        assert not sep.passed and not unit.passed
+
     def test_corruptions_are_caught(self):
         # the oracle comparisons above are not all vacuous passes
         failed = {name: (not verify_separation(_corrupted(name)).passed,
@@ -218,11 +230,12 @@ class TestAgainstAllPairsOracle:
 
 class TestWorkBound:
     """analyze and separation compute O(n) distances, not one per pair, at
-    small windows too, where the displacement list reaches past length 1."""
+    small windows too, where the displacement list reaches past length 1.
+    Each stage runs on a copy without the enumerator's split, so the bound
+    holds for the general path of modelset._split."""
 
     @staticmethod
-    def _check_linear(monkeypatch, stage, window_sq, radius_sq, n):
-        snap = enumerate_points(radius_sq, Window(window_sq))
+    def _count_distances(monkeypatch, stage, snap) -> int:
         calls = []
 
         def counting(*c):
@@ -230,8 +243,18 @@ class TestWorkBound:
             return abs_sq_coords(*c)
         monkeypatch.setattr(modelset, "abs_sq_coords", counting)
         stage(snap)
+        return len(calls)
+
+    def _check_linear(self, monkeypatch, stage, window_sq, radius_sq, n):
+        snap = enumerate_points(radius_sq, Window(window_sq))
+        copy = Snapshot(snap.window, snap.radius_sq, list(snap.points))
         assert len(snap.points) == n
-        assert 0 < len(calls) <= 4 * len(snap.points)
+        assert 0 < self._count_distances(monkeypatch, stage, copy) <= 4 * n
+
+    def test_fresh_enumeration_computes_no_distance(self, monkeypatch):
+        # the enumerator's split holds every |z|^2, and every inner point
+        # finds its nearest neighbour along the displacement list
+        assert self._count_distances(monkeypatch, analyze, enumerate_points(400)) == 0
 
     @pytest.mark.parametrize("stage", [analyze, verify_separation], ids=["analyze", "separation"])
     def test_linear_in_points(self, monkeypatch, stage):
@@ -550,16 +573,26 @@ class TestRunAll:
 
     @pytest.mark.parametrize("window_sq", [1, 4])
     def test_one_split_per_call(self, monkeypatch, window_sq):
-        calls = []
+        # the splits not served from a snapshot's memo: none for a fresh
+        # enumeration, one for a hand-built snapshot, shared by analyze,
+        # separation and, at w = 1, the unit lemma
+        general = []
         split = modelset._split
 
         def counted(snapshot):
-            calls.append(snapshot)
-            return split(snapshot)
+            memo = snapshot._split_memo
+            out = split(snapshot)
+            if memo is None or out is not memo[2]:
+                general.append(snapshot)
+            return out
         monkeypatch.setattr(modelset, "_split", counted)
         monkeypatch.setattr(verify, "_split", counted)
         assert all(r.passed for r in verify_all(25, window_sq))
-        assert len(calls) == 1
+        assert general == []
+        snap = enumerate_points(25, Window(window_sq))
+        snap = analyze(Snapshot(snap.window, snap.radius_sq, list(snap.points)))
+        assert all(run_check(name, snap).passed for name in CHECK_NAMES)
+        assert len(general) == 1
 
     def test_unknown_check_rejected(self, snap4):
         with pytest.raises(ValueError):
