@@ -11,7 +11,7 @@ point only appears in embed_approx.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 
 _ZETA_PHYSICAL = cmath.exp(2j * cmath.pi / 5)
 
@@ -20,26 +20,49 @@ class ArithmeticConsistencyError(RuntimeError):
     """An internal exact-arithmetic identity failed; signals a bug, not bad input."""
 
 
-@dataclass(frozen=True)
-class CycInt:
+class _Value:
+    """Equal within one class by _key, by default its public slots' values; a
+    _Frozen one also hashes by _key and refuses to assign or delete any attribute."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        if "_key" not in cls.__slots__:
+            cls._key = property(attrgetter(*[k for k in cls.__slots__ if k[0] != "_"]))
+
+    def __eq__(self, other):
+        return self._key == other._key if other.__class__ is self.__class__ else NotImplemented
+
+
+class _Frozen:
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __setattr__(self, *args):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+class CycInt(tuple):
     """a0 + a1*zeta + a2*zeta^2 + a3*zeta^3 in canonical coordinates.
 
     The basis (1, zeta, zeta^2, zeta^3) is a Z-basis, so equality of
     coordinates is equality of ring elements.  The package computes on
-    plain coordinate tuples; this view of one remains for PointRecord.z,
+    plain coordinate tuples; this tuple subclass views one for PointRecord.z,
     which perfbench reads.  The ring operations are in tests/oracles.py.
     """
 
-    a0: int
-    a1: int
-    a2: int
-    a3: int
+    __slots__ = ()
+    a0, a1, a2, a3 = (property(itemgetter(k)) for k in range(4))
+
+    def __new__(cls, a0: int, a1: int, a2: int, a3: int):
+        return tuple.__new__(cls, (a0, a1, a2, a3))
 
     def coords(self) -> tuple[int, int, int, int]:
-        return (self.a0, self.a1, self.a2, self.a3)
-
-    def __iter__(self):
-        return iter((self.a0, self.a1, self.a2, self.a3))
+        return tuple(self)
 
 
 #: zeta^k for k = 0..4, in canonical coordinates
@@ -55,12 +78,15 @@ ZETA_POWERS = (
 TENTH_ROOTS = tuple(z for p in ZETA_POWERS for z in (p, tuple(-a for a in p)))
 
 
-@dataclass(frozen=True)
-class GoldenInt:
+class GoldenInt(_Frozen, _Value):
     """The real number p + q*phi with phi = (1 + sqrt(5))/2; phi^2 = phi + 1."""
 
-    p: int
-    q: int
+    __slots__ = ("p", "q", "_key")  # _key stored: two-distance hashes one per point
+
+    def __init__(self, p: int, q: int):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "_key", (p, q))
 
 
 #: squared short distance (phi - 1)^2 = 2 - phi

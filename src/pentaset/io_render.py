@@ -11,12 +11,11 @@ import csv
 import json
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
 from . import __version__
-from .cyclotomic import ZETA_POWERS, abs_sq_coords, embed_approx
+from .cyclotomic import ZETA_POWERS, _Frozen, _Value, abs_sq_coords, embed_approx
 from .modelset import DIST_CLASSES, PointRecord, Snapshot, Window, _membership
 
 CSV_COLUMNS = ["a0", "a1", "a2", "a3", "x", "y", "iabs_p", "iabs_q", "class"]
@@ -217,11 +216,13 @@ def _read_csv(first: str, source) -> Snapshot:
     return snapshot
 
 
-@dataclass(frozen=True)
-class RenderOptions:
-    canvas: int = 1000
-    highlight_roots: bool = False
-    color_classes: bool = False
+class RenderOptions(_Frozen, _Value):
+    __slots__ = ("canvas", "highlight_roots", "color_classes")
+
+    def __init__(self, canvas: int = 1000, highlight_roots: bool = False,
+                 color_classes: bool = False):
+        for name, value in zip(self.__slots__, (canvas, highlight_roots, color_classes)):
+            object.__setattr__(self, name, value)
 
 
 # A dot and a highlight ring at (cx, cy); "%.6f" % v is format(v, ".6f"),

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from itertools import chain
@@ -25,6 +24,7 @@ from .cyclotomic import (
     LONG_DIST_SQ,
     SHORT_DIST_SQ,
 )
+from .cyclotomic import _Frozen, _Value
 
 Coords = tuple[int, int, int, int]
 
@@ -35,33 +35,36 @@ DIST_SHORT, DIST_LONG, DIST_OTHER, DIST_UNKNOWN = DIST_CLASSES = (
 DIST_CLASS_OF = {SHORT_DIST_SQ: DIST_SHORT, LONG_DIST_SQ: DIST_LONG}
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(_Frozen, _Value):
     """Closed disc |u|^2 <= w in the internal embedding; w a positive rational."""
 
-    w: Fraction = Fraction(1)
+    __slots__ = ("w",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "w", Fraction(self.w))
-        if self.w <= 0:
-            raise ValueError(f"window squared radius must be positive, got {self.w}")
+    def __init__(self, w: Fraction = Fraction(1)):
+        w = Fraction(w)
+        if w <= 0:
+            raise ValueError(f"window squared radius must be positive, got {w}")
+        object.__setattr__(self, "w", w)
 
     @property
     def diam_sq(self) -> Fraction:
         return 4 * self.w
 
 
-@dataclass(slots=True)
-class PointRecord:
+class PointRecord(_Value):
     """One point z: its coordinates, |sigma(z)|^2 as a (p, q) pair, its
     place (x, y) in the plane, and the nearest-neighbour result of analyze."""
 
-    coords: Coords
-    iabs: tuple[int, int]
-    x: float
-    y: float
-    min_dist_sq: GoldenInt | None = None
-    dist_class: str = DIST_UNKNOWN
+    __slots__ = ("coords", "iabs", "x", "y", "min_dist_sq", "dist_class")
+
+    def __init__(self, coords: Coords, iabs: tuple[int, int], x: float, y: float,
+                 min_dist_sq: GoldenInt | None = None, dist_class: str = DIST_UNKNOWN):
+        self.coords = coords
+        self.iabs = iabs
+        self.x = x
+        self.y = y
+        self.min_dist_sq = min_dist_sq
+        self.dist_class = dist_class
 
     @property
     def z(self) -> CycInt:
@@ -69,13 +72,15 @@ class PointRecord:
         return CycInt(*self.coords)
 
 
-@dataclass
-class Snapshot:
-    window: Window
-    radius_sq: Fraction
-    points: list[PointRecord] = field(default_factory=list)
-    #: (radius_sq, w, split) of the last split (_split), kept for reuse
-    _split_memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
+class Snapshot(_Value):
+    __slots__ = ("window", "radius_sq", "points", "_split_memo")
+
+    def __init__(self, window: Window, radius_sq: Fraction,
+                 points: list[PointRecord] | None = None):
+        self.window, self.radius_sq = window, radius_sq
+        self.points = [] if points is None else points
+        #: (radius_sq, w, split) of the last split (_split), kept for reuse
+        self._split_memo = None
 
     def coord_set(self) -> set[Coords]:
         return {p.coords for p in self.points}

@@ -7,12 +7,12 @@ The pair checks' tested_count is the n(n-1)/2 pairs their verdict covers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cmp_to_key
 
 from .cyclotomic import (
     TENTH_ROOTS,
+    _Value,
     abs_sq_coords,
     golden_cmp,
     norm_coords,
@@ -36,15 +36,18 @@ from .modelset import (
 )
 
 
-@dataclass
-class VerificationReport:
-    check_name: str
-    passed: bool
-    tested_count: int
-    violations: list = field(default_factory=list)
-    parameters: dict = field(default_factory=dict)
-    skipped: bool = False
-    details: dict = field(default_factory=dict)
+class VerificationReport(_Value):
+    __slots__ = ("check_name", "passed", "tested_count", "violations", "parameters",
+                 "skipped", "details")
+
+    def __init__(self, check_name: str, passed: bool, tested_count: int,
+                 violations: list | None = None, parameters: dict | None = None,
+                 skipped: bool = False, details: dict | None = None):
+        self.check_name, self.passed, self.tested_count = check_name, passed, tested_count
+        self.violations = [] if violations is None else violations
+        self.parameters = {} if parameters is None else parameters
+        self.skipped = skipped
+        self.details = {} if details is None else details
 
     def to_json_dict(self) -> dict:
         return {
