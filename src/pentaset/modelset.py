@@ -12,7 +12,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
-from itertools import chain
+from itertools import chain, islice
 
 from .cyclotomic import (
     CycInt,
@@ -223,22 +223,27 @@ def enumerate_points(radius_sq: Fraction | int, window: Window | None = None) ->
         raise ValueError(f"radius_sq must be nonnegative, got {radius_sq}")
     found = _members(radius_sq, window.w)
     origin, phys, intr = next(found)
-    rows = [(0, origin, PointRecord(origin, intr, 0.0, 0.0), phys)]
-    # -z at 0.0 - x is embed_approx(-z): it rounds symmetrically, never to -0.0
-    for (c, phys, intr), (neg, _, _) in zip(found, found):
-        q, e = phys[0] + intr[0], embed_approx(c)  # Q(a); the phi parts cancel
-        x, y = e.real, e.imag
-        rows += ((q, c, PointRecord(c, intr, x, y), phys),
-                 (q, neg, PointRecord(neg, intr, 0.0 - x, 0.0 - y), phys))
-    rows.sort()  # (Q, coords) is unique, so records are never compared
-    coords, points, phys = ([row[k] for row in rows] for k in (1, 2, 3))
+    half = list(islice(found, 0, None, 2))  # of each pair z, -z the z visited
     # the split (_split) by the search's exact decisions: each point is in the
-    # disc and the window once, so all are good; and as S = -S, M = max coordinate
-    b = 6 * max(chain.from_iterable(coords)) + 1
-    keys = [((a0 * b + a1) * b + a2) * b + a3 for a0, a1, a2, a3 in coords]
+    # disc and the window once, so all are good; and as S = -S, M = max |c_i|
+    b = 6 * max(map(abs, chain.from_iterable(c for c, _, _ in half)), default=0) + 1
+    b4 = b ** 4
+    points, moduli, keys, order = [PointRecord(origin, intr, 0.0, 0.0)], [phys], [0], [0]
+    for c, phys, intr in half:  # -z at 0.0 - e is embed_approx(-z), never -0.0
+        a0, a1, a2, a3 = c
+        k, q, e = ((a0 * b + a1) * b + a2) * b + a3, (phys[0] + intr[0]) * b4, embed_approx(c)
+        points += (PointRecord(c, intr, e.real, e.imag),
+                   PointRecord((-a0, -a1, -a2, -a3), intr, 0.0 - e.real, 0.0 - e.imag))
+        moduli += phys, phys
+        keys += k, -k  # k is linear
+        order += q + k, q - k  # Q(a) B^4 + k(c); the phi parts of Q(a) cancel
+    # This sorts as (Q(a), coords): B > 2M + 1 makes k on [-M, M]^4 a balanced base-B
+    # numeral, ordered lexicographically, and two differ by <= 2M (B^4 - 1)/(B - 1) < B^4.
+    order = sorted(range(len(points)), key=order.__getitem__)
+    points, moduli, keys = (list(map(v.__getitem__, order)) for v in (points, moduli, keys))
     snapshot = Snapshot(window, radius_sq, points)
     snapshot._split_memo = radius_sq, window.w, (
-        coords, phys, keys, dict(zip(keys, range(len(keys)))), [], b)
+        [p.coords for p in points], moduli, keys, dict(zip(keys, range(len(keys)))), [], b)
     return snapshot
 
 
@@ -373,36 +378,31 @@ def _nearest(i: int, coords: list[Coords], keys: list[int], good: dict,
 
 
 def analyze(snapshot: Snapshot) -> Snapshot:
-    """Fill min_dist_sq and dist_class for every inner point.
+    """Fill min_dist_sq and dist_class of each record in place; return the snapshot.
 
-    Inner means |z| <= R - 1 (exact); other points stay "unknown", as does
-    an inner point that is the snapshot's only point.  min_dist_sq is the
-    exact squared distance to the nearest other point of this snapshot
-    (_nearest), whatever the snapshot holds.  A repeated inner point, at
-    distance 0 from its copy, raises ValueError.  Each distinct |z|^2 and
-    min_dist_sq is tested once; records share that frozen GoldenInt.
-    The snapshot returned keeps the split, as its coordinates are the same.
+    Inner means |z| <= R - 1 (exact); other points get "unknown", as does an
+    inner point that is the snapshot's only point.  min_dist_sq is the exact
+    squared distance to the nearest other point of this snapshot (_nearest),
+    whatever the snapshot holds.  A repeated inner point, at distance 0 from
+    its copy, raises ValueError before any record is written.  Each distinct
+    |z|^2 and min_dist_sq is tested once; records share that frozen GoldenInt.
     """
     radius_sq = snapshot.radius_sq
     coords, phys, keys, good, bad, b = _split(snapshot)
     walk = _walk(displacement_candidates(snapshot.window), b)
     inner = _Memo(lambda p, q: _is_inner(p, q, radius_sq.numerator, radius_sq.denominator))
-    def classified(p, q):
-        g = GoldenInt(p, q)
-        return g, classify_distance(g)
-    nearest = _Memo(classified)
+    nearest = _Memo(lambda p, q: ((g := GoldenInt(p, q)), classify_distance(g)))
     nearest[None] = None, DIST_UNKNOWN  # not inner, or no other point
-    new_points = []
+    # a repeated point is bad, as its key occurs twice: so the bad points first
+    found = {i: _nearest(i, coords, keys, good, bad, walk) for i in bad if inner[phys[i]]}
+    for i, best in found.items():
+        if best == (0, 0):
+            raise ValueError(f"point {coords[i]} appears more than once in the snapshot")
     for i, rec in enumerate(snapshot.points):
-        best = None
-        if inner[phys[i]]:
-            best = _nearest(i, coords, keys, good, bad, walk)
-            if best == (0, 0):
-                raise ValueError(f"point {coords[i]} appears more than once in the snapshot")
-        new_points.append(PointRecord(rec.coords, rec.iabs, rec.x, rec.y, *nearest[best]))
-    out = Snapshot(snapshot.window, radius_sq, new_points)
-    out._split_memo = snapshot._split_memo
-    return out
+        best = found[i] if i in found else \
+            _nearest(i, coords, keys, good, bad, walk) if inner[phys[i]] else None
+        rec.min_dist_sq, rec.dist_class = nearest[best]
+    return snapshot
 
 
 def stats(snapshot: Snapshot) -> dict:

@@ -308,7 +308,7 @@ def run_check(name: str, snapshot: Snapshot) -> VerificationReport:
 
 def verify_all(radius_sq: Fraction | int, window_sq: Fraction | int = 1,
                checks: tuple[str, ...] = CHECK_NAMES) -> list[VerificationReport]:
-    """Enumerate, analyze, and run the selected checks, all on the split
-    enumerate_points keeps with its snapshot (modelset._split)."""
+    """Enumerate, analyze the snapshot's records in place, and run the
+    selected checks, all on the split enumerate_points keeps with it."""
     snap = analyze(enumerate_points(Fraction(radius_sq), Window(Fraction(window_sq))))
     return [run_check(name, snap) for name in checks]

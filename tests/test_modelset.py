@@ -215,9 +215,16 @@ class TestEnumerate:
             assert golden_cmp(g.p - r_sq, g.q - r_sq, 0) <= 0
             assert img in larger
 
-    def test_deterministic_order(self):
-        a = coord_list(enumerate_points(9))
-        b = coord_list(enumerate_points(9))
+    # the TestSplitMemo cases too: M large, w != 1, and M = 0 (key base B = 1)
+    @pytest.mark.parametrize("r_sq, w", [
+        (9, 1), (0, 1), (Fraction(1, 1000), 1), (Fraction(73, 2), Fraction(49, 4)),
+        (400, Fraction(1, 5)), (6400, 1), (10 ** 4, Fraction(1, 100)),
+        (Fraction(1, 100), 10 ** 4)],
+        ids=["9-1", "0-1", "1/1000-1", "73/2-49/4", "400-1/5", "6400-1", "10^4-1/100",
+             "1/100-10^4"])
+    def test_deterministic_order(self, r_sq, w):
+        a = coord_list(enumerate_points(r_sq, Window(w)))
+        b = coord_list(enumerate_points(r_sq, Window(w)))
         assert a == b == sorted(a, key=lambda c: (sum(
             5 * x * x for x in c) - sum(c) ** 2, c))  # Q then lex, doubled Q is fine
 
@@ -476,6 +483,47 @@ class TestAnalyze:
         with pytest.raises(ValueError):
             analyze(Snapshot(snap.window, snap.radius_sq, snap.points + [one]))
 
+    def test_fills_its_own_records(self):
+        snap = enumerate_points(25)
+        records = list(snap.points)
+        assert analyze(snap) is snap
+        assert all(a is b for a, b in zip(snap.points, records, strict=True))
+        assert any(p.dist_class != "unknown" for p in records)
+
+    def test_reanalysis_overwrites_stale_fields(self):
+        # re-analysing after dropping the ten roots (as _missing_orbit does)
+        # equals analysing fresh records; stale results, None and "unknown"
+        # included, are overwritten
+        roots = set(TENTH_ROOTS)
+        snap = analyze(enumerate_points(25))
+        holed = Snapshot(snap.window, snap.radius_sq,
+                         [p for p in snap.points if p.coords not in roots])
+        inner = [p for p in holed.points if p.dist_class != "unknown"]
+        outer = [p for p in holed.points if p.dist_class == "unknown"]
+        assert inner and outer
+        inner[0].min_dist_sq, inner[0].dist_class = None, "unknown"
+        outer[0].min_dist_sq, outer[0].dist_class = GoldenInt(1, 0), "short"
+        fresh = Snapshot(holed.window, holed.radius_sq,
+                         [_record(p.coords) for p in holed.points])
+        got = analyze(holed)
+        assert [(p.min_dist_sq, p.dist_class) for p in got.points] == \
+               [(p.min_dist_sq, p.dist_class) for p in analyze(fresh).points]
+        origin = next(p for p in got.points if p.coords == ZERO)
+        assert (origin.min_dist_sq, origin.dist_class) == (GoldenInt(1, 1), "other")
+
+    @pytest.mark.parametrize("analysed", [False, True])
+    def test_repeated_point_writes_no_record(self, analysed):
+        snap = enumerate_points(25)
+        if analysed:
+            snap = analyze(snap)
+        before = [(p.min_dist_sq, p.dist_class) for p in snap.points]
+        one = next(p for p in snap.points if p.coords == ONE)
+        with pytest.raises(ValueError) as err:
+            analyze(Snapshot(snap.window, snap.radius_sq, snap.points + [_record(ONE)]))
+        assert str(err.value) == f"point {ONE} appears more than once in the snapshot"
+        assert [(p.min_dist_sq, p.dist_class) for p in snap.points] == before
+        assert one.dist_class == ("short" if analysed else "unknown")
+
     def test_inner_margin(self):
         # a point is classified iff its unit neighborhood fits in the disc
         snap = analyze(enumerate_points(9))
@@ -564,6 +612,22 @@ class TestNoRingObjectPerPoint:
             buf.seek(0)
             assert len(read_snapshot(buf).points) == 1411
         assert built == {CycInt: 0, GoldenInt: 0}
+
+    def test_one_record_per_point(self, monkeypatch):
+        # enumerate_points builds each record once; analyze builds none
+        displacement_candidates(Window())
+        calls = []
+        init = PointRecord.__init__
+
+        def counting(self, *args, **kwargs):
+            calls.append(self)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(PointRecord, "__init__", counting)
+        snap = enumerate_points(400)
+        assert len(calls) == len(snap.points) == 1411
+        assert set(map(id, calls)) == set(map(id, snap.points))
+        calls.clear()
+        assert analyze(snap) is snap and calls == []
 
 
 class TestOneDecisionPerValue:

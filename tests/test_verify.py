@@ -416,9 +416,10 @@ class TestRotation:
         assert 0 < len(lookups) <= 2 * n
 
     def test_mutated_point_fails(self, snap25):
-        pts = list(snap25.points)
-        idx = next(i for i, p in enumerate(pts)
+        # fresh records, as analyze fills in place the records it is given
+        idx = next(i for i, p in enumerate(snap25.points)
                    if p.dist_class != "unknown" and any(p.coords))
+        pts = [make_record(p.coords) for p in snap25.points]
         pts[idx] = make_record(ring_add(pts[idx].coords, EPSILON))
         assert not verify_rotation(Snapshot(snap25.window, snap25.radius_sq,
                                             pts)).passed
@@ -465,9 +466,10 @@ class TestTwoDistance:
         assert one.min_dist_sq == GoldenInt(2, -1)
 
     def test_mutated_point_fails(self, snap25):
-        pts = list(snap25.points)
-        idx = next(i for i, p in enumerate(pts)
+        # fresh records, as analyze fills in place the records it is given
+        idx = next(i for i, p in enumerate(snap25.points)
                    if p.dist_class != "unknown" and any(p.coords))
+        pts = [make_record(p.coords) for p in snap25.points]
         pts[idx] = make_record(ring_add(pts[idx].coords, EPSILON))
         mutated = analyze(Snapshot(snap25.window, snap25.radius_sq, pts))
         assert not verify_two_distance(mutated).passed
@@ -475,7 +477,7 @@ class TestTwoDistance:
     def test_missing_orbit_fails(self, snap25):
         # without the ten points +-zeta^k the origin's nearest neighbor in
         # the snapshot is at distance phi, which is neither class
-        pts = [p for p in snap25.points
+        pts = [make_record(p.coords) for p in snap25.points
                if p.coords not in set(TENTH_ROOTS)]
         assert len(pts) == 91
         holed = analyze(Snapshot(snap25.window, snap25.radius_sq, pts))
