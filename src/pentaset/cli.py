@@ -7,6 +7,7 @@ violation, 2 usage error, 3 I/O error, 4 arithmetic overflow.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from contextlib import contextmanager
@@ -107,6 +108,9 @@ def run_cli(argv) -> int:
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
 
+    # a run's objects die by reference counts or live to its end: no cycles to find
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return _dispatch(cfg)
     except OverflowError as e:
@@ -118,6 +122,9 @@ def run_cli(argv) -> int:
     except SearchRangeError as e:
         print(f"pentaset: error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _dispatch(cfg: argparse.Namespace) -> int:

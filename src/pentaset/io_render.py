@@ -73,16 +73,34 @@ _RECORD = re.compile("".join(_FIELD[t] if k % 2 else re.escape(t) for k, t in
                              enumerate(re.split(r"(%d|%\.17g|%s)", _LAYOUTS["jsonl"][1]))))
 
 
+# The layouts with each float as %s, filled from a _Floats memo
+_WRITTEN = {f: (h, r.replace("%.17g", "%s")) for f, (h, r) in _LAYOUTS.items()}
+_CHUNK = 4096  # records per write, so that the output is never held whole
+
+
+class _Floats(dict):
+    """"%.17g" % x, formatted once per write for each x: a model set's x and y repeat.
+    Equal keys print alike but 0.0 and -0.0, so no zero is stored; a NaN hits only itself."""
+
+    def __missing__(self, x):
+        text = "%.17g" % x
+        if x:
+            self[x] = text
+        return text
+
+
 def write_snapshot(snapshot: Snapshot, fmt: str, destination) -> None:
     """Write one record per point in canonical order, preceded by a header
     carrying R^2, w, and the tool version.  destination is a text stream."""
-    if fmt not in _LAYOUTS:
+    if fmt not in _WRITTEN:
         raise ValueError(f"unsupported format {fmt!r}")
-    header, record = _LAYOUTS[fmt]
+    header, record = _WRITTEN[fmt]
     destination.write(header % {"radius_sq": snapshot.radius_sq,
                                 "window_sq": snapshot.window.w, "version": __version__})
-    destination.write("".join([record % (*p.coords, p.x, p.y, *p.iabs, p.dist_class)
-                               for p in snapshot.points]))
+    text, points = _Floats(), snapshot.points
+    for i in range(0, len(points), _CHUNK):
+        destination.write("".join([record % (*p.coords, text[p.x], text[p.y], *p.iabs,
+                                             p.dist_class) for p in points[i:i + _CHUNK]]))
 
 
 def _add_record(points: list, seen: set, inside, lineno, c, x, y, iabs, cls) -> None:

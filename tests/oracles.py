@@ -23,7 +23,7 @@ from pentaset.cyclotomic import (
     golden_cmp,
     quad_form,
 )
-from pentaset.io_render import CSV_COLUMNS, write_snapshot
+from pentaset.io_render import _LAYOUTS, CSV_COLUMNS, write_snapshot
 from pentaset.modelset import (
     DIST_UNKNOWN,
     PointRecord,
@@ -320,6 +320,15 @@ def snapshot_to_jsonl_bytes(snapshot: Snapshot) -> bytes:
     buf = io.StringIO()
     write_snapshot(snapshot, "jsonl", buf)
     return buf.getvalue().encode("utf-8")
+
+
+def written_snapshot(snapshot: Snapshot, fmt: str) -> str:
+    """write_snapshot's text without its memo or chunks: the header, then one
+    layout % fields per record, joined."""
+    header, record = _LAYOUTS[fmt]
+    return header % {"radius_sq": snapshot.radius_sq, "window_sq": snapshot.window.w,
+                     "version": __version__} + "".join(
+        [record % (*p.coords, p.x, p.y, *p.iabs, p.dist_class) for p in snapshot.points])
 
 
 def snapshot_header(snapshot: Snapshot, fmt: str) -> str:

@@ -1,11 +1,14 @@
 """CLI behavior: subcommand plumbing, exit codes, reproducibility."""
 
+import gc
 import json
 from xml.etree import ElementTree
 
 import pytest
 
+from pentaset import cli
 from pentaset.cli import (
+    EXIT_IO,
     EXIT_OK,
     EXIT_OVERFLOW,
     EXIT_USAGE,
@@ -252,3 +255,50 @@ class TestRender:
         captured = capsys.readouterr()
         assert code == EXIT_USAGE and captured.out == ""
         assert "canvas must be positive" in captured.err
+
+
+class TestCollector:
+    """run_cli turns the cyclic collector off while a command runs and
+    gives the caller back its own setting, however the command ends."""
+
+    @pytest.fixture(params=[True, False], ids=["caller-on", "caller-off"])
+    def caller(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """gc.isenabled() at each enumerate_points call of the command."""
+        states, real = [], cli.enumerate_points
+
+        def observing(*args):
+            states.append(gc.isenabled())
+            return real(*args)
+        monkeypatch.setattr(cli, "enumerate_points", observing)
+        return states
+
+    @pytest.mark.parametrize("argv, code", [
+        (["generate", "--radius", "2"], EXIT_OK),
+        (["generate", "--radius-sq", "1", "--window-sq", "10000000"], EXIT_USAGE),
+        (["analyze", "--radius", "2", "--out", "{tmp}"], EXIT_IO),
+    ], ids=["exit-0", "exit-2", "exit-3"])
+    def test_off_inside_and_restored(self, capsys, tmp_path, caller, seen, argv, code):
+        assert run_cli([a.format(tmp=tmp_path) for a in argv]) == code
+        capsys.readouterr()
+        assert seen == [False] and gc.isenabled() == caller
+
+    def test_restored_when_an_exception_escapes(self, capsys, monkeypatch, caller, seen):
+        def failing(*args):
+            seen.append(gc.isenabled())
+            raise RuntimeError("boom")
+        monkeypatch.setattr(cli, "enumerate_points", failing)
+        with pytest.raises(RuntimeError, match="boom"):
+            run_cli(["stats", "--radius", "2"])
+        capsys.readouterr()
+        assert seen == [False] and gc.isenabled() == caller
+
+    def test_parse_error_leaves_it_alone(self, caller, seen):
+        assert run_cli(["generate"]) == EXIT_USAGE
+        assert seen == [] and gc.isenabled() == caller

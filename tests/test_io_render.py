@@ -32,7 +32,7 @@ from pentaset.modelset import (
     enumerate_points,
 )
 
-from oracles import snapshot_header, snapshot_to_jsonl_bytes
+from oracles import snapshot_header, snapshot_to_jsonl_bytes, written_snapshot
 
 
 def roundtrip(snapshot, fmt):
@@ -104,6 +104,73 @@ class TestRoundTrip:
         buf = io.StringIO()
         write_snapshot(snap, fmt, buf)
         assert buf.getvalue() == snapshot_header(snap, fmt)
+
+
+def _records_with_floats(pairs):
+    """A hand-built snapshot with one record per (x, y) pair, at made-up
+    coordinates: the writer checks nothing."""
+    return Snapshot(Window(), Fraction(4), [
+        PointRecord((k, -k, 0, 1), (k, 2 * k), x, y, None, DIST_CLASSES[k % len(DIST_CLASSES)])
+        for k, (x, y) in enumerate(pairs)])
+
+
+_NASTY_FLOATS = [(0.5, 0.5), (0.5, -0.25), (-0.25, 0.5), (0.0, -0.0), (-0.0, 0.0),
+                 (0.0, 0.0), (-0.0, -0.0), (0.0, -0.0), (math.nan, math.nan),
+                 (-math.nan, 1.5), (math.inf, -math.inf), (-math.inf, math.inf),
+                 (5e-324, -5e-324), (5e-324, 5e-324), (1.5, 0.1 + 0.2), (0.1 + 0.2, 1.5),
+                 (0, 1), (1, 1.0), (1.0, 1), (-0.0, 0)]
+
+
+class TestWriterOracle:
+    """write_snapshot, with its float memo and its chunks of io_render._CHUNK
+    records, writes the bytes of one layout % fields per record
+    (oracles.written_snapshot)."""
+
+    @staticmethod
+    def _writes(snapshot, fmt):
+        writes = []
+        destination = mock.Mock(write=writes.append)
+        write_snapshot(snapshot, fmt, destination)
+        return writes
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("make", [
+        lambda: _records_with_floats(_NASTY_FLOATS),
+        lambda: analyze(enumerate_points(1600)),
+        lambda: analyze(enumerate_points(Fraction(73, 2), Window(Fraction(49, 4)))),
+    ], ids=["hand-built", "1600", "73/2,49/4"])
+    def test_bytes_match_the_oracle(self, fmt, make):
+        snap = make()
+        writes = self._writes(snap, fmt)
+        assert "".join(writes) == written_snapshot(snap, fmt)
+        # the header, then one write per chunk of at most _CHUNK records
+        chunks = [len(snap.points[i:i + io_render._CHUNK])
+                  for i in range(0, len(snap.points), io_render._CHUNK)]
+        assert [w.count("\n") for w in writes[1:]] == chunks
+
+    def test_two_chunks_at_1600(self):
+        assert len(enumerate_points(1600).points) == 5641 > io_render._CHUNK == 4096
+
+
+class TestWriterWork:
+    def test_each_distinct_float_formatted_once(self, monkeypatch):
+        # at R^2 = 1600 the 5641 points' 11282 coordinates x and y hold 2072
+        # distinct nonzero floats and 10 zeros: 2082 formats, not 11282
+        misses = []
+
+        class Counting(io_render._Floats):
+            def __missing__(self, x):
+                misses.append(x)
+                return super().__missing__(x)
+        monkeypatch.setattr(io_render, "_Floats", Counting)
+        snap = enumerate_points(1600)
+        values = [v for p in snap.points for v in (p.x, p.y)]
+        for fmt in ("jsonl", "csv"):
+            misses.clear()
+            write_snapshot(snap, fmt, io.StringIO())
+            assert len(values) == 11282 and len(misses) == 2082
+            assert sorted(v for v in misses if v) == sorted({v for v in values if v})
+            assert [v for v in misses if not v] == [v for v in values if not v]
 
 
 class TestValidation:
