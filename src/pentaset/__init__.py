@@ -3,12 +3,7 @@ of fifth-cyclotomic integers whose Galois conjugate stays in a disc."""
 
 __version__ = "0.1.0"
 
-from .cyclotomic import (  # noqa: F401
-    CycInt,
-    GoldenInt,
-    embed_approx,
-    golden_cmp,
-)
+from .cyclotomic import embed_approx, golden_cmp  # noqa: F401
 from .modelset import (  # noqa: F401
     PointRecord,
     Snapshot,

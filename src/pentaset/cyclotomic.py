@@ -21,14 +21,13 @@ class ArithmeticConsistencyError(RuntimeError):
 
 
 class _Value:
-    """Equal within one class by _key, by default its public slots' values; a
-    _Frozen one also hashes by _key and refuses to assign or delete any attribute."""
+    """Equal within one class by _key, its public slots' values; a _Frozen
+    one also hashes by _key and refuses to assign or delete any attribute."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        if "_key" not in cls.__slots__:
-            cls._key = property(attrgetter(*[k for k in cls.__slots__ if k[0] != "_"]))
+        cls._key = property(attrgetter(*[k for k in cls.__slots__ if k[0] != "_"]))
 
     def __eq__(self, other):
         return self._key == other._key if other.__class__ is self.__class__ else NotImplemented
@@ -51,8 +50,8 @@ class CycInt(tuple):
 
     The basis (1, zeta, zeta^2, zeta^3) is a Z-basis, so equality of
     coordinates is equality of ring elements.  The package computes on
-    plain coordinate tuples; this tuple subclass views one for PointRecord.z,
-    which perfbench reads.  The ring operations are in tests/oracles.py.
+    plain coordinate tuples; this tuple subclass views one as PointRecord.z,
+    and only perfbench builds it.  The ring operations are in tests/oracles.py.
     """
 
     __slots__ = ()
@@ -79,20 +78,14 @@ TENTH_ROOTS = tuple(z for p in ZETA_POWERS for z in (p, tuple(-a for a in p)))
 
 
 class GoldenInt(_Frozen, _Value):
-    """The real number p + q*phi with phi = (1 + sqrt(5))/2; phi^2 = phi + 1."""
+    """The real number p + q*phi with phi = (1 + sqrt(5))/2; phi^2 = phi + 1.
+    The package keeps it as a plain (p, q) pair; only perfbench builds this view."""
 
-    __slots__ = ("p", "q", "_key")  # _key stored: two-distance hashes one per point
+    __slots__ = ("p", "q")
 
     def __init__(self, p: int, q: int):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "_key", (p, q))
-
-
-#: squared short distance (phi - 1)^2 = 2 - phi
-SHORT_DIST_SQ = GoldenInt(2, -1)
-#: squared long distance 1
-LONG_DIST_SQ = GoldenInt(1, 0)
 
 
 def sqrt5_sign(a: int, b: int) -> int:
@@ -146,7 +139,7 @@ def norm_coords(a0: int, a1: int, a2: int, a3: int) -> int:
     return p * r + q * s
 
 
-def embed_approx(z: tuple[int, int, int, int] | CycInt) -> complex:
+def embed_approx(z: tuple[int, int, int, int]) -> complex:
     """Double-precision value of z in the plane, zeta = exp(2*pi*i/5).
 
     Relative error is far below 1e-12 for coordinates up to 1e6.

@@ -14,25 +14,16 @@ from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from itertools import chain, islice
 
-from .cyclotomic import (
-    CycInt,
-    GoldenInt,
-    abs_sq_coords,
-    embed_approx,
-    golden_cmp,
-    sqrt5_sign,
-    LONG_DIST_SQ,
-    SHORT_DIST_SQ,
-)
-from .cyclotomic import _Frozen, _Value
+from .cyclotomic import CycInt, _Frozen, _Value, abs_sq_coords, embed_approx, golden_cmp, sqrt5_sign
 
 Coords = tuple[int, int, int, int]
 
 #: the nearest-neighbour classes; a point nearer the rim than 1 is "unknown"
 DIST_SHORT, DIST_LONG, DIST_OTHER, DIST_UNKNOWN = DIST_CLASSES = (
     "short", "long", "other", "unknown")
-#: the class of each of the two nearest distances; any other is DIST_OTHER
-DIST_CLASS_OF = {SHORT_DIST_SQ: DIST_SHORT, LONG_DIST_SQ: DIST_LONG}
+#: the class of each of the two nearest squared distances, as (p, q) pairs:
+#: short (phi - 1)^2 = 2 - phi and long 1; any other is DIST_OTHER
+DIST_CLASS_OF = {(2, -1): DIST_SHORT, (1, 0): DIST_LONG}
 
 
 class Window(_Frozen, _Value):
@@ -53,12 +44,13 @@ class Window(_Frozen, _Value):
 
 class PointRecord(_Value):
     """One point z: its coordinates, |sigma(z)|^2 as a (p, q) pair, its
-    place (x, y) in the plane, and the nearest-neighbour result of analyze."""
+    place (x, y) in the plane, and the nearest-neighbour result of analyze:
+    the squared distance as a (p, q) pair, or None, and its class."""
 
     __slots__ = ("coords", "iabs", "x", "y", "min_dist_sq", "dist_class")
 
     def __init__(self, coords: Coords, iabs: tuple[int, int], x: float, y: float,
-                 min_dist_sq: GoldenInt | None = None, dist_class: str = DIST_UNKNOWN):
+                 min_dist_sq: tuple[int, int] | None = None, dist_class: str = DIST_UNKNOWN):
         self.coords = coords
         self.iabs = iabs
         self.x = x
@@ -262,6 +254,7 @@ def displacement_candidates(window: Window) -> list[tuple[Coords, tuple[int, int
     squared distance is at most phi^2k < L_2k (Lucas); L is the least such
     L_2k, capped at 4w * _MAX_RATIO (proven range) and at least 1.  A point
     with no hit is compared with every point, so L affects only the time.
+    Its search leaves the proven range exactly when w > _MAX_RATIO / 4 (L = 1).
     The lists of the last eight windows are kept, so that the calls at one
     window build the list once.
     """
@@ -269,8 +262,13 @@ def displacement_candidates(window: Window) -> list[tuple[Coords, tuple[int, int
     while w * (lucas - 1) < 1:
         lucas, step = step, 3 * step - lucas
     length = Fraction(max(1, min(lucas, 4 * w * _MAX_RATIO)) if w < 1 else 1)
-    out = [(coords, phys) for coords, phys, _ in _members(length, window.diam_sq)
-           if coords != (0, 0, 0, 0)]
+    try:
+        out = [(coords, phys) for coords, phys, _ in _members(length, window.diam_sq)
+               if coords != (0, 0, 0, 0)]
+    except SearchRangeError as e:  # name the caller's w, not this search's (L, 4w)
+        raise SearchRangeError(
+            f"w = {brief_rational(w)} is outside the range its displacement list "
+            f"is proven complete for (w <= {_MAX_RATIO // 4})") from e
 
     def cmp(a, b):
         (p, q), (r, s) = a[1], b[1]
@@ -325,9 +323,11 @@ def _walk(ds: list, b: int) -> list:
             if max(abs(d0), abs(d1), abs(d2), abs(d3)) <= reach]
 
 
-def classify_distance(d_sq: GoldenInt) -> str:
-    if golden_cmp(d_sq.p, d_sq.q, 0) <= 0:
-        raise ValueError(f"squared distance must be positive, got ({d_sq.p},{d_sq.q})")
+def classify_distance(d_sq: tuple[int, int]) -> str:
+    """The class of the squared distance p + q*phi, given as (p, q)."""
+    p, q = d_sq
+    if golden_cmp(p, q, 0) <= 0:
+        raise ValueError(f"squared distance must be positive, got ({p},{q})")
     return DIST_CLASS_OF.get(d_sq, DIST_OTHER)
 
 
@@ -385,14 +385,15 @@ def analyze(snapshot: Snapshot) -> Snapshot:
     squared distance to the nearest other point of this snapshot (_nearest),
     whatever the snapshot holds.  A repeated inner point, at distance 0 from
     its copy, raises ValueError before any record is written.  Each distinct
-    |z|^2 and min_dist_sq is tested once; records share that frozen GoldenInt.
+    |z|^2 and min_dist_sq is tested once.  min_dist_sq is the (p, q) pair
+    _nearest returns, so the records share the displacement list's pairs.
     """
     radius_sq = snapshot.radius_sq
     coords, phys, keys, good, bad, b = _split(snapshot)
     walk = _walk(displacement_candidates(snapshot.window), b)
     inner = _Memo(lambda p, q: _is_inner(p, q, radius_sq.numerator, radius_sq.denominator))
-    nearest = _Memo(lambda p, q: ((g := GoldenInt(p, q)), classify_distance(g)))
-    nearest[None] = None, DIST_UNKNOWN  # not inner, or no other point
+    classes = _Memo(lambda p, q: classify_distance((p, q)))
+    classes[None] = DIST_UNKNOWN  # not inner, or no other point
     # a repeated point is bad, as its key occurs twice: so the bad points first
     found = {i: _nearest(i, coords, keys, good, bad, walk) for i in bad if inner[phys[i]]}
     for i, best in found.items():
@@ -401,7 +402,7 @@ def analyze(snapshot: Snapshot) -> Snapshot:
     for i, rec in enumerate(snapshot.points):
         best = found[i] if i in found else \
             _nearest(i, coords, keys, good, bad, walk) if inner[phys[i]] else None
-        rec.min_dist_sq, rec.dist_class = nearest[best]
+        rec.min_dist_sq, rec.dist_class = best, classes[best]
     return snapshot
 
 

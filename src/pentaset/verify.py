@@ -254,7 +254,7 @@ def verify_two_distance(snapshot: Snapshot) -> VerificationReport:
         counts[cls] += 1
         if cls == DIST_OTHER:
             violations.append({"point": list(p.coords),
-                               "min_dist_sq": [p.min_dist_sq.p, p.min_dist_sq.q]})
+                               "min_dist_sq": list(p.min_dist_sq)})
     both_required = snapshot.radius_sq >= 4
     both_present = all(counts[c] > 0 for c in DIST_CLASS_OF.values())
     if both_required and not both_present:

@@ -17,7 +17,6 @@ from fractions import Fraction
 from pentaset import __version__
 from pentaset.cyclotomic import (
     ArithmeticConsistencyError,
-    GoldenInt,
     abs_sq_coords,
     embed_approx,
     golden_cmp,
@@ -85,8 +84,8 @@ def galois_apply(z: tuple, k: int) -> tuple:
     return (acc[0] - e, acc[1] - e, acc[2] - e, acc[3] - e)
 
 
-def _to_golden(w: tuple) -> GoldenInt:
-    """Convert a totally real element to Z[phi].
+def _to_golden(w: tuple) -> tuple[int, int]:
+    """Convert a totally real element to Z[phi], as the pair (p, q) of p + q*phi.
 
     Real elements have coordinates (a0, 0, a2, a2): a0 + a2*(zeta^2 + zeta^3)
     with zeta^2 + zeta^3 = -phi.
@@ -95,10 +94,10 @@ def _to_golden(w: tuple) -> GoldenInt:
     if a1 != 0 or a2 != a3:
         raise ArithmeticConsistencyError(
             f"element {w} is not fixed by complex conjugation")
-    return GoldenInt(a0, -a2)
+    return a0, -a2
 
 
-def abs_sq(z: tuple, which: str = "physical") -> GoldenInt:
+def abs_sq(z: tuple, which: str = "physical") -> tuple[int, int]:
     """Squared modulus by ring multiplication.
 
     physical: |z|^2 = z * conj(z); internal: |sigma(z)|^2 with sigma the
@@ -123,21 +122,22 @@ def field_norm(z: tuple) -> int:
     return w[0]
 
 
-def golden_add(g: GoldenInt, h: GoldenInt) -> GoldenInt:
-    return GoldenInt(g.p + h.p, g.q + h.q)
+def golden_add(g: tuple[int, int], h: tuple[int, int]) -> tuple[int, int]:
+    return g[0] + h[0], g[1] + h[1]
 
 
-def golden_mul(g: GoldenInt, h: GoldenInt) -> GoldenInt:
+def golden_mul(g: tuple[int, int], h: tuple[int, int]) -> tuple[int, int]:
     # phi^2 = phi + 1
-    return GoldenInt(g.p * h.p + g.q * h.q, g.p * h.q + g.q * h.p + g.q * h.q)
+    (p, q), (r, s) = g, h
+    return p * r + q * s, p * s + q * r + q * s
 
 
-def golden_cmp_golden(g: GoldenInt, h: GoldenInt) -> int:
-    return golden_cmp(g.p - h.p, g.q - h.q, 0)
+def golden_cmp_golden(g: tuple[int, int], h: tuple[int, int]) -> int:
+    return golden_cmp(g[0] - h[0], g[1] - h[1], 0)
 
 
-def golden_to_float(g: GoldenInt) -> float:
-    p, q = g.p, g.q
+def golden_to_float(g: tuple[int, int]) -> float:
+    p, q = g
     if (p >= 0) == (q >= 0):
         return float(p) + float(q) * PHI
     # p and q*phi nearly cancel; divide the exact norm by the conjugate
@@ -350,7 +350,7 @@ def snapshot_header(snapshot: Snapshot, fmt: str) -> str:
     return buf.getvalue()
 
 
-def nearest_in_snapshot(snapshot: Snapshot) -> list[tuple[GoldenInt | None, str]]:
+def nearest_in_snapshot(snapshot: Snapshot) -> list[tuple[tuple[int, int] | None, str]]:
     """(min_dist_sq, dist_class) per point, from every pair: the exact squared
     distance from each inner point to the nearest other point of the
     snapshot; other points, and an inner point with no other point, get
@@ -365,7 +365,7 @@ def nearest_in_snapshot(snapshot: Snapshot) -> list[tuple[GoldenInt | None, str]
         if best is None:
             out.append((None, DIST_UNKNOWN))
         else:
-            out.append((GoldenInt(*best), classify_distance(GoldenInt(*best))))
+            out.append((best, classify_distance(best)))
     return out
 
 
@@ -411,7 +411,7 @@ def separation(snapshot: Snapshot) -> VerificationReport:
                                    "dist_sq": [p, q]})
             if golden_cmp(p, q, strong.numerator, strong.denominator) < 0:
                 strong_violations += 1
-            if min_pq is None or golden_cmp_golden(GoldenInt(p, q), GoldenInt(*min_pq)) < 0:
+            if min_pq is None or golden_cmp_golden((p, q), min_pq) < 0:
                 min_pq = (p, q)
     return VerificationReport(
         "separation", not violations, tested, violations, _params(snapshot),
@@ -464,8 +464,8 @@ def step_existence(snapshot: Snapshot) -> VerificationReport:
     for p in snapshot.points:
         stays = []
         for mu in roots:
-            g = abs_sq(ring_add(p.coords, mu), "internal")
-            stays.append(golden_cmp(g.p, g.q, w.numerator, w.denominator) <= 0)
+            g, h = abs_sq(ring_add(p.coords, mu), "internal")
+            stays.append(golden_cmp(g, h, w.numerator, w.denominator) <= 0)
         if not any(stays):
             violations.append({"point": list(p.coords)})
     return VerificationReport("step-existence", not violations, len(snapshot.points),

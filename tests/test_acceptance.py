@@ -15,7 +15,6 @@ import mpmath
 import pytest
 
 from pentaset.cyclotomic import (
-    GoldenInt,
     TENTH_ROOTS,
     abs_sq_coords,
     embed_approx,
@@ -85,9 +84,9 @@ def test_02_tightness():
         classes = stats(snap)["classes"]
         assert classes["short"] > 0 and classes["long"] > 0
         z1, z2 = (1, 0, 0, 0), (0, 0, -1, -1)
-        assert abs_sq(ring_sub(z1, z2), "physical") == GoldenInt(2, -1)
+        assert abs_sq(ring_sub(z1, z2), "physical") == (2, -1)
         origin = next(p for p in snap.points if p.coords == ZERO)
-        assert origin.min_dist_sq == GoldenInt(1, 0)
+        assert origin.min_dist_sq == (1, 0)
 
 
 def test_03_separation(snap400):
@@ -164,8 +163,7 @@ def test_09_randomized_arithmetic():
             assert field_norm(ring_mul(x, y)) == field_norm(x) * field_norm(y)
         for _ in range(2000):  # |z|^2 + |sigma(z)|^2 = Q(a)
             z = rand_cyc(10**4)
-            total = golden_add(abs_sq(z, "physical"), abs_sq(z, "internal"))
-            assert total.q == 0 and total.p == quad_form(*z)
+            assert golden_add(abs_sq(z, "physical"), abs_sq(z, "internal")) == (quad_form(*z), 0)
         with mpmath.workdps(60):  # exact comparison vs 60-digit floats
             phi = (1 + mpmath.sqrt(5)) / 2
             for _ in range(2000):
@@ -183,7 +181,7 @@ def test_10_float_consistency():
             a = tuple(rng.randint(-10**4, 10**4) for _ in range(4))
             phys, intr = abs_sq_coords(*a)
             for image, pq in ((a, phys), (galois_apply(a, 2), intr)):
-                exact = golden_to_float(GoldenInt(*pq))
+                exact = golden_to_float(pq)
                 approx = abs(embed_approx(image)) ** 2
                 assert math.isclose(approx, exact, rel_tol=1e-9, abs_tol=1e-9)
 

@@ -72,6 +72,17 @@ class TestParsing:
         assert "proven complete" in captured.err
 
     @pytest.mark.parametrize("argv", [
+        ["stats"], ["verify", "--check", "rotation"], ["render", "--color-classes"]],
+        ids=["stats", "verify-rotation", "render-color-classes"])
+    def test_displacement_list_out_of_range_names_the_window(self, capsys, argv):
+        # the set is the origin alone; the search for its displacement list,
+        # at R^2 = 1 and window 4w = 1000004, is what leaves the proven range
+        code = run_cli(argv + ["--radius-sq", "1/1000000", "--window-sq", "250001"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert "w = 250001 " in captured.err and "1000004" not in captured.err
+
+    @pytest.mark.parametrize("argv", [
         ["stats", "--radius-sq", "1e4300"],
         ["stats", "--radius-sq", "1e-4300"],
         ["verify", "--radius", "1", "--window-sq", "1e-5000"],

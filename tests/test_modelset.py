@@ -202,6 +202,12 @@ class TestEnumerate:
         with pytest.raises(SearchRangeError, match="proven complete"):
             enumerate_points(r_sq, Window(w))
 
+    def test_displacement_list_outside_proven_range_names_w(self):
+        with pytest.raises(SearchRangeError, match=r"^w = 250001 .*\(w <= 250000\)$") as e:
+            displacement_candidates(Window(250001))
+        assert isinstance(e.value.__cause__, SearchRangeError)
+        assert "w = 1000004" in str(e.value.__cause__)
+
     def test_unit_scaling_maps_into_larger_disc(self):
         # eps^-1 scales physical space by phi and internal space by 1/phi,
         # so eps^-1 * S(R) lies in S(R') for R'^2 >= phi^2 R^2
@@ -210,9 +216,9 @@ class TestEnumerate:
         larger = set(coord_list(enumerate_points(r2_sq)))
         for c in coord_list(enumerate_points(r_sq)):
             img = ring_mul(EPSILON_INV, c)
-            g = abs_sq(img, "physical")
+            p, q = abs_sq(img, "physical")
             # |eps^-1 z|^2 <= phi^2 R^2 = R^2 + R^2 phi, exactly
-            assert golden_cmp(g.p - r_sq, g.q - r_sq, 0) <= 0
+            assert golden_cmp(p - r_sq, q - r_sq, 0) <= 0
             assert img in larger
 
     # the TestSplitMemo cases too: M large, w != 1, and M = 0 (key base B = 1)
@@ -240,10 +246,10 @@ def _min_dist_sq(snap, z):
 
 class TestMinDistance:
     def test_origin(self, analyzed25):
-        assert _min_dist_sq(analyzed25, ZERO) == GoldenInt(1, 0)
+        assert _min_dist_sq(analyzed25, ZERO) == (1, 0)
 
     def test_one(self, analyzed25):
-        assert _min_dist_sq(analyzed25, ONE) == GoldenInt(2, -1)
+        assert _min_dist_sq(analyzed25, ONE) == (2, -1)
 
     def test_rotation_invariance(self, analyzed25):
         # |zeta z| = |z|, so an inner point's image is inner too
@@ -297,24 +303,24 @@ class TestMinDistance:
         cands = displacement_candidates(Window())
         assert all(d != (0, 0, 0, 0) for d, _ in cands)
         for (_, a), (_, b) in zip(cands, cands[1:]):
-            assert golden_cmp_golden(GoldenInt(*a), GoldenInt(*b)) <= 0
+            assert golden_cmp_golden(a, b) <= 0
 
 
 class TestClassify:
     def test_short(self):
-        assert classify_distance(GoldenInt(2, -1)) == "short"
+        assert classify_distance((2, -1)) == "short"
 
     def test_long(self):
-        assert classify_distance(GoldenInt(1, 0)) == "long"
+        assert classify_distance((1, 0)) == "long"
 
     def test_other(self):
-        assert classify_distance(GoldenInt(3, -1)) == "other"
+        assert classify_distance((3, -1)) == "other"
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            classify_distance(GoldenInt(0, 0))
+            classify_distance((0, 0))
         with pytest.raises(ValueError):
-            classify_distance(GoldenInt(-1, 0))
+            classify_distance((-1, 0))
 
 
 def _members_pm(r_sq, w) -> set:
@@ -502,14 +508,14 @@ class TestAnalyze:
         outer = [p for p in holed.points if p.dist_class == "unknown"]
         assert inner and outer
         inner[0].min_dist_sq, inner[0].dist_class = None, "unknown"
-        outer[0].min_dist_sq, outer[0].dist_class = GoldenInt(1, 0), "short"
+        outer[0].min_dist_sq, outer[0].dist_class = (1, 0), "short"
         fresh = Snapshot(holed.window, holed.radius_sq,
                          [_record(p.coords) for p in holed.points])
         got = analyze(holed)
         assert [(p.min_dist_sq, p.dist_class) for p in got.points] == \
                [(p.min_dist_sq, p.dist_class) for p in analyze(fresh).points]
         origin = next(p for p in got.points if p.coords == ZERO)
-        assert (origin.min_dist_sq, origin.dist_class) == (GoldenInt(1, 1), "other")
+        assert (origin.min_dist_sq, origin.dist_class) == ((1, 1), "other")
 
     @pytest.mark.parametrize("analysed", [False, True])
     def test_repeated_point_writes_no_record(self, analysed):
@@ -583,9 +589,8 @@ class TestSplitMemo:
 
 
 class TestNoRingObjectPerPoint:
-    """Points travel as coordinate tuples: enumerating, reading and writing
-    build no CycInt or GoldenInt, and analyze one GoldenInt per distinct
-    min_dist_sq, which the records share."""
+    """Points travel as coordinate tuples and distances as (p, q) pairs:
+    enumerating, analysing, reading and writing build no CycInt or GoldenInt."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -603,9 +608,7 @@ class TestNoRingObjectPerPoint:
         assert len(snap.points) == 1411
         assert built == {CycInt: 0, GoldenInt: 0}
         analyzed = analyze(snap)
-        distinct = {p.min_dist_sq for p in analyzed.points if p.min_dist_sq is not None}
-        assert built[CycInt] == 0 and 0 < built[GoldenInt] <= len(distinct)
-        built[GoldenInt] = 0
+        assert built == {CycInt: 0, GoldenInt: 0}
         for fmt in ("jsonl", "csv"):
             buf = io.StringIO()
             write_snapshot(analyzed, fmt, buf)

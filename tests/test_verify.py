@@ -1,5 +1,6 @@
 """Theorem-check tests: clean snapshots pass, seeded corruptions fail."""
 
+import io
 import itertools
 import json
 from fractions import Fraction
@@ -12,12 +13,12 @@ import oracles
 from oracles import EPSILON, EPSILON_INV, ONE, ZETA, ring_add, ring_mul, ring_sub
 from pentaset import modelset, verify
 from pentaset.cyclotomic import (
-    GoldenInt,
     TENTH_ROOTS,
     abs_sq_coords,
     embed_approx,
     norm_coords,
 )
+from pentaset.io_render import read_snapshot, write_snapshot
 from pentaset.modelset import (
     PointRecord,
     Snapshot,
@@ -459,11 +460,11 @@ class TestTwoDistance:
 
     def test_origin_min_is_long(self, snap25):
         origin = next(p for p in snap25.points if not any(p.coords))
-        assert origin.min_dist_sq == GoldenInt(1, 0)
+        assert origin.min_dist_sq == (1, 0)
 
     def test_one_min_is_short(self, snap25):
         one = next(p for p in snap25.points if p.coords == (1, 0, 0, 0))
-        assert one.min_dist_sq == GoldenInt(2, -1)
+        assert one.min_dist_sq == (2, -1)
 
     def test_mutated_point_fails(self, snap25):
         # fresh records, as analyze fills in place the records it is given
@@ -482,7 +483,7 @@ class TestTwoDistance:
         assert len(pts) == 91
         holed = analyze(Snapshot(snap25.window, snap25.radius_sq, pts))
         origin = next(p for p in holed.points if not any(p.coords))
-        assert origin.min_dist_sq == GoldenInt(1, 1)
+        assert origin.min_dist_sq == (1, 1)
         assert origin.dist_class == "other"
         r = verify_two_distance(holed)
         assert not r.passed
@@ -501,10 +502,22 @@ class TestTwoDistance:
     def test_nonpositive_distance_is_other(self, pq):
         # a hand-built record; classify_distance would reject the value
         rec = make_record((0, 0, 0, 0))
-        rec.min_dist_sq = GoldenInt(*pq)
+        rec.min_dist_sq = pq
         r = verify_two_distance(Snapshot(Window(), Fraction(0), [rec]))
         assert r.violations == [{"point": [0, 0, 0, 0], "min_dist_sq": list(pq)}]
         assert r.details["counts"] == {"short": 0, "long": 0, "other": 1}
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the reader does not restore min_dist_sq, so a snapshot "
+                              "read from disk fails with missing-distance-class")
+    def test_clean_snapshot_read_from_disk_passes(self, snap25):
+        passed = []
+        for fmt in ("jsonl", "csv"):
+            buf = io.StringIO()
+            write_snapshot(snap25, fmt, buf)
+            buf.seek(0)
+            passed.append(run_check("two-distance", read_snapshot(buf)).passed)
+        assert passed == [True, True]
 
 
 class TestStepExistence:
