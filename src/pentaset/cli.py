@@ -128,19 +128,11 @@ def run_cli(argv) -> int:
 
 
 def _dispatch(cfg: argparse.Namespace) -> int:
-    window = Window(cfg.window_sq)
     params = {"radius_sq": str(cfg.radius_sq), "window_sq": str(cfg.window_sq)}
     print(f"pentaset {cfg.subcommand}: radius_sq={brief_rational(cfg.radius_sq)} "
           f"window_sq={brief_rational(cfg.window_sq)}", file=sys.stderr)
 
-    if cfg.subcommand in ("generate", "analyze"):
-        snap = enumerate_points(cfg.radius_sq, window)
-        if cfg.subcommand == "analyze":
-            snap = analyze(snap)
-        with _open_out(cfg.out) as out:
-            write_snapshot(snap, cfg.format, out)
-        return EXIT_OK
-
+    doc, all_pass = None, True  # doc: the JSON line verify and stats write
     if cfg.subcommand == "verify":
         checks = CHECK_NAMES if cfg.check == "all" else (cfg.check,)
         reports = verify_all(cfg.radius_sq, cfg.window_sq, checks)
@@ -148,29 +140,22 @@ def _dispatch(cfg: argparse.Namespace) -> int:
         doc = {"parameters": params,
                "reports": [r.to_json_dict() for r in reports],
                "all_pass": all_pass}
-        with _open_out(cfg.out) as out:
+    else:  # one enumeration, analysed only where the output reads the classes
+        snap = enumerate_points(cfg.radius_sq, Window(cfg.window_sq))
+        if (cfg.subcommand in ("analyze", "stats")
+                or cfg.subcommand == "render" and cfg.color_classes):
+            analyze(snap)
+        if cfg.subcommand == "stats":
+            doc = {**stats(snap), **params}
+    with _open_out(cfg.out) as out:
+        if doc is not None:
             out.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
-        return EXIT_OK if all_pass else EXIT_VIOLATION
-
-    if cfg.subcommand == "stats":
-        snap = analyze(enumerate_points(cfg.radius_sq, window))
-        summary = {**stats(snap), **params}
-        with _open_out(cfg.out) as out:
-            out.write(json.dumps(summary, sort_keys=True, separators=(",", ":")) + "\n")
-        return EXIT_OK
-
-    if cfg.subcommand == "render":
-        snap = enumerate_points(cfg.radius_sq, window)
-        if cfg.color_classes:
-            snap = analyze(snap)
-        opts = RenderOptions(canvas=cfg.canvas,
-                             highlight_roots=cfg.highlight_roots,
-                             color_classes=cfg.color_classes)
-        with _open_out(cfg.out) as out:
-            out.write(render_svg(snap, opts))
-        return EXIT_OK
-
-    raise AssertionError(f"unreachable subcommand {cfg.subcommand}")
+        elif cfg.subcommand == "render":
+            out.write(render_svg(snap, RenderOptions(cfg.canvas, cfg.highlight_roots,
+                                                     cfg.color_classes)))
+        else:
+            write_snapshot(snap, cfg.format, out)
+    return EXIT_OK if all_pass else EXIT_VIOLATION
 
 
 def main() -> None:

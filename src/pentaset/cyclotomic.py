@@ -11,6 +11,7 @@ point only appears in embed_approx.
 from __future__ import annotations
 
 import cmath
+from functools import cmp_to_key
 from operator import attrgetter, itemgetter
 
 _ZETA_PHYSICAL = cmath.exp(2j * cmath.pi / 5)
@@ -110,6 +111,10 @@ def golden_cmp(p: int, q: int, num: int, den: int = 1) -> int:
     # den*(p + q*phi) - num = (2*den*p + den*q - 2*num + den*q*sqrt(5)) / 2
     dq = den * q
     return sqrt5_sign(2 * den * p + dq - 2 * num, dq)
+
+
+#: sort key of a (p, q) pair by the value p + q*phi, exactly
+_golden_key = cmp_to_key(lambda a, b: golden_cmp(a[0] - b[0], a[1] - b[1], 0))
 
 
 def abs_sq_coords(a0: int, a1: int, a2: int, a3: int) -> tuple[tuple[int, int], tuple[int, int]]:

@@ -11,10 +11,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache
+from functools import lru_cache
 from itertools import chain, islice
 
-from .cyclotomic import CycInt, _Frozen, _Value, abs_sq_coords, embed_approx, golden_cmp, sqrt5_sign
+from .cyclotomic import (CycInt, _Frozen, _golden_key, _Value, abs_sq_coords, embed_approx,
+                         golden_cmp, sqrt5_sign)
 
 Coords = tuple[int, int, int, int]
 
@@ -270,11 +271,7 @@ def displacement_candidates(window: Window) -> list[tuple[Coords, tuple[int, int
             f"w = {brief_rational(w)} is outside the range its displacement list "
             f"is proven complete for (w <= {_MAX_RATIO // 4})") from e
 
-    def cmp(a, b):
-        (p, q), (r, s) = a[1], b[1]
-        return golden_cmp(p - r, q - s, 0) or (-1 if a[0] < b[0] else 1)
-
-    out.sort(key=cmp_to_key(cmp))
+    out.sort(key=lambda e: (_golden_key(e[1]), e[0]))
     return out
 
 
@@ -394,14 +391,12 @@ def analyze(snapshot: Snapshot) -> Snapshot:
     inner = _Memo(lambda p, q: _is_inner(p, q, radius_sq.numerator, radius_sq.denominator))
     classes = _Memo(lambda p, q: classify_distance((p, q)))
     classes[None] = DIST_UNKNOWN  # not inner, or no other point
-    # a repeated point is bad, as its key occurs twice: so the bad points first
-    found = {i: _nearest(i, coords, keys, good, bad, walk) for i in bad if inner[phys[i]]}
-    for i, best in found.items():
-        if best == (0, 0):
-            raise ValueError(f"point {coords[i]} appears more than once in the snapshot")
-    for i, rec in enumerate(snapshot.points):
-        best = found[i] if i in found else \
-            _nearest(i, coords, keys, good, bad, walk) if inner[phys[i]] else None
+    found = [_nearest(i, coords, keys, good, bad, walk) if inner[m] else None
+             for i, m in enumerate(phys)]
+    if (0, 0) in found:
+        raise ValueError(f"point {coords[found.index((0, 0))]} appears more than once "
+                         "in the snapshot")
+    for rec, best in zip(snapshot.points, found):
         rec.min_dist_sq, rec.dist_class = best, classes[best]
     return snapshot
 

@@ -8,10 +8,11 @@ The pair checks' tested_count is the n(n-1)/2 pairs their verdict covers.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, cmp_to_key
+from functools import cache
 
 from .cyclotomic import (
     TENTH_ROOTS,
+    _golden_key,
     _Value,
     abs_sq_coords,
     golden_cmp,
@@ -94,8 +95,7 @@ def verify_separation(snapshot: Snapshot) -> VerificationReport:
         pq = _nearest(i, coords, keys, good, bad, walk)
         if pq is not None and below_weak[pq]:
             close.append(coords[i])
-    min_pq = min(below_weak, default=None,
-                 key=cmp_to_key(lambda a, b: golden_cmp(a[0] - b[0], a[1] - b[1], 0)))
+    min_pq = min(below_weak, default=None, key=_golden_key)
     violations = []
     for k, a in enumerate(close):
         for b in close[k + 1:]:

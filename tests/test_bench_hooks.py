@@ -1,12 +1,19 @@
-"""The benchmark's hooks into the package still resolve.
+"""The benchmark's hooks into the package still resolve, and still see
+every layer.
 
 perfbench/tracing.py and perfbench/run.py look package names up with
 getattr(..., None), so a renamed function would turn its metric into 0
-instead of failing; these tests fail instead.
+instead of failing; these tests fail instead.  The tracer times a layer by
+rebinding module attributes, so a caller that bypasses a binding would zero
+that layer's metric too; the span test catches that.
 """
 
+import json
 import sys
+from collections import Counter
 from pathlib import Path
+
+import pytest
 
 from pentaset import cyclotomic
 from pentaset.cyclotomic import embed_approx
@@ -16,6 +23,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import run  # noqa: E402
 import tracing  # noqa: E402
+import workloads  # noqa: E402
 
 # kernels that left the package before this test existed; their metrics read 0
 KNOWN_MISSING_KERNELS = {"field_norm", "golden_cmp_golden"}
@@ -39,3 +47,33 @@ def test_record_views_the_benchmark_reads():
     for p in enumerate_points(4).points:
         assert p.z.coords() == p.coords
         assert embed_approx(p.z) == complex(p.x, p.y)
+
+
+ANALYZE_LAYERS = ("cli.run_cli", "modelset.enumerate_points", "modelset.analyze",
+                  "io_render.write_snapshot")
+#: the spans one op of each workload records, each once, besides its root "op"
+OP_LAYERS = {
+    "verify_pairs": ("cli.run_cli", "modelset.enumerate_points", "modelset.analyze",
+                     *(f"verify.{c}" for c in workloads.ALL_CHECKS)),
+    "analyze_large": ANALYZE_LAYERS,
+    "analyze_dense": ANALYZE_LAYERS,
+    "snapshot_roundtrip": ("io_render.read_snapshot", "io_render.render_svg",
+                           "io_render.write_snapshot",
+                           *(f"verify.{c}" for c in workloads.ROUNDTRIP_CHECKS)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OP_LAYERS))
+def test_tracer_sees_every_layer(tmp_path, name):
+    workload = workloads.WORKLOADS[name]
+    references = json.loads((run.HERE / "references.json").read_text(encoding="utf-8"))
+    state = workload.setup(tmp_path)
+    radius_sq = workload.pool[0]
+    tracer = tracing.Tracer()
+    with tracer.op(0):
+        out = workload.op(state, radius_sq)
+    assert workloads.gate(workload, references, radius_sq, out) == []
+    assert Counter(s["name"] for s in tracer.spans) == Counter(("op", *OP_LAYERS[name]))
+    assert all(s["name"] in run.LAYER_SELF for s in tracer.spans)
+    for s in tracer.spans:  # the sizes the per-point and bytes metrics read
+        assert all(s["attrs"][k] > 0 for k in ("points", "bytes_out") if k in s["attrs"]), s

@@ -2,11 +2,12 @@
 
 import gc
 import json
+from collections import Counter
 from xml.etree import ElementTree
 
 import pytest
 
-from pentaset import cli
+from pentaset import cli, verify
 from pentaset.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -313,3 +314,36 @@ class TestCollector:
     def test_parse_error_leaves_it_alone(self, caller, seen):
         assert run_cli(["generate"]) == EXIT_USAGE
         assert seen == [] and gc.isenabled() == caller
+
+
+class TestLayerCalls:
+    """Every command enumerates once and analyses only when its output reads
+    the nearest-neighbour classes; each call goes through the module binding
+    that perfbench/tracing.py rebinds to time the layer."""
+
+    BINDINGS = ((cli, "enumerate_points"), (cli, "analyze"),
+                (verify, "enumerate_points"), (verify, "analyze"))
+
+    @pytest.mark.parametrize("argv, calls", [
+        (["generate"], {"cli.enumerate_points": 1}),
+        (["generate", "--format", "csv"], {"cli.enumerate_points": 1}),
+        (["render"], {"cli.enumerate_points": 1}),
+        (["render", "--highlight-roots"], {"cli.enumerate_points": 1}),
+        (["analyze"], {"cli.enumerate_points": 1, "cli.analyze": 1}),
+        (["analyze", "--format", "csv"], {"cli.enumerate_points": 1, "cli.analyze": 1}),
+        (["stats"], {"cli.enumerate_points": 1, "cli.analyze": 1}),
+        (["render", "--color-classes"], {"cli.enumerate_points": 1, "cli.analyze": 1}),
+        (["verify"], {"verify.enumerate_points": 1, "verify.analyze": 1}),
+        (["verify", "--check", "rotation"], {"verify.enumerate_points": 1, "verify.analyze": 1}),
+    ], ids=" ".join)
+    def test_enumerates_once_and_analyses_when_read(self, capsys, monkeypatch, argv, calls):
+        seen = Counter()
+        for module, attr in self.BINDINGS:
+            def counting(*args, _real=getattr(module, attr),
+                         _name=f"{module.__name__.rpartition('.')[2]}.{attr}"):
+                seen[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(module, attr, counting)
+        code, out = run(capsys, *argv, "--radius-sq", "9")
+        assert code == EXIT_OK and out
+        assert seen == Counter(calls)
