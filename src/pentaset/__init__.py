@@ -13,7 +13,7 @@ from .modelset import (  # noqa: F401
     enumerate_points,
     stats,
 )
-from .verify import VerificationReport, run_check, verify_all  # noqa: F401
+from .verify import VerificationReport, run_check  # noqa: F401
 from .io_render import (  # noqa: F401
     RenderOptions,
     read_snapshot,

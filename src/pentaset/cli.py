@@ -14,10 +14,9 @@ from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
 
-from . import __version__
+from . import __version__, verify
 from .io_render import RenderOptions, parse_rational, render_svg, write_snapshot
 from .modelset import SearchRangeError, Window, analyze, brief_rational, enumerate_points, stats
-from .verify import CHECK_NAMES, verify_all
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -60,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
                                           "distances, and write a snapshot"), fmt=True)
     p_verify = sub.add_parser("verify", help="run the theorem checks; JSON to stdout")
     common(p_verify)
-    p_verify.add_argument("--check", choices=("all",) + CHECK_NAMES, default="all")
+    p_verify.add_argument("--check", choices=("all",) + verify.CHECK_NAMES, default="all")
     common(sub.add_parser("stats", help="summary counts, density, class ratio"))
     p_render = sub.add_parser("render", help="render the point set as SVG")
     common(p_render)
@@ -132,21 +131,22 @@ def _dispatch(cfg: argparse.Namespace) -> int:
     print(f"pentaset {cfg.subcommand}: radius_sq={brief_rational(cfg.radius_sq)} "
           f"window_sq={brief_rational(cfg.window_sq)}", file=sys.stderr)
 
+    # one enumeration, analysed only where the output reads the classes
+    snap = enumerate_points(cfg.radius_sq, Window(cfg.window_sq))
+    if (cfg.subcommand in ("analyze", "stats")
+            or cfg.subcommand == "verify" and cfg.check in ("all", "two-distance")
+            or cfg.subcommand == "render" and cfg.color_classes):
+        analyze(snap)
     doc, all_pass = None, True  # doc: the JSON line verify and stats write
     if cfg.subcommand == "verify":
-        checks = CHECK_NAMES if cfg.check == "all" else (cfg.check,)
-        reports = verify_all(cfg.radius_sq, cfg.window_sq, checks)
+        checks = verify.CHECK_NAMES if cfg.check == "all" else (cfg.check,)
+        reports = [verify.run_check(name, snap) for name in checks]
         all_pass = all(r.passed for r in reports)
         doc = {"parameters": params,
                "reports": [r.to_json_dict() for r in reports],
                "all_pass": all_pass}
-    else:  # one enumeration, analysed only where the output reads the classes
-        snap = enumerate_points(cfg.radius_sq, Window(cfg.window_sq))
-        if (cfg.subcommand in ("analyze", "stats")
-                or cfg.subcommand == "render" and cfg.color_classes):
-            analyze(snap)
-        if cfg.subcommand == "stats":
-            doc = {**stats(snap), **params}
+    elif cfg.subcommand == "stats":
+        doc = {**stats(snap), **params}
     with _open_out(cfg.out) as out:
         if doc is not None:
             out.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")

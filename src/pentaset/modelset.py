@@ -387,12 +387,13 @@ def analyze(snapshot: Snapshot) -> Snapshot:
     """
     radius_sq = snapshot.radius_sq
     coords, phys, keys, good, bad, b = _split(snapshot)
-    walk = _walk(displacement_candidates(snapshot.window), b)
     inner = _Memo(lambda p, q: _is_inner(p, q, radius_sq.numerator, radius_sq.denominator))
     classes = _Memo(lambda p, q: classify_distance((p, q)))
     classes[None] = DIST_UNKNOWN  # not inner, or no other point
-    found = [_nearest(i, coords, keys, good, bad, walk) if inner[m] else None
-             for i, m in enumerate(phys)]
+    is_inner = [inner[m] for m in phys]  # only an inner point walks the displacement list
+    walk = _walk(displacement_candidates(snapshot.window), b) if any(is_inner) else []
+    found = [_nearest(i, coords, keys, good, bad, walk) if walks else None
+             for i, walks in enumerate(is_inner)]
     if (0, 0) in found:
         raise ValueError(f"point {coords[found.index((0, 0))]} appears more than once "
                          "in the snapshot")

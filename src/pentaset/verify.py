@@ -31,9 +31,7 @@ from .modelset import (
     _nearest,
     _split,
     _walk,
-    analyze,
     displacement_candidates,
-    enumerate_points,
 )
 
 
@@ -66,9 +64,11 @@ def _params(snapshot: Snapshot) -> dict:
     return {"radius_sq": str(snapshot.radius_sq), "window_sq": str(snapshot.window.w)}
 
 
-def _require_unit_window(snapshot: Snapshot, check: str) -> None:
-    if snapshot.window.w != 1:
-        raise ValueError(f"{check} applies only to the unit window, got w = {snapshot.window.w}")
+def _skipped(check: str, snapshot: Snapshot) -> VerificationReport:
+    """The report of a check that applies only to the unit window (unit-lemma,
+    two-distance, step-existence) on another window: passed, tested nothing."""
+    return VerificationReport(check, True, 0, [], _params(snapshot), skipped=True,
+                              details={"reason": "requires unit window"})
 
 
 def verify_separation(snapshot: Snapshot) -> VerificationReport:
@@ -81,14 +81,15 @@ def verify_separation(snapshot: Snapshot) -> VerificationReport:
     The minimum pair distance is the least distinct exact distance from a
     point to its nearest other point (_nearest), each tested once against
     1/(16w).  Both ends of a pair closer than 1/(16w) have their nearest
-    point that close, so only those points are compared pairwise.
+    point that close, so only those points are compared pairwise.  A lone
+    point has no neighbour, so no displacement list is built for it.
     """
     w = snapshot.window.w
     weak = Fraction(1, 16) / w
     strong = Fraction(1, 4) / w
     coords, _, keys, good, bad, b = _split(snapshot)
-    walk = _walk(displacement_candidates(snapshot.window), b)
     n = len(coords)
+    walk = _walk(displacement_candidates(snapshot.window), b) if n > 1 else []
     below_weak = _Memo(lambda p, q: golden_cmp(p, q, weak.numerator, weak.denominator) < 0)
     close = []
     for i in range(n):
@@ -193,7 +194,8 @@ def verify_unit_lemma(snapshot: Snapshot) -> VerificationReport:
     (mod 5), which is 0 or 1 (Kummer; Fermat).  The seeds' norms are still
     computed on every call, so a faulty norm is caught.
     """
-    _require_unit_window(snapshot, "unit lemma")
+    if snapshot.window.w != 1:
+        return _skipped("unit-lemma", snapshot)
 
     def judge(d, p, q):
         norm = norm_coords(*d)
@@ -241,7 +243,8 @@ def verify_two_distance(snapshot: Snapshot) -> VerificationReport:
     neighbor z + mu at distance 1 (step existence).  So the nearest
     neighbor of every member is a hit along the list, at 2 - phi or 1.
     """
-    _require_unit_window(snapshot, "two-distance")
+    if snapshot.window.w != 1:
+        return _skipped("two-distance", snapshot)
     violations = []
     counts = dict.fromkeys(DIST_CLASSES[:3], 0)  # short, long, other
     tested = 0
@@ -268,7 +271,8 @@ def verify_two_distance(snapshot: Snapshot) -> VerificationReport:
 def verify_step_existence(snapshot: Snapshot) -> VerificationReport:
     """Every point (boundary included) has a tenth-root-of-unity step that
     stays in the infinite set; exact, once per distinct |sigma(c + mu)|^2."""
-    _require_unit_window(snapshot, "step existence")
+    if snapshot.window.w != 1:
+        return _skipped("step-existence", snapshot)
     in_window = _at_most(snapshot.window.w)
     violations = []
     for p in snapshot.points:
@@ -281,8 +285,6 @@ def verify_step_existence(snapshot: Snapshot) -> VerificationReport:
     return VerificationReport("step-existence", not violations, len(snapshot.points),
                               violations, _params(snapshot))
 
-
-UNIT_WINDOW_CHECKS = ("unit-lemma", "two-distance", "step-existence")
 
 _CHECKS = {
     "separation": verify_separation,
@@ -299,16 +301,5 @@ def run_check(name: str, snapshot: Snapshot) -> VerificationReport:
     """One check's report."""
     if name not in _CHECKS:
         raise ValueError(f"unknown check {name!r}")
-    if name in UNIT_WINDOW_CHECKS and snapshot.window.w != 1:
-        return VerificationReport(name, True, 0, [], _params(snapshot),
-                                  skipped=True,
-                                  details={"reason": "requires unit window"})
     return _CHECKS[name](snapshot)
 
-
-def verify_all(radius_sq: Fraction | int, window_sq: Fraction | int = 1,
-               checks: tuple[str, ...] = CHECK_NAMES) -> list[VerificationReport]:
-    """Enumerate, analyze the snapshot's records in place, and run the
-    selected checks, all on the split enumerate_points keeps with it."""
-    snap = analyze(enumerate_points(Fraction(radius_sq), Window(Fraction(window_sq))))
-    return [run_check(name, snap) for name in checks]

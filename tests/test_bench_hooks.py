@@ -27,11 +27,15 @@ import workloads  # noqa: E402
 
 # kernels that left the package before this test existed; their metrics read 0
 KNOWN_MISSING_KERNELS = {"field_norm", "golden_cmp_golden"}
+# bindings of the pipeline verify ran on its own; `pentaset verify` now
+# enumerates and analyses through cli's bindings, which carry the same spans
+KNOWN_MISSING_BINDINGS = {"pentaset.verify.enumerate_points", "pentaset.verify.analyze"}
 
 
 def test_traced_calls_resolve():
-    for module, attr, _name, _attrs in tracing.TRACED_CALLS:
-        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+    missing = {f"{module.__name__}.{attr}" for module, attr, _name, _attrs in tracing.TRACED_CALLS
+               if not callable(getattr(module, attr, None))}
+    assert missing == KNOWN_MISSING_BINDINGS
 
 
 def test_kernels_resolve():

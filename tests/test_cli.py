@@ -7,7 +7,7 @@ from xml.etree import ElementTree
 
 import pytest
 
-from pentaset import cli, verify
+from pentaset import cli
 from pentaset.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -17,6 +17,7 @@ from pentaset.cli import (
     parse_config,
     run_cli,
 )
+from pentaset.verify import CHECK_NAMES
 
 
 def run(capsys, *argv):
@@ -72,16 +73,20 @@ class TestParsing:
         assert code == EXIT_USAGE and captured.out == ""
         assert "proven complete" in captured.err
 
-    @pytest.mark.parametrize("argv", [
-        ["stats"], ["verify", "--check", "rotation"], ["render", "--color-classes"]],
-        ids=["stats", "verify-rotation", "render-color-classes"])
-    def test_displacement_list_out_of_range_names_the_window(self, capsys, argv):
-        # the set is the origin alone; the search for its displacement list,
-        # at R^2 = 1 and window 4w = 1000004, is what leaves the proven range
-        code = run_cli(argv + ["--radius-sq", "1/1000000", "--window-sq", "250001"])
-        captured = capsys.readouterr()
-        assert code == EXIT_USAGE and captured.out == ""
-        assert "w = 250001 " in captured.err and "1000004" not in captured.err
+    @pytest.mark.parametrize("argv, one_point", [
+        (["stats"], lambda out: json.loads(out)["classes"] == {
+            "short": 0, "long": 0, "other": 0, "unknown": 1}),
+        (["render", "--color-classes"], lambda out: out.count("<circle") == 1),
+        (["verify", "--check", "rotation"], lambda out: [
+            r["tested_count"] for r in json.loads(out)["reports"]] == [10]),
+        (["verify"], lambda out: [
+            r["tested_count"] for r in json.loads(out)["reports"]] == [0, 10, 0, 0, 0]),
+    ], ids=["stats", "render-color-classes", "verify-rotation", "verify"])
+    def test_one_point_set_builds_no_displacement_list(self, capsys, argv, one_point):
+        # the set is the origin alone, which no walk starts from; the list of
+        # w = 300000, which it would leave unused, is outside its proven range
+        code, out = run(capsys, *argv, "--radius-sq", "1/1000000", "--window-sq", "300000")
+        assert code == EXIT_OK and one_point(out)
 
     @pytest.mark.parametrize("argv", [
         ["stats", "--radius-sq", "1e4300"],
@@ -321,8 +326,7 @@ class TestLayerCalls:
     the nearest-neighbour classes; each call goes through the module binding
     that perfbench/tracing.py rebinds to time the layer."""
 
-    BINDINGS = ((cli, "enumerate_points"), (cli, "analyze"),
-                (verify, "enumerate_points"), (verify, "analyze"))
+    BINDINGS = ((cli, "enumerate_points"), (cli, "analyze"))
 
     @pytest.mark.parametrize("argv, calls", [
         (["generate"], {"cli.enumerate_points": 1}),
@@ -333,8 +337,10 @@ class TestLayerCalls:
         (["analyze", "--format", "csv"], {"cli.enumerate_points": 1, "cli.analyze": 1}),
         (["stats"], {"cli.enumerate_points": 1, "cli.analyze": 1}),
         (["render", "--color-classes"], {"cli.enumerate_points": 1, "cli.analyze": 1}),
-        (["verify"], {"verify.enumerate_points": 1, "verify.analyze": 1}),
-        (["verify", "--check", "rotation"], {"verify.enumerate_points": 1, "verify.analyze": 1}),
+        (["verify"], {"cli.enumerate_points": 1, "cli.analyze": 1}),
+        (["verify", "--check", "two-distance"], {"cli.enumerate_points": 1, "cli.analyze": 1}),
+        *((["verify", "--check", name], {"cli.enumerate_points": 1})
+          for name in CHECK_NAMES if name != "two-distance"),
     ], ids=" ".join)
     def test_enumerates_once_and_analyses_when_read(self, capsys, monkeypatch, argv, calls):
         seen = Counter()

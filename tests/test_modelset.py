@@ -208,6 +208,12 @@ class TestEnumerate:
         assert isinstance(e.value.__cause__, SearchRangeError)
         assert "w = 1000004" in str(e.value.__cause__)
 
+    def test_analyze_names_w_when_an_inner_point_needs_the_list(self):
+        # the origin is inner at R^2 = 1, so analyze walks the list of w = 250001
+        origin = PointRecord((0, 0, 0, 0), (0, 0), 0.0, 0.0)
+        with pytest.raises(SearchRangeError, match=r"^w = 250001 .*\(w <= 250000\)$"):
+            analyze(Snapshot(Window(250001), Fraction(1), [origin]))
+
     def test_unit_scaling_maps_into_larger_disc(self):
         # eps^-1 scales physical space by phi and internal space by 1/phi,
         # so eps^-1 * S(R) lies in S(R') for R'^2 >= phi^2 R^2

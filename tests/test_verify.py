@@ -30,7 +30,6 @@ from pentaset.modelset import (
 from pentaset.verify import (
     CHECK_NAMES,
     run_check,
-    verify_all,
     verify_rotation,
     verify_separation,
     verify_step_existence,
@@ -56,6 +55,12 @@ def make_record(z: tuple) -> PointRecord:
 
 def with_extra_point(snap: Snapshot, z: tuple) -> Snapshot:
     return Snapshot(snap.window, snap.radius_sq, snap.points + [make_record(z)])
+
+
+def run_all(radius_sq, window_sq=1):
+    """Every check's report on one analysed enumeration, as `pentaset verify` runs them."""
+    snap = analyze(enumerate_points(Fraction(radius_sq), Window(Fraction(window_sq))))
+    return [run_check(name, snap) for name in CHECK_NAMES]
 
 
 EPS3 = ring_mul(ring_mul(EPSILON, EPSILON), EPSILON)
@@ -269,6 +274,27 @@ class TestWorkBound:
     def test_linear_in_points_small_windows(self, monkeypatch, stage, window_sq, radius_sq, n):
         self._check_linear(monkeypatch, stage, window_sq, radius_sq, n)
 
+    @pytest.mark.parametrize("stage, radius_sq, window_sq, n, calls", [
+        (analyze, Fraction(1, 2), 4, 11, 0), (analyze, Fraction(1, 10 ** 6), 300000, 1, 0),
+        (analyze, 1, 1, 11, 1),
+        (verify_separation, 0, 1, 1, 0), (verify_separation, Fraction(1, 10 ** 6), 300000, 1, 0),
+        (verify_separation, Fraction(1, 2), 4, 11, 1)],
+        ids=["analyze-no-inner", "analyze-one-point-huge-w", "analyze-inner",
+             "separation-one-point", "separation-one-point-huge-w", "separation-11-points"])
+    def test_displacement_list_only_for_a_walk(self, monkeypatch, stage, radius_sq,
+                                               window_sq, n, calls):
+        # analyze walks the list from inner points only (none while R < 1),
+        # and separation only when there is a second point to reach; at
+        # w = 300000 the list is outside its proven range, and building it raises
+        snap = enumerate_points(radius_sq, Window(window_sq))
+        assert len(snap.points) == n
+        seen, real = [], modelset.displacement_candidates
+        for module in (modelset, verify):
+            monkeypatch.setattr(module, "displacement_candidates",
+                                lambda window: seen.append(window) or real(window))
+        stage(snap)
+        assert len(seen) == calls
+
 
 class TestUnitLemmaList:
     """The unit lemma looks up a fixed list instead of the difference window."""
@@ -432,10 +458,10 @@ class TestUnitLemma:
         assert r.passed
         assert r.details["close_pairs"] > 0
 
-    def test_rejects_non_unit_window(self):
-        snap = enumerate_points(4, Window(Fraction(4)))
-        with pytest.raises(ValueError):
-            verify_unit_lemma(snap)
+    def test_skips_non_unit_window(self):
+        r = verify_unit_lemma(enumerate_points(4, Window(Fraction(4))))
+        assert r.skipped and r.passed and r.tested_count == 0
+        assert r.details == {"reason": "requires unit window"}
 
     def test_large_radius(self):
         r = verify_unit_lemma(enumerate_points(400))
@@ -536,9 +562,10 @@ class TestStepExistence:
         assert not r.passed
         assert r.violations == [{"point": [3, 0, 0, 0]}]
 
-    def test_rejects_non_unit_window(self):
-        with pytest.raises(ValueError):
-            verify_step_existence(enumerate_points(1, Window(Fraction(4))))
+    def test_skips_non_unit_window(self):
+        r = verify_step_existence(enumerate_points(1, Window(Fraction(4))))
+        assert r.skipped and r.passed and r.tested_count == 0
+        assert r.details == {"reason": "requires unit window"}
 
     @pytest.mark.parametrize("positions", [(0, 1, 2), (0, 40, 200), (5, 6, 317)],
                              ids=["front", "spread", "back"])
@@ -562,15 +589,15 @@ class TestStepExistence:
 
 class TestRunAll:
     def test_all_pass(self):
-        reports = verify_all(9, 1)
+        reports = run_all(9, 1)
         assert all(r.passed for r in reports)
         assert [r.check_name for r in reports] == list(CHECK_NAMES)
 
     def test_vacuous_radius_zero(self):
-        assert all(r.passed for r in verify_all(0, 1))
+        assert all(r.passed for r in run_all(0, 1))
 
     def test_non_unit_window_skips(self):
-        reports = verify_all(4, 4)
+        reports = run_all(4, 4)
         by_name = {r.check_name: r for r in reports}
         assert not by_name["separation"].skipped
         assert not by_name["rotation"].skipped
@@ -583,7 +610,7 @@ class TestRunAll:
     def test_shared_split_changes_nothing(self, radius_sq, window_sq):
         snap = analyze(enumerate_points(radius_sq, Window(window_sq)))
         alone = [run_check(c, snap).to_json_dict() for c in CHECK_NAMES]
-        shared = [r.to_json_dict() for r in verify_all(radius_sq, window_sq)]
+        shared = [r.to_json_dict() for r in run_all(radius_sq, window_sq)]
         assert json.dumps(shared, sort_keys=True) == json.dumps(alone, sort_keys=True)
 
     @pytest.mark.parametrize("window_sq", [1, 4])
@@ -602,12 +629,22 @@ class TestRunAll:
             return out
         monkeypatch.setattr(modelset, "_split", counted)
         monkeypatch.setattr(verify, "_split", counted)
-        assert all(r.passed for r in verify_all(25, window_sq))
+        assert all(r.passed for r in run_all(25, window_sq))
         assert general == []
         snap = enumerate_points(25, Window(window_sq))
         snap = analyze(Snapshot(snap.window, snap.radius_sq, list(snap.points)))
         assert all(run_check(name, snap).passed for name in CHECK_NAMES)
         assert len(general) == 1
+
+    @pytest.mark.parametrize("window_sq", [Fraction(1), Fraction(4), Fraction(1, 5)], ids=str)
+    @pytest.mark.parametrize("name, check", [
+        ("separation", verify_separation), ("rotation", verify_rotation),
+        ("unit-lemma", verify_unit_lemma), ("two-distance", verify_two_distance),
+        ("step-existence", verify_step_existence)])
+    def test_direct_call_gives_the_run_check_report(self, name, check, window_sq):
+        # each check decides its own skip off the unit window
+        snap = analyze(enumerate_points(25, Window(window_sq)))
+        assert run_check(name, snap).to_json_dict() == check(snap).to_json_dict()
 
     def test_unknown_check_rejected(self, snap4):
         with pytest.raises(ValueError):
