@@ -16,7 +16,8 @@ from itertools import chain
 
 from . import __version__
 from .cyclotomic import ZETA_POWERS, _Frozen, _Value, abs_sq_coords, embed_approx
-from .modelset import DIST_CLASSES, PointRecord, Snapshot, Window, _membership
+from .modelset import (DIST_CLASSES, PointRecord, Snapshot, Window, _keep_split, _key_base,
+                       _keys, _membership)
 
 CSV_COLUMNS = ["a0", "a1", "a2", "a3", "x", "y", "iabs_p", "iabs_q", "class"]
 
@@ -103,9 +104,10 @@ def write_snapshot(snapshot: Snapshot, fmt: str, destination) -> None:
                                              p.dist_class) for p in points[i:i + _CHUNK]]))
 
 
-def _add_record(points: list, seen: set, inside, lineno, c, x, y, iabs, cls) -> None:
+def _add_record(points: list, seen: dict, inside, lineno, c, x, y, iabs, cls) -> None:
     """Append the record of one line, with coordinates c and iabs int tuples,
-    to points; seen holds the coordinates read so far, inside is _membership's memo."""
+    to points; seen maps the coordinates read so far to |z|^2, inside is
+    _membership's memo."""
     if cls not in DIST_CLASSES:
         raise SnapshotFormatError(f"line {lineno}: unknown class {cls!r}")
     _, intr = moduli = abs_sq_coords(*c)
@@ -127,12 +129,12 @@ def _add_record(points: list, seen: set, inside, lineno, c, x, y, iabs, cls) -> 
         raise SnapshotFormatError(
             f"line {lineno}: stored x, y = {x!r}, {y!r} do not match the embedding "
             f"{e.real!r}, {e.imag!r} of a = {list(c)}")
-    seen.add(c)
+    seen[c] = moduli[0]
     points.append(PointRecord(c, intr, x, y, None, cls))
 
 
 def _header_snapshot(fields: dict):
-    """An empty snapshot, set of coordinates seen and _membership memo for
+    """An empty snapshot, map of coordinates seen and _membership memo for
     R^2 and the window of a header's fields; every fault is a line-1 error."""
     try:
         text = fields["radius_sq"], fields["window_sq"]
@@ -147,13 +149,24 @@ def _header_snapshot(fields: dict):
         raise SnapshotFormatError(f"line 1: bad header value: {e}") from e
     if radius_sq < 0:
         raise SnapshotFormatError(f"line 1: radius_sq must be nonnegative, got {radius_sq}")
-    return Snapshot(window, radius_sq), set(), _membership(radius_sq, window.w)
+    return Snapshot(window, radius_sq), {}, _membership(radius_sq, window.w)
+
+
+def _with_split(snapshot: Snapshot, seen: dict) -> Snapshot:
+    """The snapshot of records all read, keeping the split their reading
+    decided: each point exactly in the disc and the window, once
+    (modelset._split), keyed as the enumerator keys them."""
+    coords = list(seen)
+    b = _key_base(coords)
+    return _keep_split(snapshot, list(seen.values()), _keys(coords, b), b)
 
 
 def read_snapshot(source) -> Snapshot:
     """Read a snapshot written by write_snapshot; the internal squared
     modulus of every record is recomputed and checked against the file, and
-    a record outside the header's disc or window is rejected."""
+    a record outside the header's disc or window is rejected.  The snapshot
+    keeps the split (modelset._split) that these exact decisions make, so
+    the checks look its points up by key, as on a fresh enumeration."""
     first = source.readline()
     if not first:
         raise SnapshotFormatError("empty file: header required")
@@ -205,7 +218,7 @@ def _read_jsonl(first: str, source) -> Snapshot:
             raise
         except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as e:
             raise SnapshotFormatError(f"line {lineno}: malformed record: {e}") from e
-    return snapshot
+    return _with_split(snapshot, seen)
 
 
 def _read_csv(first: str, source) -> Snapshot:
@@ -231,7 +244,7 @@ def _read_csv(first: str, source) -> Snapshot:
                 raise SnapshotFormatError(f"line {lineno}: malformed record: {e}") from e
     except csv.Error as e:
         raise SnapshotFormatError(f"line {rows.line_num}: malformed CSV: {e}") from e
-    return snapshot
+    return _with_split(snapshot, seen)
 
 
 class RenderOptions(_Frozen, _Value):

@@ -219,7 +219,7 @@ def enumerate_points(radius_sq: Fraction | int, window: Window | None = None) ->
     half = list(islice(found, 0, None, 2))  # of each pair z, -z the z visited
     # the split (_split) by the search's exact decisions: each point is in the
     # disc and the window once, so all are good; and as S = -S, M = max |c_i|
-    b = 6 * max(map(abs, chain.from_iterable(c for c, _, _ in half)), default=0) + 1
+    b = _key_base(c for c, _, _ in half)
     b4 = b ** 4
     points, moduli, keys, order = [PointRecord(origin, intr, 0.0, 0.0)], [phys], [0], [0]
     for c, phys, intr in half:  # -z at 0.0 - e is embed_approx(-z), never -0.0
@@ -234,10 +234,7 @@ def enumerate_points(radius_sq: Fraction | int, window: Window | None = None) ->
     # numeral, ordered lexicographically, and two differ by <= 2M (B^4 - 1)/(B - 1) < B^4.
     order = sorted(range(len(points)), key=order.__getitem__)
     points, moduli, keys = (list(map(v.__getitem__, order)) for v in (points, moduli, keys))
-    snapshot = Snapshot(window, radius_sq, points)
-    snapshot._split_memo = radius_sq, window.w, (
-        [p.coords for p in points], moduli, keys, dict(zip(keys, range(len(keys)))), [], b)
-    return snapshot
+    return _keep_split(Snapshot(window, radius_sq, points), moduli, keys, b)
 
 
 @lru_cache(maxsize=8)
@@ -275,6 +272,39 @@ def displacement_candidates(window: Window) -> list[tuple[Coords, tuple[int, int
     return out
 
 
+def _key_base(box) -> int:
+    """The key base B = 6M + 1 of _split, M the largest |coordinate| of the
+    coordinate tuples in box."""
+    return 6 * max(map(abs, chain.from_iterable(box)), default=0) + 1
+
+
+def _keys(coords: list, b: int) -> list[int]:
+    """The key k(c) = ((c0*B + c1)*B + c2)*B + c3 of each of coords (_split)."""
+    return [((a0 * b + a1) * b + a2) * b + a3 for a0, a1, a2, a3 in coords]
+
+
+def _keep_split(snapshot: Snapshot, phys: list, keys: list[int], b: int) -> Snapshot:
+    """Keep with the snapshot, and return it, the split (_split) of points
+    each decided exactly to lie in the disc and the window, once: the
+    enumerator's and the reader's.  Every point is good and bad is empty;
+    phys holds |z|^2 and keys k(c) to base b, both in point order."""
+    snapshot._split_memo = snapshot.radius_sq, snapshot.window.w, (
+        [p.coords for p in snapshot.points], phys, keys, dict(zip(keys, range(len(keys)))), [], b)
+    return snapshot
+
+
+# The key as a ring homomorphism.  Put N = Phi_5(B) = B^4 + B^3 + B^2 + B + 1.
+# B^5 - 1 = (B - 1) N, so B^-1 = B^4 mod N, and Phi_5(B^-1) = B^-4 N = 0 mod
+# N: zeta -> B^-1 extends to a ring map Z[zeta] = Z[X]/Phi_5 -> Z/N, and
+# k(c) = B^3 c(B^-1) mod N.  So k(zeta^j c) = B^-j k(c) mod N; for j = 4,
+# k(zeta^4 c) = B k(c) - c0 N, the numeral shifted one place with its
+# leading digit wrapped round.  For c in [-M, M]^4 every zeta^j c lies in
+# [-2M, 2M]^4 (zeta c = (-c3, c0 - c3, c1 - c3, c2 - c3), zeta^4 c =
+# (c1 - c0, c2 - c0, c3 - c0, -c0)), and a key of that box has
+# |k| <= 2M (B^4 - 1)/(B - 1) = (B^4 - 1)/3 < N/2.  So k(+-zeta^j c) is the
+# balanced residue of +-B^-j k(c) mod N, in (-N/2, N/2), and by the
+# injectivity below it is a good point's key only if +-zeta^j c is that
+# point (verify_rotation).
 def _split(snapshot: Snapshot):
     """(coords, phys, keys, good, bad, b) of a snapshot: each point's
     coordinates, |z|^2 as a (p, q) pair and key k(c); good, mapping the key
@@ -294,7 +324,8 @@ def _split(snapshot: Snapshot):
     good.get(keys[i]) == i.  B depends on the points alone, so one split
     serves every walk over the snapshot.  The split is a function of the
     coordinates, R^2 and w alone, so the split kept in snapshot._split_memo
-    is returned while all three equal those it was made from.
+    (by _keep_split, or by an earlier call) is returned while all three
+    equal those it was made from.
     """
     radius_sq, w = snapshot.radius_sq, snapshot.window.w
     coords = [p.coords for p in snapshot.points]
@@ -303,8 +334,8 @@ def _split(snapshot: Snapshot):
     member = _membership(radius_sq, w)
     moduli = [abs_sq_coords(*c) for c in coords]
     inside = [i for i, m in enumerate(moduli) if member[m]]
-    b = 6 * max(map(abs, chain.from_iterable([coords[i] for i in inside])), default=0) + 1
-    keys = [((a0 * b + a1) * b + a2) * b + a3 for a0, a1, a2, a3 in coords]
+    b = _key_base([coords[i] for i in inside])
+    keys = _keys(coords, b)
     counts = Counter(keys[i] for i in inside)
     good = {keys[i]: i for i in inside if counts[keys[i]] == 1}
     bad = [i for i in range(len(coords)) if good.get(keys[i]) != i]

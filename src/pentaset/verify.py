@@ -120,8 +120,19 @@ def verify_rotation(snapshot: Snapshot) -> VerificationReport:
     zeta and -1 generate the ten units and are injective on Z^4, so for the
     finite set S of coordinates zeta S <= S and -S <= S force zeta S = S = -S,
     and every +-zeta^k maps S onto S.  The 2n lookups zeta c, -c in S decide the
-    verdict; tested_count is the 10n memberships it covers.  Only a failure
-    walks the ten multipliers, to list the violations in order."""
+    verdict; tested_count is the 10n memberships it covers.  On a split with
+    no bad point (_split) n integer lookups in good decide it: -zeta^4 is a
+    primitive tenth root, so it alone generates the ten units, and
+    k(-zeta^4 c) is the balanced residue of -B k(c) mod N = Phi_5(B) (the
+    comment above _split).  Otherwise, and to list the violations of a
+    failure in order, the lookups are of coordinate tuples, and a failure
+    walks the ten multipliers."""
+    _, _, _, good, bad, b = _split(snapshot)
+    if not bad:
+        n = (((b + 1) * b + 1) * b + 1) * b + 1
+        half, nb = n // 2, -b
+        if all((r if (r := nb * k % n) <= half else r - n) in good for k in good):
+            return VerificationReport("rotation", True, 10 * len(good), [], _params(snapshot))
     members = snapshot.coord_set()
     violations = []
     if not all((-a3, a0 - a3, a1 - a3, a2 - a3) in members and (-a0, -a1, -a2, -a3) in members
@@ -268,21 +279,40 @@ def verify_two_distance(snapshot: Snapshot) -> VerificationReport:
                                        "both_classes_present": both_present})
 
 
+#: the tenth roots as a displacement list for _walk
+_ROOTS = [(mu, None) for mu in TENTH_ROOTS]
+
+
 def verify_step_existence(snapshot: Snapshot) -> VerificationReport:
     """Every point (boundary included) has a tenth-root-of-unity step that
-    stays in the infinite set; exact, once per distinct |sigma(c + mu)|^2."""
+    stays in the infinite set; exact, once per distinct |sigma(c + mu)|^2.
+
+    Lookups first: a good point c (_split) passes as soon as c + mu is a
+    good point for one of the roots mu that _walk keeps, found by the one
+    lookup k(c) + k(mu) in good.  _walk keeps the mu with every
+    |mu_i| <= 2M (none when M = 0), for which that key is a good point's
+    only if c + mu is the point.  A good point was decided exactly to lie in
+    the window, so this adds no float and no decision.  Only the bad points, and the good points
+    with no good neighbour c + mu, try the ten roots by the exact window
+    test, in point order, so the violations and their order are those of the
+    ten-root test at every point.
+    """
     if snapshot.window.w != 1:
         return _skipped("step-existence", snapshot)
+    coords, _, _, good, bad, b = _split(snapshot)
+    unstepped = good
+    for kd, _ in _walk(_ROOTS, b):
+        unstepped = [k for k in unstepped if k + kd not in good]
     in_window = _at_most(snapshot.window.w)
     violations = []
-    for p in snapshot.points:
-        a0, a1, a2, a3 = p.coords
+    for i in sorted(bad + [good[k] for k in unstepped]):
+        a0, a1, a2, a3 = coords[i]
         for m0, m1, m2, m3 in TENTH_ROOTS:
             if in_window[abs_sq_coords(a0 + m0, a1 + m1, a2 + m2, a3 + m3)[1]]:
                 break
         else:
-            violations.append({"point": list(p.coords)})
-    return VerificationReport("step-existence", not violations, len(snapshot.points),
+            violations.append({"point": list(coords[i])})
+    return VerificationReport("step-existence", not violations, len(coords),
                               violations, _params(snapshot))
 
 

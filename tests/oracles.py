@@ -452,14 +452,31 @@ def unit_lemma(snapshot: Snapshot) -> VerificationReport:
                               details={"close_pairs": close_pairs})
 
 
-def step_existence(snapshot: Snapshot) -> VerificationReport:
-    """verify_step_existence trying all ten tenth roots +-zeta^k at every
-    point, built by ring products, with |sigma(c + mu)|^2 from abs_sq."""
-    w = snapshot.window.w
+def tenth_roots() -> list[tuple]:
+    """zeta^k and -zeta^k for k = 0..4 in turn, built by ring products."""
     roots, z = [], ONE
     for _ in range(5):
         roots += [z, ring_neg(z)]
         z = ring_mul(z, ZETA)
+    return roots
+
+
+def rotation(snapshot: Snapshot) -> VerificationReport:
+    """verify_rotation by multiplying each distinct point, in sorted order,
+    by each of the ten units tenth_roots() lists."""
+    members = {p.coords for p in snapshot.points}
+    violations = [{"point": list(c), "multiplier_index": m}
+                  for c in sorted(members) for m, mu in enumerate(tenth_roots())
+                  if ring_mul(mu, c) not in members]
+    return VerificationReport("rotation", not violations, 10 * len(members),
+                              violations, _params(snapshot))
+
+
+def step_existence(snapshot: Snapshot) -> VerificationReport:
+    """verify_step_existence trying all ten tenth roots +-zeta^k at every
+    point, built by ring products, with |sigma(c + mu)|^2 from abs_sq."""
+    w = snapshot.window.w
+    roots = tenth_roots()
     violations = []
     for p in snapshot.points:
         stays = []

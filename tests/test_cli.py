@@ -341,6 +341,9 @@ class TestLayerCalls:
         (["verify", "--check", "two-distance"], {"cli.enumerate_points": 1, "cli.analyze": 1}),
         *((["verify", "--check", name], {"cli.enumerate_points": 1})
           for name in CHECK_NAMES if name != "two-distance"),
+        # off the unit window two-distance is skipped, and nothing reads the classes
+        *((["verify", "--check", name, "--window-sq", "4"], {"cli.enumerate_points": 1})
+          for name in ("all",) + CHECK_NAMES),
     ], ids=" ".join)
     def test_enumerates_once_and_analyses_when_read(self, capsys, monkeypatch, argv, calls):
         seen = Counter()

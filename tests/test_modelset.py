@@ -594,6 +594,45 @@ class TestSplitMemo:
         assert split == modelset._split(_memo_free(snap))
 
 
+def _read_back(snap: Snapshot, fmt: str) -> Snapshot:
+    buf = io.StringIO()
+    write_snapshot(snap, fmt, buf)
+    buf.seek(0)
+    return read_snapshot(buf)
+
+
+class TestReaderSplit:
+    """read_snapshot keeps the split its exact record checks decide, so a
+    snapshot read from disk takes no general path of modelset._split."""
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("radius_sq, w", [
+        (0, 1), (1, 1), (37, 1), (60, Fraction(49, 4)), (400, Fraction(1, 5))])
+    def test_reader_split_is_the_general_split(self, fmt, radius_sq, w):
+        snap = _read_back(enumerate_points(radius_sq, Window(w)), fmt)
+        kept = snap._split_memo
+        assert kept is not None and modelset._split(snap) is kept[2]
+        assert kept[2] == modelset._split(_memo_free(snap))
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_changed_read_snapshot_takes_the_general_path(self, fmt):
+        snap = _read_back(enumerate_points(37), fmt)
+        kept = snap._split_memo[2]
+        snap.points.append(_record((5, 0, 0, 0)))
+        split = modelset._split(snap)
+        assert split != kept and split[4] == [len(snap.points) - 1]
+        assert split == modelset._split(_memo_free(snap))
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_split_of_a_read_snapshot_computes_no_distance(self, monkeypatch, fmt):
+        snap = _read_back(enumerate_points(400), fmt)
+        assert len(snap.points) == 1411
+        calls = []
+        monkeypatch.setattr(modelset, "abs_sq_coords", lambda *c: calls.append(c))
+        modelset._split(snap)
+        assert calls == []
+
+
 class TestNoRingObjectPerPoint:
     """Points travel as coordinate tuples and distances as (p, q) pairs:
     enumerating, analysing, reading and writing build no CycInt or GoldenInt."""
@@ -642,7 +681,9 @@ class TestNoRingObjectPerPoint:
 class TestOneDecisionPerValue:
     """Each exact test runs once per distinct value, not once per point: at
     R^2 = 400 (n = 1411, 79 distinct (|z|^2, |sigma z|^2) pairs, two nearest
-    distances) no layer makes more than n/3 exact sign decisions."""
+    distances) no layer makes more than n/3 exact sign decisions, and step
+    existence makes none: every point of a clean snapshot steps to a good
+    point, found by a key lookup."""
 
     @pytest.mark.parametrize("layer", ["enumerate", "analyze", "read-jsonl", "read-csv",
                                        "separation", "step-existence"])
@@ -669,7 +710,10 @@ class TestOneDecisionPerValue:
         monkeypatch.setattr(modelset, "sqrt5_sign", counting)
         run()
         assert len(snap.points) == 1411
-        assert 0 < len(calls) <= len(snap.points) / 3
+        if layer == "step-existence":  # every point steps to a good point
+            assert calls == []
+        else:
+            assert 0 < len(calls) <= len(snap.points) / 3
 
 
 class TestStats:

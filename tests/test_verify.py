@@ -10,7 +10,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 import oracles
-from oracles import EPSILON, EPSILON_INV, ONE, ZETA, ring_add, ring_mul, ring_sub
+from oracles import EPSILON, EPSILON_INV, ONE, ZETA, ring_add, ring_mul, ring_neg, ring_sub
 from pentaset import modelset, verify
 from pentaset.cyclotomic import (
     TENTH_ROOTS,
@@ -380,20 +380,11 @@ def _rotation_case(snap4: Snapshot, case: str) -> Snapshot:
     return Snapshot(snap4.window, snap4.radius_sq, pts)
 
 
-def _ten_multiplier_violations(snap: Snapshot) -> list:
-    """The rotation violations by ring multiplication with each of the ten
-    units, in the order verify_rotation lists them."""
-    members = snap.coord_set()
-    return [{"point": list(c), "multiplier_index": m}
-            for c in sorted(members) for m, mu in enumerate(TENTH_ROOTS)
-            if ring_mul(mu, c) not in members]
-
-
-def _assert_rotation_report(snap: Snapshot, expected: list) -> None:
-    r = verify_rotation(snap)
-    assert r.violations == expected
-    assert r.passed == (not expected)
-    assert r.tested_count == 10 * len(snap.coord_set())
+def _assert_rotation_report(snap: Snapshot) -> list:
+    """verify_rotation's report on snap is the ten-multiplier oracle's; its violations."""
+    expected = oracles.rotation(snap).to_json_dict()
+    assert verify_rotation(snap).to_json_dict() == expected
+    return expected["violations"]
 
 
 class TestRotation:
@@ -412,32 +403,67 @@ class TestRotation:
 
     def test_violations_match_ring_multiplication(self, snap4):
         bad = with_extra_point(snap4, ring_mul(ZETA, EPSILON))
-        expected = _ten_multiplier_violations(bad)
-        assert len(expected) == 9
-        _assert_rotation_report(bad, expected)
+        assert len(_assert_rotation_report(bad)) == 9
 
     @pytest.mark.parametrize("case", ROTATION_CASES)
     def test_more_sets_match_ring_multiplication(self, snap4, case):
         snap = _rotation_case(snap4, case)
-        expected = _ten_multiplier_violations(snap)
+        expected = _assert_rotation_report(snap)
         assert bool(expected) == (case in ("removed", "zeta-orbit-removed", "eps-shift"))
-        _assert_rotation_report(snap, expected)
+
+    @pytest.mark.parametrize("name", CORRUPTIONS)
+    def test_corruptions_match_ten_multiplier_oracle(self, name):
+        # a repeated point, points outside the window ("eps3") or the disc
+        # ("outside-disc", "far") make bad points, and rotation takes the
+        # tuple path; a key shared with a good point must not pass for it.
+        # A repeated point leaves the set closed.
+        assert bool(_assert_rotation_report(_corrupted(name))) == (name != "duplicate")
+
+    @pytest.mark.parametrize("name", ["eps3", "duplicate", "removed"])
+    def test_corruptions_in_place_match_ten_multiplier_oracle(self, name):
+        # made in an enumeration that keeps its split: the check sees the change
+        snap = enumerate_points(25)
+        if name == "removed":
+            del snap.points[7]
+        else:
+            snap.points.append(make_record(
+                ring_add(ONE, EPS3) if name == "eps3" else snap.points[5].coords))
+        assert bool(_assert_rotation_report(snap)) == (name != "duplicate")
+
+    @given(st.integers(1, 12), st.lists(st.tuples(*[st.integers(-12, 12)] * 4), max_size=20))
+    def test_key_of_a_unit_multiple_is_a_residue(self, m, cs):
+        # on [-M, M]^4, k(zeta c) is the balanced residue of B^4 k(c) and
+        # k(-zeta^4 c), which verify_rotation looks up, that of -B k(c),
+        # modulo N = Phi_5(B) (the comment above modelset._split)
+        b = 6 * m + 1
+        n = b ** 4 + b ** 3 + b ** 2 + b + 1
+        zeta4 = ring_mul(ring_mul(ZETA, ZETA), ring_mul(ZETA, ZETA))
+        for c in cs:
+            c = tuple(max(-m, min(m, a)) for a in c)
+            k = modelset._keys([c], b)[0]
+            for unit, factor in ((ZETA, b ** 4), (ring_neg(zeta4), -b)):
+                r = factor * k % n
+                assert (r if r <= n // 2 else r - n) == modelset._keys([ring_mul(unit, c)], b)[0]
 
     def test_lookups_at_most_2n(self, monkeypatch):
         # zeta and -1 generate the ten units: a clean set needs only the
-        # lookups of zeta c and -c, where the ten multipliers would make 10n
+        # lookups of zeta c and -c, where the ten multipliers would make 10n;
+        # on the kept split the one generator -zeta^4 needs n key lookups in
+        # good, and no set of coordinate tuples is built
         lookups = []
 
-        class CountingSet(set):
-            def __contains__(self, c):
-                lookups.append(c)
-                return super().__contains__(c)
+        class CountingDict(dict):
+            def __contains__(self, k):
+                lookups.append(k)
+                return super().__contains__(k)
 
         snap = enumerate_points(400)
         n = len(snap.points)
         assert n == 1411
-        coord_set = Snapshot.coord_set
-        monkeypatch.setattr(Snapshot, "coord_set", lambda s: CountingSet(coord_set(s)))
+        radius_sq, w, (coords, phys, keys, good, bad, b) = snap._split_memo
+        snap._split_memo = radius_sq, w, (coords, phys, keys, CountingDict(good), bad, b)
+        monkeypatch.setattr(Snapshot, "coord_set",
+                            lambda s: pytest.fail("a coordinate set was built"))
         r = verify_rotation(snap)
         assert r.passed and r.tested_count == 10 * n
         assert 0 < len(lookups) <= 2 * n
@@ -578,6 +604,22 @@ class TestStepExistence:
         r = verify_step_existence(snap)
         assert not r.passed and len(r.violations) == 3
         assert r.to_json_dict() == oracles.step_existence(snap).to_json_dict()
+
+    @pytest.mark.parametrize("radius_sq", [36, 400])
+    @pytest.mark.parametrize("source", ["fresh", "jsonl", "csv"])
+    def test_clean_snapshot_makes_no_window_test(self, monkeypatch, radius_sq, source):
+        # every point steps to a good point, found by a key lookup, on a
+        # fresh enumeration and on a snapshot read back, which keeps its split
+        snap = enumerate_points(radius_sq)
+        if source != "fresh":
+            buf = io.StringIO()
+            write_snapshot(snap, source, buf)
+            buf.seek(0)
+            snap = read_snapshot(buf)
+        calls = []
+        monkeypatch.setattr(verify, "abs_sq_coords", lambda *c: calls.append(c))
+        r = verify_step_existence(snap)
+        assert r.passed and r.tested_count == len(snap.points) and calls == []
 
     @given(st.lists(st.tuples(*[st.integers(-4, 4)] * 4), max_size=12))
     def test_box_points_match_ten_root_oracle(self, extra):
