@@ -303,8 +303,8 @@ def _keep_split(snapshot: Snapshot, phys: list, keys: list[int], b: int) -> Snap
 # (c1 - c0, c2 - c0, c3 - c0, -c0)), and a key of that box has
 # |k| <= 2M (B^4 - 1)/(B - 1) = (B^4 - 1)/3 < N/2.  So k(+-zeta^j c) is the
 # balanced residue of +-B^-j k(c) mod N, in (-N/2, N/2), and by the
-# injectivity below it is a good point's key only if +-zeta^j c is that
-# point (verify_rotation).
+# injectivity below it is a point's key only if +-zeta^j c is that point
+# (verify_rotation).
 def _split(snapshot: Snapshot):
     """(coords, phys, keys, good, bad, b) of a snapshot: each point's
     coordinates, |z|^2 as a (p, q) pair and key k(c); good, mapping the key
@@ -313,19 +313,18 @@ def _split(snapshot: Snapshot):
     displacement list.
 
     k(c) = ((c0*B + c1)*B + c2)*B + c3 is linear, so a lookup of c + d costs
-    one addition.  B = 6M + 1, M the largest |coordinate| of a point in the
-    disc and the window.  k is injective on [-3M, 3M]^4: if k(c) = k(c'),
-    each |c_i - c'_i| <= 6M < B, so reducing modulo B gives c3 = c'3, then
-    c2 = c'2 after dividing by B, and so on.  Two good points c and c + d lie
-    in [-M, M]^4, so only a d in [-2M, 2M]^4 can join them, and _walk keeps
-    only those; c + d then lies in [-3M, 3M]^4, so k(c) + k(d) is the key of
-    the good point j only if c + d is j.  A bad point outside the box can
-    share a good point's key, so a walk starts only from a point i with
-    good.get(keys[i]) == i.  B depends on the points alone, so one split
-    serves every walk over the snapshot.  The split is a function of the
-    coordinates, R^2 and w alone, so the split kept in snapshot._split_memo
-    (by _keep_split, or by an earlier call) is returned while all three
-    equal those it was made from.
+    one addition.  B = 6M + 1, M the largest |coordinate| of any point.  k
+    is injective on [-3M, 3M]^4: if k(c) = k(c'), each |c_i - c'_i| <= 6M < B,
+    so reducing modulo B gives c3 = c'3, then c2 = c'2 after dividing by B,
+    and so on.  That box holds every point, every c + d of a walk (_walk
+    keeps the d in [-2M, 2M]^4) and every +-zeta^j c, so a key names one
+    point, and bad is exactly the points outside the disc or the window and
+    the repeated ones.  The displacement lists hold only differences of two
+    window members, so separation, analyze and the unit lemma compare a bad
+    point with every point, and step existence tests its ten roots exactly.
+    The split is a function of the coordinates, R^2 and w alone, so the
+    split kept in snapshot._split_memo (by _keep_split, or by an earlier
+    call) is returned while all three equal those it was made from.
     """
     radius_sq, w = snapshot.radius_sq, snapshot.window.w
     coords = [p.coords for p in snapshot.points]
@@ -334,11 +333,11 @@ def _split(snapshot: Snapshot):
     member = _membership(radius_sq, w)
     moduli = [abs_sq_coords(*c) for c in coords]
     inside = [i for i, m in enumerate(moduli) if member[m]]
-    b = _key_base([coords[i] for i in inside])
+    b = _key_base(coords)
     keys = _keys(coords, b)
-    counts = Counter(keys[i] for i in inside)
+    counts = Counter(keys)
     good = {keys[i]: i for i in inside if counts[keys[i]] == 1}
-    bad = [i for i in range(len(coords)) if good.get(keys[i]) != i]
+    bad = [i for i in range(len(coords)) if keys[i] not in good]
     snapshot._split_memo = radius_sq, w, (coords, [p for p, _ in moduli], keys, good, bad, b)
     return snapshot._split_memo[2]
 
@@ -390,7 +389,7 @@ def _nearest(i: int, coords: list[Coords], keys: list[int], good: dict,
     point, or a good one with no hit, is compared with every point.
     """
     k, best, others = keys[i], None, bad
-    for kd, d_sq in walk if good.get(k) == i else ():
+    for kd, d_sq in walk if k in good else ():
         if k + kd in good:
             best = d_sq
             break

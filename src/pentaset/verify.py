@@ -98,11 +98,11 @@ def verify_separation(snapshot: Snapshot) -> VerificationReport:
             close.append(coords[i])
     min_pq = min(below_weak, default=None, key=_golden_key)
     violations = []
-    for k, a in enumerate(close):
-        for b in close[k + 1:]:
-            p, q = abs_sq_coords(*(y - x for x, y in zip(a, b)))[0]
+    for k, u in enumerate(close):
+        for v in close[k + 1:]:
+            p, q = abs_sq_coords(*(y - x for x, y in zip(u, v)))[0]
             if golden_cmp(p, q, weak.numerator, weak.denominator) < 0:
-                violations.append({"pair": [list(a), list(b)], "dist_sq": [p, q]})
+                violations.append({"pair": [list(u), list(v)], "dist_sq": [p, q]})
     return VerificationReport(
         "separation", not violations, n * (n - 1) // 2, violations, _params(snapshot),
         details={
@@ -117,35 +117,33 @@ def verify_separation(snapshot: Snapshot) -> VerificationReport:
 def verify_rotation(snapshot: Snapshot) -> VerificationReport:
     """Closure of the snapshot under all ten unit multipliers +-zeta^k.
 
-    zeta and -1 generate the ten units and are injective on Z^4, so for the
-    finite set S of coordinates zeta S <= S and -S <= S force zeta S = S = -S,
-    and every +-zeta^k maps S onto S.  The 2n lookups zeta c, -c in S decide the
-    verdict; tested_count is the 10n memberships it covers.  On a split with
-    no bad point (_split) n integer lookups in good decide it: -zeta^4 is a
-    primitive tenth root, so it alone generates the ten units, and
-    k(-zeta^4 c) is the balanced residue of -B k(c) mod N = Phi_5(B) (the
-    comment above _split).  Otherwise, and to list the violations of a
-    failure in order, the lookups are of coordinate tuples, and a failure
-    walks the ten multipliers."""
-    _, _, _, good, bad, b = _split(snapshot)
-    if not bad:
-        n = (((b + 1) * b + 1) * b + 1) * b + 1
-        half, nb = n // 2, -b
-        if all((r if (r := nb * k % n) <= half else r - n) in good for k in good):
-            return VerificationReport("rotation", True, 10 * len(good), [], _params(snapshot))
-    members = snapshot.coord_set()
+    -zeta^4 is a primitive tenth root, so it alone generates the ten units,
+    and multiplying by it is injective: for the finite set S of points,
+    -zeta^4 S <= S forces -zeta^4 S = S, and every +-zeta^k maps S onto S.
+    So n integer lookups decide the verdict; tested_count is the 10n
+    memberships it covers.  k(-zeta^4 c) is the balanced residue of
+    -B k(c) mod N = Phi_5(B) (the comment above _split), and a key names one
+    point, so it is among the points' keys only if -zeta^4 c is a point.  On
+    a split with no bad point, good holds those keys.  A failure walks the ten
+    multipliers on keys, k(zeta^(j+1) c) the residue of B^4 k(zeta^j c), in
+    key order, which is coordinate order as keys are balanced base-B
+    numerals."""
+    coords, _, keys, good, bad, b = _split(snapshot)
+    present = set(keys) if bad else good
+    n = (((b + 1) * b + 1) * b + 1) * b + 1
+    half, nb = n // 2, -b
     violations = []
-    if not all((-a3, a0 - a3, a1 - a3, a2 - a3) in members and (-a0, -a1, -a2, -a3) in members
-               for a0, a1, a2, a3 in members):
-        for c in sorted(members):
-            t = c
-            for k in range(5):  # t = zeta^k * c; multiplier 2k is zeta^k, 2k + 1 is -zeta^k
-                a0, a1, a2, a3 = t
-                for m, u in ((2 * k, t), (2 * k + 1, (-a0, -a1, -a2, -a3))):
-                    if u not in members:
-                        violations.append({"point": list(c), "multiplier_index": m})
-                t = (-a3, a0 - a3, a1 - a3, a2 - a3)
-    return VerificationReport("rotation", not violations, 10 * len(members),
+    if not all((r if (r := nb * k % n) <= half else r - n) in present for k in present):
+        point, b4 = dict(zip(keys, coords)), b ** 4
+        for k in sorted(present):
+            t = k
+            for m in range(0, 10, 2):  # t = k(zeta^j c), j = m/2; m is zeta^j, m + 1 is -zeta^j
+                if t not in present:
+                    violations.append({"point": list(point[k]), "multiplier_index": m})
+                if -t not in present:
+                    violations.append({"point": list(point[k]), "multiplier_index": m + 1})
+                t = r if (r := b4 * t % n) <= half else r - n
+    return VerificationReport("rotation", not violations, 10 * len(present),
                               violations, _params(snapshot))
 
 
@@ -230,7 +228,7 @@ def verify_unit_lemma(snapshot: Snapshot) -> VerificationReport:
                 close_pairs += close
                 if v:
                     rows.append((min(i, j), max(i, j), v))
-    for i, j in {(min(b, j), max(b, j)) for b in bad for j in range(n) if j != b}:
+    for i, j in {(min(i, j), max(i, j)) for i in bad for j in range(n) if j != i}:
         d = tuple(y - x for x, y in zip(coords[i], coords[j]))
         close, v = judge(d, *abs_sq_coords(*d)[0])
         close_pairs += close

@@ -6,7 +6,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import oracles
@@ -81,7 +81,9 @@ def _corrupted(name: str) -> Snapshot:
     points on either side of 1 (1 +- eps^3), a close non-unit neighbour
     (1 + eps^3 (1 - zeta)), a repeated point, a point outside disc and
     window ((5, 0, 0, 0)), a window member outside the disc, a far point
-    whose key is that of the good point 1, or three kinds at once."""
+    whose key would be that of the good point 1 if the key base counted
+    only the members (it counts every point, so the keys differ), or three
+    kinds at once."""
     snap4 = analyze(enumerate_points(4))
     if name == "eps3":
         return with_extra_point(snap4, ring_add(ONE, EPS3))
@@ -108,6 +110,10 @@ def _corrupted(name: str) -> Snapshot:
 
 CORRUPTIONS = ("eps3", "eps3-pair", "eps3-non-unit", "duplicate", "far", "key-collision",
                "outside-disc", "mix")
+
+#: the coordinates of the set at R^2 = 25, w = 1, from which the general
+#: path's differential test builds its snapshots
+_POINTS25 = [p.coords for p in enumerate_points(25).points]
 
 
 class TestAgainstAllPairsOracle:
@@ -159,23 +165,26 @@ class TestAgainstAllPairsOracle:
     @pytest.mark.parametrize("name", CORRUPTIONS)
     def test_nearest_matches_all_pairs(self, name):
         # every point's nearest distance, bad points included, so that a walk
-        # started from a bad point that shares a good point's key shows here
-        # and not only through the reports above
+        # started from a bad point shows here and not only through the
+        # reports above
         snap = _corrupted(name)
         coords, _, keys, good, bad, b = modelset._split(snap)
         walk = modelset._walk(displacement_candidates(snap.window), b)
         if name == "key-collision":
-            assert good.get(keys[-1]) == coords.index((1, 0, 0, 0))
+            # the far point is bad, and the base over every point gives it
+            # a key of its own
+            assert len(coords) - 1 in bad and keys[-1] not in good
         got = [modelset._nearest(i, coords, keys, good, bad, walk) for i in range(len(coords))]
         assert got == [oracles.nearest_dist_sq(coords, i) for i in range(len(coords))]
 
     @pytest.mark.parametrize("m,radius_sq", [(1, 1), (2, 7)])
     def test_key_injective_on_box(self, m, radius_sq):
-        # every point of [-3M, 3M]^4, the members among them giving M
-        box = itertools.product(range(-3 * m, 3 * m + 1), repeat=4)
+        # every point of [-3m, 3m]^4: the base counts every point, members
+        # or not, so B = 6 * 3m + 1, and every key is distinct
+        box = list(itertools.product(range(-3 * m, 3 * m + 1), repeat=4))
         snap = Snapshot(Window(), Fraction(radius_sq), [make_record(c) for c in box])
         *_, keys, _, _, b = modelset._split(snap)
-        assert b == 6 * m + 1
+        assert b == 6 * max(abs(a) for c in box for a in c) + 1 == 18 * m + 1
         assert len(set(keys)) == len(keys) == (6 * m + 1) ** 4
 
     @pytest.mark.parametrize("window_sq,radius_sq", [
@@ -192,6 +201,30 @@ class TestAgainstAllPairsOracle:
         walk = modelset._walk(ds, b)
         got = [modelset._nearest(i, coords, keys, good, bad, walk) for i in range(len(coords))]
         assert got == [oracles.nearest_dist_sq(coords, i) for i in range(len(coords))]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.booleans(), min_size=len(_POINTS25), max_size=len(_POINTS25)),
+           st.lists(st.one_of(st.sampled_from(_POINTS25),
+                              st.tuples(*[st.integers(-10 ** 6, 10 ** 6)] * 4)), max_size=3))
+    def test_general_path_matches_oracles(self, keep, extra):
+        # a hand-built snapshot, so modelset._split takes its general path:
+        # a subset of the set at R^2 = 25 with up to three extra points,
+        # repeats of its points or far points
+        pts = [make_record(c) for c, k in zip(_POINTS25, keep) if k] + [
+            make_record(c) for c in extra]
+        snap = Snapshot(Window(), Fraction(25), pts)
+        for check, oracle in ((verify_separation, oracles.separation),
+                              (verify_unit_lemma, oracles.unit_lemma),
+                              (verify_rotation, oracles.rotation),
+                              (verify_step_existence, oracles.step_existence)):
+            assert check(snap).to_json_dict() == oracle(snap).to_json_dict()
+        try:
+            expected = oracles.nearest_in_snapshot(snap)
+        except ValueError:  # a repeated inner point, at squared distance 0
+            with pytest.raises(ValueError, match="more than once"):
+                analyze(snap)
+        else:
+            assert [(p.min_dist_sq, p.dist_class) for p in analyze(snap).points] == expected
 
     def test_norm_gap_clause(self, snap25, monkeypatch):
         # no difference has norm 2, 3 or 4, so pretend +-2 has norm 4 in both
@@ -414,10 +447,18 @@ class TestRotation:
     @pytest.mark.parametrize("name", CORRUPTIONS)
     def test_corruptions_match_ten_multiplier_oracle(self, name):
         # a repeated point, points outside the window ("eps3") or the disc
-        # ("outside-disc", "far") make bad points, and rotation takes the
-        # tuple path; a key shared with a good point must not pass for it.
-        # A repeated point leaves the set closed.
+        # ("outside-disc", "far") make bad points, whose keys rotation looks
+        # up with the good ones.  A repeated point leaves the set closed.
         assert bool(_assert_rotation_report(_corrupted(name))) == (name != "duplicate")
+
+    @pytest.mark.parametrize("name", ["duplicate", "far", "mix"])
+    def test_bad_points_build_no_coordinate_set(self, monkeypatch, name):
+        # with bad points too, rotation looks up keys, not coordinate tuples
+        snap = _corrupted(name)
+        expected = oracles.rotation(snap).to_json_dict()
+        monkeypatch.setattr(Snapshot, "coord_set",
+                            lambda s: pytest.fail("a coordinate set was built"))
+        assert verify_rotation(snap).to_json_dict() == expected
 
     @pytest.mark.parametrize("name", ["eps3", "duplicate", "removed"])
     def test_corruptions_in_place_match_ten_multiplier_oracle(self, name):
@@ -446,10 +487,9 @@ class TestRotation:
                 assert (r if r <= n // 2 else r - n) == modelset._keys([ring_mul(unit, c)], b)[0]
 
     def test_lookups_at_most_2n(self, monkeypatch):
-        # zeta and -1 generate the ten units: a clean set needs only the
-        # lookups of zeta c and -c, where the ten multipliers would make 10n;
-        # on the kept split the one generator -zeta^4 needs n key lookups in
-        # good, and no set of coordinate tuples is built
+        # -zeta^4 alone generates the ten units: on the kept split a clean
+        # set needs n key lookups in good, where the ten multipliers would
+        # make 10n, and no set of coordinate tuples is built
         lookups = []
 
         class CountingDict(dict):
