@@ -129,12 +129,6 @@ def abs_sq_coords(a0: int, a1: int, a2: int, a3: int) -> tuple[tuple[int, int], 
     return (c0 - c1, c1 - c2), (c0 - c2, c2 - c1)
 
 
-def quad_form(a0: int, a1: int, a2: int, a3: int) -> int:
-    """Q(a) = |z|^2 + |sigma(z)|^2 = (5*sum(ai^2) - (sum ai)^2) / 2, an integer."""
-    s = a0 + a1 + a2 + a3
-    return (5 * (a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3) - s * s) // 2
-
-
 def norm_coords(a0: int, a1: int, a2: int, a3: int) -> int:
     """The field norm N(z) = |z|^2 * |sigma(z)|^2, the product of the four
     Galois conjugates; a rational integer, >= 1 for z != 0."""

@@ -17,7 +17,7 @@ from itertools import chain
 from . import __version__
 from .cyclotomic import ZETA_POWERS, _Frozen, _Value, abs_sq_coords, embed_approx
 from .modelset import (DIST_CLASSES, PointRecord, Snapshot, Window, _keep_split, _key_base,
-                       _keys, _membership)
+                       _keys, _membership, _split)
 
 CSV_COLUMNS = ["a0", "a1", "a2", "a3", "x", "y", "iabs_p", "iabs_q", "class"]
 
@@ -291,9 +291,14 @@ def render_svg(snapshot: Snapshot, options: RenderOptions | None = None) -> str:
                       _CLASS_COLORS[p.dist_class] if colored else "#000000", p.dist_class)
               for p in snapshot.points]
     if opt.highlight_roots:
-        members = snapshot.coord_set()
-        for z in ((0, 0, 0, 0),) + ZETA_POWERS:
-            if z in members:
+        # six key lookups on the split (modelset._split): a root's key names
+        # it, as the roots lie in [-3M, 3M]^4 when M >= 1, and when M = 0
+        # (B = 1, the origin alone) only the origin's key is 0
+        roots = ((0, 0, 0, 0),) + ZETA_POWERS
+        _, _, keys, good, bad, b = _split(snapshot)
+        present = set(keys) if bad else good
+        for z, k in zip(roots, _keys(roots, b)):
+            if k in present:
                 e = embed_approx(z)
                 lines.append(_RING % (c + e.real * scale, c - e.imag * scale))
     lines.append("</svg>")

@@ -3,7 +3,7 @@
 The point set is S = {z in Z[zeta_5] : |sigma(z)|^2 <= w} intersected with a
 physical disc |z|^2 <= R^2; both constraints are tested exactly.  As
 z = alpha + beta*zeta, alpha, beta in Z[phi], S is a stack of 1-dimensional
-model sets; the search visits its rows for one of each pair +-z (below).
+model sets; the search visits its rows for one z of each pair +-z (below).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import chain
 
 from .cyclotomic import (CycInt, _Frozen, _golden_key, _Value, abs_sq_coords, embed_approx,
                          golden_cmp, sqrt5_sign)
@@ -74,9 +74,6 @@ class Snapshot(_Value):
         self.points = [] if points is None else points
         #: (radius_sq, w, split) of the last split (_split), kept for reuse
         self._split_memo = None
-
-    def coord_set(self) -> set[Coords]:
-        return {p.coords for p in self.points}
 
 
 class _Memo(dict):
@@ -175,7 +172,8 @@ def _rows(n2: int, m2: int, r2: float, wf: float, d: float):
 def _members(radius_sq: Fraction, w: Fraction):
     """(coords, |z|^2, |sigma z|^2) of every z with |z|^2 <= radius_sq and
     |sigma(z)|^2 <= w, decided exactly, moduli as (p, q) pairs: the origin,
-    then pairs z, -z in the row search's order (above), z the one it visits."""
+    then of each pair +-z the one the row search visits (above), in its
+    order; -z, with the same moduli, is the caller's to add."""
     inside = _membership(radius_sq, w)
     yield (0, 0, 0, 0), (0, 0), (0, 0)
     if radius_sq * w < 1:  # z != 0 has |z|^2 |sigma z|^2 = N(z) >= 1
@@ -200,7 +198,6 @@ def _members(radius_sq: Fraction, w: Fraction):
                     phys, intr = moduli = abs_sq_coords(a0, a1, a2, -n1)
                     if inside[moduli]:
                         yield (a0, a1, a2, -n1), phys, intr
-                        yield (-a0, -a1, -a2, n1), phys, intr
 
 
 def enumerate_points(radius_sq: Fraction | int, window: Window | None = None) -> Snapshot:
@@ -214,9 +211,8 @@ def enumerate_points(radius_sq: Fraction | int, window: Window | None = None) ->
     radius_sq = Fraction(radius_sq)
     if radius_sq < 0:
         raise ValueError(f"radius_sq must be nonnegative, got {radius_sq}")
-    found = _members(radius_sq, window.w)
-    origin, phys, intr = next(found)
-    half = list(islice(found, 0, None, 2))  # of each pair z, -z the z visited
+    # the origin, then of each pair +-z the z the search visited
+    (origin, phys, intr), *half = _members(radius_sq, window.w)
     # the split (_split) by the search's exact decisions: each point is in the
     # disc and the window once, so all are good; and as S = -S, M = max |c_i|
     b = _key_base(c for c, _, _ in half)
@@ -260,9 +256,9 @@ def displacement_candidates(window: Window) -> list[tuple[Coords, tuple[int, int
     while w * (lucas - 1) < 1:
         lucas, step = step, 3 * step - lucas
     length = Fraction(max(1, min(lucas, 4 * w * _MAX_RATIO)) if w < 1 else 1)
-    try:
-        out = [(coords, phys) for coords, phys, _ in _members(length, window.diam_sq)
-               if coords != (0, 0, 0, 0)]
+    try:  # each z the search visits, and -z
+        out = [(c, phys) for z, phys, _ in _members(length, window.diam_sq) if any(z)
+               for c in (z, tuple(-a for a in z))]
     except SearchRangeError as e:  # name the caller's w, not this search's (L, 4w)
         raise SearchRangeError(
             f"w = {brief_rational(w)} is outside the range its displacement list "
@@ -377,10 +373,10 @@ def _is_inner(p: int, q: int, rn: int, rd: int) -> bool:
     return sqrt5_sign(2 * sp + sq, sq) >= 0
 
 
-def _nearest(i: int, coords: list[Coords], keys: list[int], good: dict,
-             bad: list[int], walk: list):
-    """The exact squared distance from point i to the nearest other point,
-    as a (p, q) pair, or None when there is no other point.
+def _nearest(split, walk: list, points) -> list:
+    """The exact squared distance from each point i of points, indices of
+    the split's (_split) snapshot, to the nearest other point, as a (p, q)
+    pair, or None when there is no other point; in the order of points.
 
     walk is displacement_candidates keyed by _walk: every difference d of
     two window members with |d|^2 <= L that can join two good points,
@@ -388,20 +384,24 @@ def _nearest(i: int, coords: list[Coords], keys: list[int], good: dict,
     nearest good point, and only the bad points remain to compare; a bad
     point, or a good one with no hit, is compared with every point.
     """
-    k, best, others = keys[i], None, bad
-    for kd, d_sq in walk if k in good else ():
-        if k + kd in good:
-            best = d_sq
-            break
-    else:  # a bad point, or a good one with no hit
-        others = (j for j in range(len(coords)) if j != i)
-    a0, a1, a2, a3 = coords[i]
-    for j in others:
-        o = coords[j]
-        p, q = abs_sq_coords(a0 - o[0], a1 - o[1], a2 - o[2], a3 - o[3])[0]
-        if best is None or golden_cmp(p - best[0], q - best[1], 0) < 0:
-            best = (p, q)
-    return best
+    coords, _, keys, good, bad, _ = split
+    out = []
+    for i in points:
+        k, best, others = keys[i], None, bad
+        for kd, d_sq in walk if k in good else ():
+            if k + kd in good:
+                best = d_sq
+                break
+        else:  # a bad point, or a good one with no hit
+            others = (j for j in range(len(coords)) if j != i)
+        a0, a1, a2, a3 = coords[i]
+        for j in others:
+            o = coords[j]
+            p, q = abs_sq_coords(a0 - o[0], a1 - o[1], a2 - o[2], a3 - o[3])[0]
+            if best is None or golden_cmp(p - best[0], q - best[1], 0) < 0:
+                best = (p, q)
+        out.append(best)
+    return out
 
 
 def analyze(snapshot: Snapshot) -> Snapshot:
@@ -409,21 +409,23 @@ def analyze(snapshot: Snapshot) -> Snapshot:
 
     Inner means |z| <= R - 1 (exact); other points get "unknown", as does an
     inner point that is the snapshot's only point.  min_dist_sq is the exact
-    squared distance to the nearest other point of this snapshot (_nearest),
-    whatever the snapshot holds.  A repeated inner point, at distance 0 from
-    its copy, raises ValueError before any record is written.  Each distinct
-    |z|^2 and min_dist_sq is tested once.  min_dist_sq is the (p, q) pair
-    _nearest returns, so the records share the displacement list's pairs.
+    squared distance to the nearest other point of this snapshot, whatever
+    the snapshot holds, from one _nearest pass over the inner points.  A
+    repeated inner point, at distance 0 from its copy, raises ValueError
+    before any record is written.  Each distinct |z|^2 and min_dist_sq is
+    tested once.  min_dist_sq is the (p, q) pair _nearest returns, so the
+    records share the displacement list's pairs.
     """
     radius_sq = snapshot.radius_sq
-    coords, phys, keys, good, bad, b = _split(snapshot)
+    split = coords, phys, _, _, _, b = _split(snapshot)
     inner = _Memo(lambda p, q: _is_inner(p, q, radius_sq.numerator, radius_sq.denominator))
     classes = _Memo(lambda p, q: classify_distance((p, q)))
     classes[None] = DIST_UNKNOWN  # not inner, or no other point
-    is_inner = [inner[m] for m in phys]  # only an inner point walks the displacement list
-    walk = _walk(displacement_candidates(snapshot.window), b) if any(is_inner) else []
-    found = [_nearest(i, coords, keys, good, bad, walk) if walks else None
-             for i, walks in enumerate(is_inner)]
+    inners = [i for i, m in enumerate(phys) if inner[m]]  # only these walk the list
+    walk = _walk(displacement_candidates(snapshot.window), b) if inners else []
+    found = [None] * len(coords)
+    for i, best in zip(inners, _nearest(split, walk, inners)):
+        found[i] = best
     if (0, 0) in found:
         raise ValueError(f"point {coords[found.index((0, 0))]} appears more than once "
                          "in the snapshot")

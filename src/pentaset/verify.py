@@ -79,23 +79,21 @@ def verify_separation(snapshot: Snapshot) -> VerificationReport:
     in the details rather than enforced.
 
     The minimum pair distance is the least distinct exact distance from a
-    point to its nearest other point (_nearest), each tested once against
-    1/(16w).  Both ends of a pair closer than 1/(16w) have their nearest
-    point that close, so only those points are compared pairwise.  A lone
-    point has no neighbour, so no displacement list is built for it.
+    point to its nearest other point, from one _nearest pass over every
+    point, each tested once against 1/(16w).  Both ends of a pair closer
+    than 1/(16w) have their nearest point that close, so only those points
+    are compared pairwise.  A lone point has no neighbour, so no
+    displacement list is built for it.
     """
     w = snapshot.window.w
     weak = Fraction(1, 16) / w
     strong = Fraction(1, 4) / w
-    coords, _, keys, good, bad, b = _split(snapshot)
+    split = coords, _, _, _, _, b = _split(snapshot)
     n = len(coords)
     walk = _walk(displacement_candidates(snapshot.window), b) if n > 1 else []
     below_weak = _Memo(lambda p, q: golden_cmp(p, q, weak.numerator, weak.denominator) < 0)
-    close = []
-    for i in range(n):
-        pq = _nearest(i, coords, keys, good, bad, walk)
-        if pq is not None and below_weak[pq]:
-            close.append(coords[i])
+    close = [c for c, pq in zip(coords, _nearest(split, walk, range(n)))
+             if pq is not None and below_weak[pq]]
     min_pq = min(below_weak, default=None, key=_golden_key)
     violations = []
     for k, u in enumerate(close):
@@ -155,8 +153,10 @@ def _times_eps_inv(a0: int, a1: int, a2: int, a3: int) -> Coords:
 
 @cache
 def _norm_gap_seeds() -> tuple[Coords, ...]:
-    """The 60 nonzero x with |x|^2 <= 4 and |sigma(x)|^2 <= 4."""
-    return tuple(x for x, _, _ in _members(Fraction(4), Fraction(4)) if any(x))
+    """The 60 nonzero x with |x|^2 <= 4 and |sigma(x)|^2 <= 4: each x the
+    search visits (modelset._members), and -x."""
+    return tuple(s for x, _, _ in _members(Fraction(4), Fraction(4)) if any(x)
+                 for s in (x, tuple(-a for a in x)))
 
 
 def _unit_lemma_list(radius_sq: Fraction) -> list[Coords]:

@@ -20,10 +20,12 @@ from pentaset.cyclotomic import (
     abs_sq_coords,
     embed_approx,
     golden_cmp,
-    quad_form,
 )
 from pentaset.io_render import _LAYOUTS, CSV_COLUMNS, write_snapshot
 from pentaset.modelset import (
+    DIST_CLASS_OF,
+    DIST_CLASSES,
+    DIST_OTHER,
     DIST_UNKNOWN,
     PointRecord,
     Snapshot,
@@ -143,6 +145,12 @@ def golden_to_float(g: tuple[int, int]) -> float:
     # p and q*phi nearly cancel; divide the exact norm by the conjugate
     # p + q*(1 - phi), whose two terms share a sign
     return (p * p + p * q - q * q) / (p + q * (1.0 - PHI))
+
+
+def quad_form(a0: int, a1: int, a2: int, a3: int) -> int:
+    """Q(a) = |z|^2 + |sigma(z)|^2 = (5*sum(ai^2) - (sum ai)^2) / 2, an integer."""
+    s = a0 + a1 + a2 + a3
+    return (5 * (a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3) - s * s) // 2
 
 
 def _box_vectors(norm_bound: int):
@@ -379,6 +387,26 @@ def nearest_dist_sq(coords: list, i: int) -> tuple[int, int] | None:
             if best is None or golden_cmp(p - best[0], q - best[1], 0) < 0:
                 best = (p, q)
     return best
+
+
+def two_distance(snapshot: Snapshot) -> VerificationReport:
+    """verify_two_distance at the unit window, with each inner point's
+    nearest distance from nearest_in_snapshot (every pair), not from the
+    snapshot's records."""
+    counts = dict.fromkeys(DIST_CLASSES[:3], 0)
+    violations, tested = [], 0
+    for p, (best, cls) in zip(snapshot.points, nearest_in_snapshot(snapshot)):
+        if best is not None:
+            tested += 1
+            counts[cls] += 1
+            if cls == DIST_OTHER:
+                violations.append({"point": list(p.coords), "min_dist_sq": list(best)})
+    both_present = all(counts[c] > 0 for c in DIST_CLASS_OF.values())
+    if snapshot.radius_sq >= 4 and not both_present:
+        violations.append({"clause": "missing-distance-class", "counts": dict(counts)})
+    return VerificationReport("two-distance", not violations, tested, violations,
+                              _params(snapshot),
+                              details={"counts": dict(counts), "both_classes_present": both_present})
 
 
 def _params(snapshot: Snapshot) -> dict:

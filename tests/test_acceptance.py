@@ -19,7 +19,6 @@ from pentaset.cyclotomic import (
     abs_sq_coords,
     embed_approx,
     golden_cmp,
-    quad_form,
 )
 from pentaset.io_render import RenderOptions, render_svg
 from pentaset.modelset import (
@@ -43,6 +42,7 @@ from oracles import (
     galois_apply,
     golden_add,
     golden_to_float,
+    quad_form,
     ring_add,
     ring_mul,
     ring_sub,

@@ -25,8 +25,8 @@ import run  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 
-# kernels that left the package before this test existed; their metrics read 0
-KNOWN_MISSING_KERNELS = {"field_norm", "golden_cmp_golden"}
+# kernels that left the package; their metrics read 0
+KNOWN_MISSING_KERNELS = {"field_norm", "golden_cmp_golden", "quad_form"}
 # bindings of the pipeline verify ran on its own; `pentaset verify` now
 # enumerates and analyses through cli's bindings, which carry the same spans
 KNOWN_MISSING_BINDINGS = {"pentaset.verify.enumerate_points", "pentaset.verify.analyze"}

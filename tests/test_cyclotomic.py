@@ -23,7 +23,6 @@ from pentaset.cyclotomic import (
     embed_approx,
     golden_cmp,
     norm_coords,
-    quad_form,
     sqrt5_sign,
 )
 
@@ -39,6 +38,7 @@ from oracles import (
     golden_add,
     golden_mul,
     golden_to_float,
+    quad_form,
     ring_add,
     ring_mul,
     ring_neg,

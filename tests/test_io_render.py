@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from pentaset import io_render
-from pentaset.cyclotomic import embed_approx
+from pentaset import io_render, modelset
+from pentaset.cyclotomic import ZETA_POWERS, abs_sq_coords, embed_approx
 from pentaset.io_render import (
     CSV_COLUMNS,
     RenderOptions,
@@ -641,6 +641,17 @@ class TestCheckOrder:
         self._rejects(text, f"line {lineno}: point [0, 0, 0, 0] appears more than once")
 
 
+def _xy(z):
+    e = embed_approx(z)
+    return e.real, e.imag
+
+
+def _ring(z):
+    """The highlight circle render_svg draws at z on a 1000 canvas at R^2 = 1/4."""
+    x, y = _xy(z)
+    return io_render._RING % (500 + x * 1000.0, 500 - y * 1000.0)
+
+
 class TestRenderSvg:
     def test_radius_one_counts(self):
         svg = render_svg(enumerate_points(1),
@@ -652,6 +663,32 @@ class TestRenderSvg:
         # at R^2 = 0 only the origin is a member: the five roots get no circle
         svg = render_svg(enumerate_points(0), RenderOptions(highlight_roots=True))
         assert svg.count('class="highlight"') == 1
+
+    @pytest.mark.parametrize("case", ["origin", "origin-twice", "roots-outside-disc",
+                                      "some-roots", "far-point"])
+    def test_highlight_hand_built_matches_coordinates(self, case):
+        # a hand-built snapshot takes the general split; a circle marks each
+        # root among the points, in the disc or not, repeated or not
+        roots = [(0, 0, 0, 0), *ZETA_POWERS]
+        coords = {"origin": roots[:1], "origin-twice": roots[:1] * 2,
+                  "roots-outside-disc": roots[1:],
+                  "some-roots": [roots[2], (1, 1, 0, 0), roots[5], roots[0]],
+                  "far-point": [roots[3], (40, -7, 3, 0), roots[4]]}[case]
+        pts = [PointRecord(c, abs_sq_coords(*c)[1], *_xy(c)) for c in coords]
+        svg = render_svg(Snapshot(Window(), Fraction(1, 4), pts),
+                         RenderOptions(highlight_roots=True))
+        rings = [_ring(z) for z in roots if z in coords]
+        assert [ln for ln in svg.splitlines() if 'class="highlight"' in ln] == rings
+
+    def test_highlight_on_a_kept_split_tests_no_modulus(self, monkeypatch):
+        # six key lookups on the enumerator's split: no |z|^2 is recomputed
+        snap = enumerate_points(400)
+        expected = render_svg(snap, RenderOptions(highlight_roots=True))
+        fail = mock.Mock(side_effect=AssertionError("abs_sq_coords called"))
+        monkeypatch.setattr(modelset, "abs_sq_coords", fail)
+        monkeypatch.setattr(io_render, "abs_sq_coords", fail)
+        assert render_svg(snap, RenderOptions(highlight_roots=True)) == expected
+        assert expected.count('class="highlight"') == 6
 
     def test_no_highlight_without_option(self):
         svg = render_svg(enumerate_points(1))

@@ -330,20 +330,27 @@ class TestClassify:
 
 
 def _members_pm(r_sq, w) -> set:
-    """_members' coordinates as a set, checked to be the origin, then pairs
-    z, -z, each point once, z with (n2, m2, n1, m1) > 0 lexicographically in
-    the row coordinates z = (m1 + n1 phi) + (m2 + n2 phi) zeta."""
+    """The +-closure of _members' coordinates, checked to be the origin,
+    then one z of each pair +-z, each once, z with (n2, m2, n1, m1) > 0
+    lexicographically in the row coordinates
+    z = (m1 + n1 phi) + (m2 + n2 phi) zeta."""
     found = [c for c, _, _ in _members(Fraction(r_sq), Fraction(w))]
     assert found[0] == ZERO
-    for (a0, a1, a2, a3), neg in zip(found[1::2], found[2::2]):
-        assert neg == ring_neg((a0, a1, a2, a3))
+    for a0, a1, a2, a3 in found[1:]:
         assert (a2 - a3, a1 - a2 + a3, -a3, a0 - a2 + a3) > (0, 0, 0, 0)
-    assert len(set(found)) == len(found)
-    return set(found)
+    closure = set(found) | {ring_neg(c) for c in found}
+    assert len(closure) == 2 * len(found) - 1  # no repeat, and no pair +-z both
+    return closure
 
 
 class TestRowOracle:
     """_members against oracles.row_enumerate, whose row ends are exact."""
+
+    def test_one_tuple_per_pair(self):
+        # the search yields the origin and one z of each pair +-z, and the
+        # enumeration adds each -z itself
+        assert sum(1 for _ in _members(Fraction(400), Fraction(1))) == 706
+        assert len(enumerate_points(400).points) == 1411
 
     @pytest.mark.parametrize("r_sq, w, n", [
         (400, 1, 1411), (6400, 1, 22621), (25600, 1, 90381),

