@@ -78,29 +78,37 @@ def verify_separation(snapshot: Snapshot) -> VerificationReport:
     proof actually supports the stronger 1/(4w), which is tracked separately
     in the details rather than enforced.
 
-    The minimum pair distance is the least distinct exact distance from a
-    point to its nearest other point, from one _nearest pass over every
-    point, each tested once against 1/(16w).  Both ends of a pair closer
-    than 1/(16w) have their nearest point that close, so only those points
-    are compared pairwise.  A lone point has no neighbour, so no
-    displacement list is built for it.
+    On a split with no bad point (_split) the walk decides it.  Both ends
+    of a pair lie in the window and in [-M, M]^4, so every difference of
+    two points with |d|^2 <= L is in the walk, sorted by length: the first
+    d for which some good c has c + d good is the minimum pair distance.
+    If the walk's first d is at least 1/(16w), no pair is closer.  Else
+    (no d has a hit, the first d is below 1/(16w), or a point is bad) the
+    minimum is the least distinct distance from a point to its nearest
+    other point, from one _nearest pass over every point, each tested once
+    against 1/(16w).  Both ends of a pair closer than 1/(16w) have their
+    nearest point that close, so only those points are compared pairwise.
+    A lone point has no neighbour, so no displacement list is built for it.
     """
     w = snapshot.window.w
     weak = Fraction(1, 16) / w
     strong = Fraction(1, 4) / w
-    split = coords, _, _, _, _, b = _split(snapshot)
+    split = coords, _, _, good, bad, b = _split(snapshot)
     n = len(coords)
     walk = _walk(displacement_candidates(snapshot.window), b) if n > 1 else []
-    below_weak = _Memo(lambda p, q: golden_cmp(p, q, weak.numerator, weak.denominator) < 0)
-    close = [c for c, pq in zip(coords, _nearest(split, walk, range(n)))
-             if pq is not None and below_weak[pq]]
-    min_pq = min(below_weak, default=None, key=_golden_key)
-    violations = []
-    for k, u in enumerate(close):
-        for v in close[k + 1:]:
-            p, q = abs_sq_coords(*(y - x for x, y in zip(u, v)))[0]
-            if golden_cmp(p, q, weak.numerator, weak.denominator) < 0:
-                violations.append({"pair": [list(u), list(v)], "dist_sq": [p, q]})
+    min_pq, violations = None, []
+    if walk and not bad and golden_cmp(*walk[0][1], weak.numerator, weak.denominator) >= 0:
+        min_pq = next((d_sq for kd, d_sq in walk if any(k + kd in good for k in good)), None)
+    if min_pq is None:
+        below_weak = _Memo(lambda p, q: golden_cmp(p, q, weak.numerator, weak.denominator) < 0)
+        close = [c for c, pq in zip(coords, _nearest(split, walk, range(n)))
+                 if pq is not None and below_weak[pq]]
+        min_pq = min(below_weak, default=None, key=_golden_key)
+        for k, u in enumerate(close):
+            for v in close[k + 1:]:
+                p, q = abs_sq_coords(*(y - x for x, y in zip(u, v)))[0]
+                if golden_cmp(p, q, weak.numerator, weak.denominator) < 0:
+                    violations.append({"pair": [list(u), list(v)], "dist_sq": [p, q]})
     return VerificationReport(
         "separation", not violations, n * (n - 1) // 2, violations, _params(snapshot),
         details={
@@ -183,6 +191,9 @@ def verify_unit_lemma(snapshot: Snapshot) -> VerificationReport:
     that does not grow with R.  It is closed under d -> -d, and -d gets d's
     judgement, so only the d > -d are walked: each good pair i, j is hit
     once, along c_j - c_i or c_i - c_j, and kept as (min(i, j), max(i, j)).
+    A close d that flags nothing is only counted, in one pass over the good
+    points; only the flagged d are walked for rows.  A pair with a bad point
+    is judged from its bad end, once: a bad j < i was judged from j.
 
     Close: no d with |sigma(d)|^2 <= 4 has 1 < |d|^2 < 5/4 (the tests pin
     this), so every close d is in displacement_candidates(Window()), the d
@@ -220,20 +231,27 @@ def verify_unit_lemma(snapshot: Snapshot) -> VerificationReport:
     coords, _, _, good, bad, b = _split(snapshot)
     walk = _walk(judged, b)
     n = len(coords)
-    close_pairs, rows = 0, []
-    for k, i in good.items():
-        for kd, (close, v) in walk:
+    counted = [kd for kd, (close, v) in walk if close and not v]
+    flagged = [(kd, close, v) for kd, (close, v) in walk if v]
+    close_pairs = len([1 for k in good for kd in counted if k + kd in good])
+    rows = []
+    for k, i in good.items() if flagged else ():
+        for kd, close, v in flagged:
             j = good.get(k + kd)
             if j is not None:
                 close_pairs += close
-                if v:
-                    rows.append((min(i, j), max(i, j), v))
-    for i, j in {(min(i, j), max(i, j)) for i in bad for j in range(n) if j != i}:
-        d = tuple(y - x for x, y in zip(coords[i], coords[j]))
-        close, v = judge(d, *abs_sq_coords(*d)[0])
-        close_pairs += close
-        if v:
-            rows.append((i, j, v))
+                rows.append((min(i, j), max(i, j), v))
+    is_bad = set(bad)
+    for i in bad:
+        a0, a1, a2, a3 = coords[i]
+        for j, (c0, c1, c2, c3) in enumerate(coords):
+            if j == i or j < i and j in is_bad:
+                continue
+            d = (c0 - a0, c1 - a1, c2 - a2, c3 - a3)
+            close, v = judge(d, *abs_sq_coords(*d)[0])
+            close_pairs += close
+            if v:
+                rows.append((min(i, j), max(i, j), v))
     violations = [{"pair": [list(coords[i]), list(coords[j])], **v} for i, j, v in sorted(rows)]
     return VerificationReport("unit-lemma", not violations, n * (n - 1) // 2,
                               violations, _params(snapshot),

@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 import oracles
@@ -17,6 +17,7 @@ from pentaset.cyclotomic import (
     TENTH_ROOTS,
     abs_sq_coords,
     embed_approx,
+    golden_cmp,
     norm_coords,
 )
 from pentaset.io_render import read_snapshot, write_snapshot
@@ -399,6 +400,68 @@ class TestSeparation:
         r = verify_separation(bad)
         assert not r.passed
         assert r.violations
+
+
+#: R^2 and the coordinates of the sets whose subsets test_subsets_match_oracle draws
+_SUBSET_POINTS = {w: (r, [p.coords for p in enumerate_points(r, Window(w)).points])
+                  for w, r in ((Fraction(1, 5), Fraction(100)), (Fraction(49, 4), Fraction(1)))}
+
+
+class TestSeparationFromTheList:
+    """On a split with no bad point, separation reads the minimum off the
+    sorted displacement list and makes no _nearest pass."""
+
+    @staticmethod
+    def _count_nearest(monkeypatch) -> list:
+        calls, real = [], verify._nearest
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(verify, "_nearest", counting)
+        return calls
+
+    @pytest.mark.parametrize("window_sq", [
+        Fraction(1, 10), Fraction(1, 5), Fraction(1, 4), Fraction(1, 3), Fraction(1),
+        Fraction(2), Fraction(49, 4)])
+    def test_no_entry_below_the_stated_constant(self, window_sq):
+        # N(d) >= 1 and |sigma(d)|^2 <= 4w give |d|^2 >= 1/(4w) > 1/(16w)
+        weak = Fraction(1, 16) / window_sq
+        assert not [d for d, pq in displacement_candidates(Window(window_sq))
+                    if golden_cmp(*pq, weak.numerator, weak.denominator) < 0]
+
+    def test_clean_enumeration_makes_no_nearest_pass(self, monkeypatch):
+        calls = self._count_nearest(monkeypatch)
+        snap = enumerate_points(400)
+        r = verify_separation(snap)
+        assert calls == []
+        assert r.passed and r.details["min_pair_dist_sq"] == [2, -1]
+
+    def test_first_entry_below_the_constant_takes_the_per_point_path(self, monkeypatch,
+                                                                    snap25):
+        # eps^3, with |eps^3|^2 = 13 - 8 phi < 1/16, put first: no two window
+        # members differ by it (|sigma(eps^3)|^2 = phi^6 > 4), so the report
+        # is unchanged, but the walk can no longer rule out a close pair
+        real = verify.displacement_candidates
+        monkeypatch.setattr(verify, "displacement_candidates",
+                            lambda window: [(EPS3, (13, -8))] + real(window))
+        calls = self._count_nearest(monkeypatch)
+        assert abs_sq_coords(*EPS3)[0] == (13, -8)
+        r = verify_separation(snap25)
+        assert len(calls) == 1
+        assert r.to_json_dict() == oracles.separation(snap25).to_json_dict()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(sorted(_SUBSET_POINTS)),
+           st.lists(st.booleans(), max_size=max(len(c) for _, c in _SUBSET_POINTS.values())))
+    @example(Fraction(1, 5), [True] + [False] * 59 + [True])
+    def test_subsets_match_oracle(self, window_sq, keep):
+        # a sparse subset, such as the first and last points at w = 1/5
+        # (the example), has no pair along the list and takes the per-point path
+        radius_sq, points = _SUBSET_POINTS[window_sq]
+        pts = [make_record(c) for c, k in zip(points, keep) if k]
+        snap = Snapshot(Window(window_sq), radius_sq, pts)
+        assert verify_separation(snap).to_json_dict() == oracles.separation(snap).to_json_dict()
 
 
 ROTATION_CASES = ("removed", "zeta-orbit-removed", "eps-shift", "duplicated", "clean-w49/4",
