@@ -1,8 +1,8 @@
 """Snapshot persistence (JSONL / CSV) and SVG rendering.
 
-Integer data round-trips exactly; doubles are written with 17 significant
-digits so they reparse to the same bits.  Output is deterministic: identical
-snapshots and options give identical bytes.
+Integer data round-trips exactly, doubles (17 significant digits) to the
+same bits, and identical snapshots and options give identical bytes.  Reading
+rechecks every record; the C scanner of json.loads parses a JSONL record line.
 """
 
 from __future__ import annotations
@@ -66,12 +66,10 @@ _LAYOUTS = {
             "%d,%d,%d,%d,%.17g,%.17g,%d,%d,%s\n"),
 }
 
-# The JSONL record line as json.loads reads it: %d a JSON integer of at most
-# MAX_DIGITS digits (int() refuses more), %.17g a JSON number, %s a class word.
-_INT = r"(-?(?:0|[1-9][0-9]{0,%d}))" % (MAX_DIGITS - 1)
-_FIELD = {"%d": _INT, "%.17g": _INT + r"((?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)", "%s": "([a-z]+)"}
-_RECORD = re.compile("".join(_FIELD[t] if k % 2 else re.escape(t) for k, t in
-                             enumerate(re.split(r"(%d|%\.17g|%s)", _LAYOUTS["jsonl"][1]))))
+# The JSONL record's keys in order, and json.loads' scanner with the C tuple as
+# pairs hook: an object scans to its (key, value) pairs, running no Python code
+_KEYS = tuple(re.findall(r'"(\w+)":', _LAYOUTS["jsonl"][1]))
+_scan = json.JSONDecoder(object_pairs_hook=tuple).scan_once
 
 
 # The layouts with each float as %s, filled from a _Floats memo
@@ -167,12 +165,13 @@ def read_snapshot(source) -> Snapshot:
     a record outside the header's disc or window is rejected.  The snapshot
     keeps the split (modelset._split) that these exact decisions make, so
     the checks look its points up by key, as on a fresh enumeration."""
-    first = source.readline()
+    try:
+        first = source.readline()
+    except UnicodeDecodeError as e:
+        raise SnapshotFormatError(f"line 1: undecodable text: {e}") from e
     if not first:
         raise SnapshotFormatError("empty file: header required")
-    if first.lstrip().startswith("{"):
-        return _read_jsonl(first, source)
-    return _read_csv(first, source)
+    return (_read_jsonl if first.lstrip().startswith("{") else _read_csv)(first, source)
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -183,6 +182,9 @@ def _unique_keys(pairs: list) -> dict:
 
 
 def _read_jsonl(first: str, source) -> Snapshot:
+    """A record line that _scan parses up to its final newline into the pairs
+    of _KEYS, with int a and iabs, int or float x and y and a str class, takes
+    the scanned values; json.loads, with the same decoder, reads the others."""
     try:
         header = json.loads(first, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as e:
@@ -190,34 +192,35 @@ def _read_jsonl(first: str, source) -> Snapshot:
     if header.get("format") != "pentaset-snapshot":
         raise SnapshotFormatError("line 1: missing snapshot header")
     snapshot, seen, inside = _header_snapshot(header)
-    points, match = snapshot.points, _RECORD.fullmatch
-    for lineno, line in enumerate(source, start=2):
-        try:
-            m = match(line)
-            if m:  # as json.loads reads it: an x or y with no . or e is an int
-                a0, a1, a2, a3, xi, xf, yi, yf, p, q, cls = m.groups()
-                a0, a1, a2, a3, p, q = int(a0), int(a1), int(a2), int(a3), int(p), int(q)
-                x, y = float(xi + xf) if xf else int(xi), float(yi + yf) if yf else int(yi)
-            elif not line.strip():
-                continue
-            else:
+    points, lineno = snapshot.points, 1
+    try:
+        for lineno, line in enumerate(source, start=2):
+            try:
+                rec, end = _scan(line, 0)
+                (ka, (a0, a1, a2, a3)), (kx, x), (ky, y), (ki, (p, q)), (kc, cls) = rec
+            except (StopIteration, ValueError, TypeError, RecursionError):
+                rec = None
+            if not (type(rec) is tuple and line[end:] == "\n" and (ka, kx, ky, ki, kc) == _KEYS
+                    and type(a0) is type(a1) is type(a2) is type(a3) is type(p) is type(q) is int
+                    and type(x) in (int, float) and type(y) in (int, float) and type(cls) is str):
+                if not line.strip():
+                    continue
                 rec = json.loads(line, object_pairs_hook=_unique_keys)
-                if not isinstance(rec, dict) or rec.keys() != {"a", "x", "y", "iabs", "class"}:
+                if not isinstance(rec, dict) or rec.keys() != set(_KEYS):
                     raise SnapshotFormatError(f"line {lineno}: malformed record: wrong keys")
-                a, x, y, iabs = rec["a"], rec["x"], rec["y"], rec["iabs"]
-                a0, a1, a2, a3 = a
-                p, q = iabs
+                (a0, a1, a2, a3), x, y, (p, q), cls = map(rec.get, _KEYS)
                 # JSON true and 1.0 would pass as coordinates
                 if not (type(a0) is type(a1) is type(a2) is type(a3) is type(p) is type(q) is int):
                     raise SnapshotFormatError(f"line {lineno}: a and iabs must hold integers")
                 if type(x) not in (int, float) or type(y) not in (int, float):
                     raise SnapshotFormatError(f"line {lineno}: x and y must be numbers")
-                cls = rec["class"]
             _add_record(points, seen, inside, lineno, (a0, a1, a2, a3), x, y, (p, q), cls)
-        except SnapshotFormatError:
-            raise
-        except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as e:
-            raise SnapshotFormatError(f"line {lineno}: malformed record: {e}") from e
+    except SnapshotFormatError:
+        raise
+    except UnicodeDecodeError as e:  # in reading the line after lineno
+        raise SnapshotFormatError(f"line {lineno + 1}: undecodable text: {e}") from e
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as e:
+        raise SnapshotFormatError(f"line {lineno}: malformed record: {e}") from e
     return _with_split(snapshot, seen)
 
 
@@ -230,20 +233,17 @@ def _read_csv(first: str, source) -> Snapshot:
         snapshot, seen, inside = _header_snapshot({"radius_sq": head[1], "window_sq": head[3]})
         if next(rows, None) != CSV_COLUMNS:
             raise SnapshotFormatError(f"line 2: expected columns {CSV_COLUMNS}")
-        for row in rows:
-            if not row:
-                continue
-            lineno = rows.line_num
-            try:  # unpacking refuses a row of more or fewer fields
-                a0, a1, a2, a3, x, y, p, q, cls = row
-                c = (int(a0), int(a1), int(a2), int(a3))
-                _add_record(snapshot.points, seen, inside, lineno, c, x, y, (int(p), int(q)), cls)
-            except SnapshotFormatError:
-                raise
-            except (ValueError, OverflowError) as e:
-                raise SnapshotFormatError(f"line {lineno}: malformed record: {e}") from e
+        for a0, a1, a2, a3, x, y, p, q, cls in filter(None, rows):  # a row of 9 fields
+            c, iabs = (int(a0), int(a1), int(a2), int(a3)), (int(p), int(q))
+            _add_record(snapshot.points, seen, inside, rows.line_num, c, x, y, iabs, cls)
+    except SnapshotFormatError:
+        raise
     except csv.Error as e:
         raise SnapshotFormatError(f"line {rows.line_num}: malformed CSV: {e}") from e
+    except UnicodeDecodeError as e:  # in reading the line after rows.line_num
+        raise SnapshotFormatError(f"line {rows.line_num + 1}: undecodable text: {e}") from e
+    except (ValueError, OverflowError) as e:
+        raise SnapshotFormatError(f"line {rows.line_num}: malformed record: {e}") from e
     return _with_split(snapshot, seen)
 
 

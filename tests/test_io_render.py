@@ -7,6 +7,7 @@ import math
 import re
 import struct
 from fractions import Fraction
+from itertools import count
 from unittest import mock
 
 import pytest
@@ -417,13 +418,24 @@ def _read_outcome(text):
             for p in snap.points]
 
 
+def _scan_nothing(line, idx):
+    raise StopIteration(idx)
+
+
 def _assert_paths_agree(text):
-    """Reading text with the layout fast path gives what reading every line
+    """Reading text with the scanner fast path gives what reading every line
     through json.loads gives."""
     fast = _read_outcome(text)
-    with mock.patch.object(io_render, "_RECORD", re.compile(r"(?!)")):
+    with mock.patch.object(io_render, "_scan", _scan_nothing):
         assert _read_outcome(text) == fast
     return fast
+
+
+def _loads_calls(read):
+    """The number of json.loads calls that read() makes."""
+    with mock.patch("json.loads", wraps=json.loads) as loads:
+        read()
+    return loads.call_count
 
 
 # the JSONL record layout with every field a %s
@@ -474,9 +486,9 @@ def _mutated_record(draw):
 
 
 class TestLayoutFastPath:
-    """A JSONL record line that matches the writer's layout is parsed by one
-    regular expression; every other line goes through json.loads.  Both must
-    give the same record, with the same x and y bits, or the same error."""
+    """A JSONL record line in the writer's layout is parsed by one call of the
+    C scanner of json.loads; every other line goes through json.loads.  Both
+    must give the same record, with the same x and y bits, or the same error."""
 
     @pytest.mark.parametrize("old, new, fast", [
         ('"x":0,', '"x":-0,', True),
@@ -490,9 +502,9 @@ class TestLayoutFastPath:
         ('"x":0,', '"x":1E5,', True),
         ('"x":0,', '"x":1e400,', True),
         ('"x":0,', '"x":nan,', False),
-        ('"x":0,', '"x":NaN,', False),
+        ('"x":0,', '"x":NaN,', True),
         ('"x":0,', '"x":inf,', False),
-        ('"x":0,', '"x":Infinity,', False),
+        ('"x":0,', '"x":Infinity,', True),
         ('"x":0,', '"x":1_0,', False),
         ('"x":0,', '"x":+1,', False),
         ('"a":[0,0,0,0]', '"a":[+0,0,0,0]', False),
@@ -500,32 +512,54 @@ class TestLayoutFastPath:
         ('"class":"long"}\n', '"class":"long"}', False),
         ('"class":"long"}\n', '"class":"long"}\r\n', False),
         ('"class":"long"}\n', '"class":"long"}  \n', False),
-        ('"class":"long"', '"class":"\\u006cong"', False),
+        ('"class":"long"', '"class":"\\u006cong"', True),
         ('"class":"long"', '"class":"weird"', True),
+        ('{"a":[0,0,0,0],"x":0,', '{ "a" : [0, 0, 0, 0] , "x":\t0,', True),
+        ('"x":0,"y":0', '"y":0,"x":0', False),
+        ('"x":0,"y":0', '"x":0,"x":0', False),
+        ('"class":"long"}\n', '"class":"long"}x\n', False),
+        ('"class":"long"}\n', '"class":"long"}' + _ORIGIN, False),
+        ('{"a"', ' {"a"', False),
+        ('"a":[0,0,0,0]', '"a":[0,0,0,0.0]', False),
+        ('"a":[0,0,0,0]', '"a":[true,0,0,0]', False),
+        ('"x":0,', '"x":"0",', False),
+        ('"class":"long"', '"class":5', False),
+        ('"a":[0,0,0,0]', '"a":{"0":0,"1":0,"2":0,"3":0}', False),
     ], ids=["x-minus-zero", "18-digits", "19-digits", "4300-digits", "4301-digits",
             "iabs-4301-digits", "x-4300-digits", "x-4301-digits", "1E5", "1e400", "nan",
             "NaN", "inf", "Infinity", "underscore", "plus-x", "plus-a", "arabic-digit",
-            "no-final-newline", "crlf", "trailing-spaces", "class-u-escape", "weird-class"])
+            "no-final-newline", "crlf", "trailing-spaces", "class-u-escape", "weird-class",
+            "inner-spaces", "permuted-keys", "repeated-key", "text-after-record",
+            "two-records", "leading-space", "float-coordinate", "bool-coordinate",
+            "string-x", "int-class", "object-a"])
     def test_named_lines(self, old, new, fast):
         assert _ORIGIN.count(old) == 1
         line = _ORIGIN.replace(old, new)
-        assert bool(io_render._RECORD.fullmatch(line)) == fast
         lines = list(_SNAP4_LINES["jsonl"])
         k = lines.index(_ORIGIN)
         lines[k] = line
         if not line.endswith("\n"):  # the last line of the file
             lines.append(lines.pop(k))
-        outcome = _assert_paths_agree("".join(lines))
+        text = "".join(lines)
+        # the header and each line off the fast path go through json.loads
+        assert _loads_calls(lambda: _read_outcome(text)) == 1 + (not fast)
+        outcome = _assert_paths_agree(text)
         if new == '"x":-0,':
             # json reads -0 as the int 0, and so must the fast path: the
             # float -0.0 would be written back as -0
             assert outcome == _read_outcome("".join(_SNAP4_LINES["jsonl"]))
 
-    def test_written_lines_take_the_fast_path(self):
-        snap = analyze(enumerate_points(Fraction(49, 4), Window(Fraction(1, 5))))
-        lines = _snapshot_lines(snap, "jsonl")
-        assert all(io_render._RECORD.fullmatch(line) for line in lines[1:])
-        assert len(_assert_paths_agree("".join(lines))) == len(snap.points)
+    def test_written_lines_take_the_fast_path(self, tmp_path):
+        for radius_sq, w in [(Fraction(49, 4), Fraction(1, 5)), (Fraction(319), Fraction(1)),
+                             (Fraction(73, 2), Fraction(49, 4))]:
+            snap = analyze(enumerate_points(radius_sq, Window(w)))
+            path = tmp_path / "snap.jsonl"
+            with open(path, "w", encoding="utf-8", newline="") as f:
+                write_snapshot(snap, "jsonl", f)
+            with open(path, encoding="utf-8", newline="") as f:
+                assert _loads_calls(lambda: read_snapshot(f)) == 1  # the header alone
+            text = path.read_text(encoding="utf-8")
+            assert len(_assert_paths_agree(text)) == len(snap.points)
 
     @given(_generated_record())
     @settings(max_examples=300, deadline=None)
@@ -536,6 +570,44 @@ class TestLayoutFastPath:
     @settings(max_examples=300, deadline=None)
     def test_mutated_records(self, text):
         _assert_paths_agree(text)
+
+
+def _decode_failure_line(path):
+    """The number of the line whose readline meets the first undecodable
+    byte of the file, opened as UTF-8 with newline=""."""
+    with open(path, encoding="utf-8", newline="") as f:
+        for lineno in count(1):
+            try:
+                if not f.readline():
+                    return None
+            except UnicodeDecodeError:
+                return lineno
+
+
+class TestUndecodableBytes:
+    """A byte that is no UTF-8 is a SnapshotFormatError naming the line being
+    read when the text stream, which decodes ahead in blocks, met it."""
+
+    @pytest.fixture(scope="class")
+    def snap100(self):
+        return analyze(enumerate_points(100))  # 351 records, more than one 8 KB block
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("bad_line", [1, 3, 300])
+    def test_bad_byte_is_line_error(self, tmp_path, snap100, fmt, bad_line):
+        lines = [line.encode() for line in _snapshot_lines(snap100, fmt)]
+        lines[bad_line - 1] = lines[bad_line - 1][:5] + b"\xff" + lines[bad_line - 1][6:]
+        path = tmp_path / f"bad.{fmt}"
+        path.write_bytes(b"".join(lines))
+        k = _decode_failure_line(path)
+        if bad_line < 100:  # within the first block: the header's readline fails
+            assert k == 1
+        else:
+            assert 1 < k <= bad_line
+        with open(path, encoding="utf-8", newline="") as f:
+            with pytest.raises(SnapshotFormatError,
+                               match=rf"^line {k}: undecodable text: .*0xff"):
+                read_snapshot(f)
 
 
 _HEADER_LINES = {"jsonl": 1, "csv": 2}
