@@ -41,3 +41,41 @@ def test_distance_census_rows_match_the_package():
         assert ratio == f"{summary['short_long_ratio']:.3f}"
         assert density == f"{summary['density']:.4f}"
     assert lines[-1] == f"model-set density limit: {4 * math.pi / math.sqrt(125):.4f}"
+
+
+def test_src_lines_counts_code_not_comments_or_docstrings(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        '"""A module\n'          # docstring
+        'docstring."""\n'
+        '\n'
+        '# a comment\n'
+        'X = """a string\n'      # code, both lines
+        'that is not a docstring"""\n'
+        '\n'
+        '\n'
+        'class C:\n'             # code
+        '    """Doc."""\n'       # docstring
+        '\n'
+        '    def f(self):\n'     # code
+        '        """Doc."""\n'   # docstring
+        '        return (1,  # a trailing comment\n'  # code
+        '                2)\n',  # code
+        encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "src_lines.py"), str(module)],
+        capture_output=True, text=True, check=True, timeout=60)
+    rows = [line.split() for line in proc.stdout.splitlines()]
+    assert rows == [["module", "lines", "code"], ["module.py", "15", "6"],
+                    ["total", "15", "6"]]
+
+
+def test_src_lines_totals_the_package():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "src_lines.py")],
+        capture_output=True, text=True, check=True, timeout=60)
+    *modules, total = [line.split() for line in proc.stdout.splitlines()[1:]]
+    names = sorted(p.name for p in (ROOT / "src" / "pentaset").glob("*.py"))
+    assert [m[0] for m in modules] == names
+    assert total == ["total", str(sum(int(m[1]) for m in modules)),
+                     str(sum(int(m[2]) for m in modules))]
