@@ -7,9 +7,8 @@ The pair checks' tested_count is the n(n-1)/2 pairs their verdict covers.
 
 from __future__ import annotations
 
-from copy import deepcopy
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 
 from .cyclotomic import (
     TENTH_ROOTS,
@@ -173,20 +172,25 @@ def _judge(d: Coords) -> tuple[bool, dict | None]:
     return close, None
 
 
-@lru_cache(maxsize=8)
+@cache
+def _norm_gap_seeds() -> tuple[Coords, ...]:
+    """The 60 nonzero x with |x|^2 <= 4 and |sigma(x)|^2 <= 4: each x the
+    search visits (modelset._members), and -x."""
+    return tuple(s for x, _, _ in _members(Fraction(4), Fraction(4)) if any(x)
+                 for s in (x, tuple(-a for a in x)))
+
+
 def _unit_lemma_list(radius_sq: Fraction) -> list[tuple[Coords, tuple[bool, dict | None]]]:
     """verify_unit_lemma's lookup list, each d > -d with its _judge verdict:
-    the d with |d|^2 <= 1, and each nonzero x of _members(4, 4) or -x of
-    norm 2, 3 or 4 (none, on real norms) times eps^-k, k >= 0, up to
-    |d|^2 <= 4R^2."""
+    the d with |d|^2 <= 1, and each seed of norm 2, 3 or 4 (none, on real
+    norms) times eps^-k, k >= 0, up to |d|^2 <= 4R^2."""
     r4 = 4 * radius_sq
     ds = dict.fromkeys(d for d, _ in displacement_candidates(Window()))
-    for x, _, _ in _members(Fraction(4), Fraction(4)):
-        for d in (x, tuple(-a for a in x)) if any(x) else ():
-            if norm_coords(*d) in (2, 3, 4):
-                while golden_cmp(*abs_sq_coords(*d)[0], r4.numerator, r4.denominator) <= 0:
-                    ds[d] = None
-                    d = _times_eps_inv(*d)
+    for d in _norm_gap_seeds():
+        if norm_coords(*d) in (2, 3, 4):
+            while golden_cmp(*abs_sq_coords(*d)[0], r4.numerator, r4.denominator) <= 0:
+                ds[d] = None
+                d = _times_eps_inv(*d)
     return [(d, _judge(d)) for d in ds if d > tuple(-a for a in d)]
 
 
@@ -197,11 +201,9 @@ def verify_unit_lemma(snapshot: Snapshot) -> VerificationReport:
     Two good points (_split) differ by a d with |d|^2 <= 4R^2 and
     |sigma(d)|^2 <= 4, and only the d that are close or have norm 2, 3 or 4
     can change the report; _unit_lemma_list holds all of them, in a list
-    that does not grow with R, built and judged once per R.  The d are
-    closed under d -> -d, and -d gets d's judgement, so only the d > -d are
-    kept: each good pair i, j is hit once, along c_j - c_i or c_i - c_j,
-    and kept as (min(i, j), max(i, j)).  Reports get copies of the kept
-    judgements.
+    that does not grow with R.  It is closed under d -> -d, and -d gets d's
+    judgement, so only the d > -d are kept: each good pair i, j is hit
+    once, along c_j - c_i or c_i - c_j, and kept as (min(i, j), max(i, j)).
     A close d that flags nothing is only counted, in one pass over the good
     points; only the flagged d are walked for rows.  A pair with a bad point
     is judged from its bad end, once: a bad j < i was judged from j.
@@ -223,7 +225,7 @@ def verify_unit_lemma(snapshot: Snapshot) -> VerificationReport:
     is no such seed: every conjugation fixes the prime (1 - zeta) over 5
     and d == a0 + a1 + a2 + a3 modulo it, so N(d) == (a0 + a1 + a2 + a3)^4
     (mod 5), which is 0 or 1 (Kummer; Fermat).  The seeds' norms are still
-    computed, once per R per process, so a faulty norm is caught.
+    computed on every call, so a faulty norm is caught.
     """
     if snapshot.window.w != 1:
         return _skipped("unit-lemma", snapshot)
@@ -252,8 +254,7 @@ def verify_unit_lemma(snapshot: Snapshot) -> VerificationReport:
             close_pairs += close
             if v:
                 rows.append((min(i, j), max(i, j), v))
-    violations = [{"pair": [list(coords[i]), list(coords[j])], **deepcopy(v)}
-                  for i, j, v in sorted(rows)]
+    violations = [{"pair": [list(coords[i]), list(coords[j])], **v} for i, j, v in sorted(rows)]
     return VerificationReport("unit-lemma", not violations, n * (n - 1) // 2,
                               violations, _params(snapshot),
                               details={"close_pairs": close_pairs})

@@ -50,16 +50,6 @@ def snap25():
     return analyze(enumerate_points(25))
 
 
-@pytest.fixture
-def clear_unit_lemma_list():
-    """The unit lemma judges its list once per radius: a test that patches
-    norm_coords calls this after patching, and the cache is cleared again at
-    teardown, so that no fake verdict reaches a later test."""
-    verify._unit_lemma_list.cache_clear()
-    yield verify._unit_lemma_list.cache_clear
-    verify._unit_lemma_list.cache_clear()
-
-
 def make_record(z: tuple) -> PointRecord:
     e = embed_approx(z)
     return PointRecord(z, abs_sq_coords(*z)[1], e.real, e.imag)
@@ -251,19 +241,18 @@ class TestAgainstAllPairsOracle:
             assert verify_two_distance(snap).to_json_dict() == \
                 oracles.two_distance(snap).to_json_dict()
 
-    def test_norm_gap_clause(self, snap25, monkeypatch, clear_unit_lemma_list):
+    def test_norm_gap_clause(self, snap25, monkeypatch):
         # no difference has norm 2, 3 or 4, so pretend +-2 has norm 4 in both
         def fake_norm(*c):
             return 4 if c in {(2, 0, 0, 0), (-2, 0, 0, 0)} else norm_coords(*c)
         monkeypatch.setattr(verify, "norm_coords", fake_norm)
         monkeypatch.setattr(oracles, "field_norm", lambda z: fake_norm(*z))
-        clear_unit_lemma_list()
         r = verify_unit_lemma(snap25)
         assert r.to_json_dict() == oracles.unit_lemma(snap25).to_json_dict()
         assert not r.passed
         assert {v["clause"] for v in r.violations} == {"norm-gap"}
 
-    def test_norm_gap_orbit(self, snap25, monkeypatch, clear_unit_lemma_list):
+    def test_norm_gap_orbit(self, snap25, monkeypatch):
         # an eps-invariant fake, N = 4 on every eps^k * (+-2): only +-2 lies in
         # _members(4, 4), so the other flagged differences (eps^-1 * 2 has
         # |sigma|^2 ~ 1.53) are found only by walking the orbit
@@ -278,28 +267,10 @@ class TestAgainstAllPairsOracle:
             return 4 if c in orbit else norm_coords(*c)
         monkeypatch.setattr(verify, "norm_coords", fake_norm)
         monkeypatch.setattr(oracles, "field_norm", lambda z: fake_norm(*z))
-        clear_unit_lemma_list()
         r = verify_unit_lemma(snap25)
         assert r.to_json_dict() == oracles.unit_lemma(snap25).to_json_dict()
         flagged = {tuple(b - a for a, b in zip(*v["pair"])) for v in r.violations}
         assert flagged - {(2, 0, 0, 0), (-2, 0, 0, 0)}
-
-    def test_reports_share_nothing_with_the_list(self, snap25, monkeypatch,
-                                                 clear_unit_lemma_list):
-        # a fake norm of 2 on +-zeta flags 40 close pairs, each with a
-        # dist_sq list; editing every list of one report leaves the next as it was
-        def fake_norm(*c):
-            return 2 if c in {ZETA, ring_neg(ZETA)} else norm_coords(*c)
-        monkeypatch.setattr(verify, "norm_coords", fake_norm)
-        monkeypatch.setattr(oracles, "field_norm", lambda z: fake_norm(*z))
-        clear_unit_lemma_list()
-        first = verify_unit_lemma(snap25)
-        assert [v["clause"] for v in first.violations] == ["close-pair-not-unit"] * 40
-        for v in first.violations:
-            for x in (*v["pair"], *v.values()):
-                if isinstance(x, list):
-                    x.append(0)
-        assert verify_unit_lemma(snap25).to_json_dict() == oracles.unit_lemma(snap25).to_json_dict()
 
     def test_no_two_points_within_one(self):
         # 0 and 1 + zeta are both in the window, |1 + zeta|^2 = phi^2 > 1:
@@ -377,8 +348,7 @@ class TestUnitLemmaList:
     """The unit lemma looks up a fixed list instead of the difference window."""
 
     def test_no_seed_has_norm_2_3_or_4(self):
-        seeds = [s for x, _, _ in modelset._members(Fraction(4), Fraction(4)) if any(x)
-                 for s in (x, ring_neg(x))]
+        seeds = verify._norm_gap_seeds()
         assert len(seeds) == 60
         assert not [x for x in seeds if norm_coords(*x) in (2, 3, 4)]
 
@@ -387,18 +357,6 @@ class TestUnitLemmaList:
         assert len(units) == 10
         assert [d for d, _ in verify._unit_lemma_list(Fraction(1))] == units
         assert [d for d, _ in verify._unit_lemma_list(Fraction(6400))] == units
-
-    def test_cached_radius_computes_no_norm(self, monkeypatch):
-        # once a radius is judged, a clean snapshot of it needs no norm
-        verify_unit_lemma(enumerate_points(37))
-        calls = []
-
-        def counting(*c):
-            calls.append(c)
-            return norm_coords(*c)
-        monkeypatch.setattr(verify, "norm_coords", counting)
-        assert verify_unit_lemma(enumerate_points(37)).passed
-        assert calls == []
 
     def test_walks_one_of_each_pair(self, monkeypatch):
         # d and -d get one judgement, so only one of them is walked
