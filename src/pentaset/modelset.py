@@ -103,41 +103,25 @@ def _membership(radius_sq: Fraction, w: Fraction) -> _Memo:
 # Z[phi], has coordinates (m1 + n2, m2 + n2, n2 - n1, -n1), a unimodular
 # change of basis.  With c = cos 72 deg = (phi - 1)/2 and s^2 = (2 + phi)/4,
 # |z|^2 = (alpha + beta c)^2 + beta^2 s^2, and |sigma z|^2 is its conjugate
-# (phi -> psi = 1 - phi; alpha', beta', c' = -phi/2, s'^2 = (2 + psi)/4).  So
-# for fixed beta and n1 the disc holds the m1 in -n1 phi - beta c +- sqrt(h),
-# h = R^2 - beta^2 s^2, the window those in -n1 psi - beta' c' +- sqrt(h'),
-# h' = w - beta'^2 s'^2, and the members are the integers of both, [lo, hi].
-# |beta| <= R/s and |beta'| <= sqrt(w)/s' bound n2 = (beta - beta')/sqrt(5),
-# then m2; n1 = (alpha - alpha')/sqrt(5) lies between differences of the ends
-# of alpha's intervals.  Of each pair +-z the search visits the one with
-# (n2, m2) > (0, 0), or beta = 0 and (n1, m1) > (0, 0), lexicographically.
-#
-# Every m1 of [ceil(lo - D), floor(hi + D)] is decided by the exact
-# _membership memo, so no float accepts a point.  Completeness: each range is
-# widened by D = 2^-20 (T + 1), T = R + sqrt(w), over four times the error of
-# any float end.  Proof, u = 2^-53: each float operation and stored constant,
-# R^2 and w included, errs by a factor within 1 +- u, so a value with k <= 12
-# roundings errs by at most 1.01 k u |e|, |e| its expression with every term
-# made nonnegative.  D <= 2 for R^2, w <= 10^12, so the visited beta have
-# |beta| <= R/s + 2 and |beta'| <= sqrt(w)/s' + 2; as n2 = (beta - beta')/
-# sqrt(5) and m2 = (phi beta' - psi beta)/sqrt(5), |e| <= |beta| + 1.45|beta'|
-# for beta and 0.56|beta| + |beta'| for beta'.  So h errs by at most
-# 12.2u (2.4T + 5)^2 and, as |sqrt(a) - sqrt(b)| <= sqrt|a - b| for a, b >= 0,
-# sqrt(max(h, 0)) by at most 3.7e-8 (2.4T + 5) where h >= 0 (a row with h < 0
-# holds no member); sqrt(max(h', 0)) by at most 3.7e-8 (2T + 5).  This term
-# grows with T: at a near-tangent row h ~ 0, and sqrt(h) errs by ~sqrt(u) T.
-# The rest of an end has |e| < 20(T + 5) and errs by < 1e-13 (T + 5).  So an
-# m1 end errs by < 9e-8 T + 2e-7 < D/4, an n1 end (two such, over sqrt(5)) by
-# less, the n2 and m2 bounds by far less.  Outside R^2, w <= 10^12 and R^2/w,
-# w/R^2 <= 10^6 the search raises SearchRangeError.
+# (phi -> psi = 1 - phi).  So for fixed beta and n1 the disc holds the m1
+# within sqrt(h), h = R^2 - beta^2 s^2, of a centre, and the window those
+# within sqrt(h'), h' = w - beta'^2 s'^2, of another.  With t = m2 + 2 n1 and
+# S = 2^_P the centres times 4S are (2m2 - 2n2 - t)S - t sqrt(5) S and
+# (t - 2n2 - 4n1)S + t sqrt(5) S, t sqrt(5)/2 apart, so a row with a member
+# has |t| <= 2(sqrt(h) + sqrt(h'))/sqrt(5); along n1 they move by -phi and
+# -psi.  With beta^2 = u + v phi, 8 beta^2 s^2 = 5(u + v) + (u + 3v) sqrt(5),
+# conjugated for beta'.  R^2/s^2 = R^2 (10 - 2 sqrt(5))/5 and w/s'^2 =
+# w (10 + 2 sqrt(5))/5 bound |beta| and |beta'|, so n2 = (beta - beta')/sqrt(5),
+# then m2.  Of each pair +-z the search visits the one with (n2, m2) > (0, 0),
+# or beta = 0 and (n1, m1) > (0, 0), lexicographically.  Each end is an integer
+# bound in units of 1/S rounded outward, and the exact _membership memo decides
+# every candidate.
 _MAX_RATIO, _MAX_SQ = 10 ** 6, 10 ** 12
-_SQRT5 = math.sqrt(5)
-_PHI, _PSI = (1 + _SQRT5) / 2, (1 - _SQRT5) / 2
-_C, _S2, _C_I, _S2_I = (_PHI - 1) / 2, (2 + _PHI) / 4, -_PHI / 2, (2 + _PSI) / 4
+_P = 24
 
 
 class SearchRangeError(ValueError):
-    """R^2 and w outside the range the enumeration is proven complete for."""
+    """R^2 and w outside the range the enumeration accepts."""
 
 
 def brief_rational(r: Fraction) -> str:
@@ -146,27 +130,40 @@ def brief_rational(r: Fraction) -> str:
                     for t in str(r).split("/"))
 
 
-def _margin(r2: float, wf: float) -> float:
-    """D, by which every float range of the search is widened (above)."""
-    return 2.0 ** -20 * (math.sqrt(r2) + math.sqrt(wf) + 1)
+def _floor_sqrt5(b: int) -> int:
+    """floor(b*sqrt(5)), exactly: for b != 0, |b|*sqrt(5) lies strictly
+    between r = isqrt(5 b^2) and r + 1."""
+    r = math.isqrt(5 * b * b)
+    return r if b >= 0 else -r - 1
 
 
-def _rows(n2: int, m2: int, r2: float, wf: float, d: float):
-    """(n1, first, last) for each row of beta = m2 + n2*phi in the search:
-    every member m1 + n1*phi + beta*zeta has first <= m1 <= last."""
-    b, bi = m2 + n2 * _PHI, m2 + n2 * _PSI
-    hp = math.sqrt(max(r2 - _S2 * b * b, 0.0))
-    hw = math.sqrt(max(wf - _S2_I * bi * bi, 0.0))
-    cp, ci = -b * _C, -bi * _C_I
-    p0, p1, i0, i1 = cp - hp, cp + hp, ci - hw, ci + hw
-    start = math.ceil((p0 - i1) / _SQRT5 - d)
-    origin_row = not (n2 or m2)  # beta = 0: only (n1, m1) > (0, 0)
-    for n1 in range(max(start, 0) if origin_row else start,
-                    math.floor((p1 - i0) / _SQRT5 + d) + 1):
-        fp, fi = n1 * _PHI, n1 * _PSI
-        first = math.ceil(max(p0 - fp, i0 - fi) - d)
-        yield n1, max(first, 1) if origin_row and not n1 else first, \
-            math.floor(min(p1 - fp, i1 - fi) + d)
+_PHI_S = ((1 << _P) + _floor_sqrt5(1 << _P)) // 2  # floor(phi S), S = 2^_P
+
+
+def _rows(n2: int, m2: int, rq: int, wq: int):
+    """(n1, first, last) for each row of beta = m2 + n2*phi in the search at
+    S^2 R^2 < rq and S^2 w < wq: every member m1 + n1*phi + beta*zeta has
+    first <= m1 <= last."""
+    u, v = m2 * m2 + n2 * n2, (2 * m2 + n2) * n2  # beta^2 = u + v phi
+    e, r = 5 * (u + v) << 2 * _P - 3, _floor_sqrt5((u + 3 * v) << 2 * _P - 3)
+    h, h_i = rq - e - r, wq + 1 - e + r  # above S^2 h and S^2 h'
+    if h <= 0 or h_i <= 0:  # h < 0 or h' < 0: no member
+        return
+    rh, rw = math.isqrt(h) + 1, math.isqrt(h_i) + 1  # above S sqrt(h), S sqrt(h')
+    k = math.isqrt(4 * (rh + rw) ** 2 // (5 << 2 * _P))  # |t| <= k
+    start = -((k + m2) // 2) if n2 or m2 else 0  # beta = 0: only (n1, m1) > (0, 0)
+    t = m2 + 2 * start
+    a, c = (2 * m2 - 2 * n2 - t) << _P - 2, _floor_sqrt5(t << _P - 2)
+    # ends times S, lower ones negated; a row moves the centres by -phi S, phi S - S
+    nlo, hi, nlo_i, hi_i = c + 1 + rh - a, a - c + rh, rw - a - c, a + c + 1 + rw
+    p, f, f1, g, g1 = _P, _PHI_S, _PHI_S + 1, _PHI_S - (1 << _P), _PHI_S + 1 - (1 << _P)
+    for n1 in range(start, (k - m2) // 2 + 1):
+        first = -(min(nlo, nlo_i) >> p)
+        yield n1, first if n1 or n2 or m2 else max(first, 1), min(hi, hi_i) >> p
+        nlo += f1
+        hi -= f
+        nlo_i -= g
+        hi_i += g1
 
 
 def _members(radius_sq: Fraction, w: Fraction):
@@ -182,17 +179,19 @@ def _members(radius_sq: Fraction, w: Fraction):
             and radius_sq <= _MAX_SQ and w <= _MAX_SQ):
         raise SearchRangeError(
             f"R^2 = {brief_rational(radius_sq)}, w = {brief_rational(w)} is outside the "
-            f"range the enumeration is proven complete for (R^2/w and w/R^2 <= {_MAX_RATIO}, "
+            f"range the enumeration accepts (R^2/w and w/R^2 <= {_MAX_RATIO}, "
             f"R^2 and w <= {_MAX_SQ})")
-    r2, wf = float(radius_sq), float(w)
-    d = _margin(r2, wf)
-    bp, bw = math.sqrt(r2 / _S2), math.sqrt(wf / _S2_I)
-    for n2 in range(math.floor((bp + bw) / _SQRT5 + d) + 1):
-        cp, ci = -n2 * _PHI, -n2 * _PSI
-        for m2 in range(math.ceil(max(cp - bp, ci - bw) - d) if n2 else 0,
-                        math.floor(min(cp + bp, ci + bw) + d) + 1):
+    rq, wq = ((b.numerator << 2 * _P) // b.denominator + 1 for b in (radius_sq, w))
+    bp = math.isqrt((10 * rq + _floor_sqrt5(-2 * rq)) // 5) + 1  # above S R/s
+    bw = math.isqrt((10 * wq + _floor_sqrt5(2 * wq)) // 5) + 1  # above S sqrt(w)/s'
+    for n2 in range(math.isqrt((bp + bw) ** 2 // (5 << 2 * _P)) + 1):
+        # -n2 phi S lies in [-c - 1, -c], and -n2 psi S = n2 phi S - n2 S in [c_i, c_i + 1]
+        c = ((n2 << _P) + _floor_sqrt5(n2 << _P)) // 2
+        c_i = c - (n2 << _P)
+        for m2 in range(-(-max(-c - 1 - bp, c_i - bw) >> _P) if n2 else 0,
+                        (min(bp - c, c_i + 1 + bw) >> _P) + 1):
             a1 = m2 + n2
-            for n1, first, last in _rows(n2, m2, r2, wf, d):
+            for n1, first, last in _rows(n2, m2, rq, wq):
                 a2 = n2 - n1
                 for a0 in range(first + n2, last + n2 + 1):
                     phys, intr = moduli = abs_sq_coords(a0, a1, a2, -n1)
@@ -205,7 +204,7 @@ def enumerate_points(radius_sq: Fraction | int, window: Window | None = None) ->
     canonical order (Q(a) = |z|^2 + |sigma(z)|^2, then coordinates).
 
     Raises ValueError for a negative radius_sq, and SearchRangeError for R^2
-    and w outside the range the search is proven complete for.
+    and w outside the range the search accepts.
     """
     window = window or Window()
     radius_sq = Fraction(radius_sq)
@@ -246,9 +245,9 @@ def displacement_candidates(window: Window) -> list[tuple[Coords, tuple[int, int
     step argument in verify_two_distance).  For w < 1, S_w = phi^k S_{w phi^2k}
     (eps = phi^-1), so once w (L_2k - 1) >= 1, and so w phi^2k > 1, the nearest
     squared distance is at most phi^2k < L_2k (Lucas); L is the least such
-    L_2k, capped at 4w * _MAX_RATIO (proven range) and at least 1.  A point
+    L_2k, capped at 4w * _MAX_RATIO (accepted range) and at least 1.  A point
     with no hit is compared with every point, so L affects only the time.
-    Its search leaves the proven range exactly when w > _MAX_RATIO / 4 (L = 1).
+    Its search leaves the accepted range exactly when w > _MAX_RATIO / 4 (L = 1).
     The lists of the last eight windows are kept, so that the calls at one
     window build the list once.
     """
@@ -261,8 +260,8 @@ def displacement_candidates(window: Window) -> list[tuple[Coords, tuple[int, int
                for c in (z, tuple(-a for a in z))]
     except SearchRangeError as e:  # name the caller's w, not this search's (L, 4w)
         raise SearchRangeError(
-            f"w = {brief_rational(w)} is outside the range its displacement list "
-            f"is proven complete for (w <= {_MAX_RATIO // 4})") from e
+            f"w = {brief_rational(w)} is outside the range the search for its "
+            f"displacement list accepts (w <= {_MAX_RATIO // 4})") from e
 
     out.sort(key=lambda e: (_golden_key(e[1]), e[0]))
     return out

@@ -1,5 +1,6 @@
-"""Every name the package exports has a consumer outside the tests, and
-the package keeps one representation of each value.
+"""Every name the package exports has a consumer outside the tests, the
+package keeps one representation of each value, and the enumeration's row
+search decides without a float.
 
 A name that only the tests call belongs in tests/oracles.py or nowhere; this
 keeps such names from coming back into pentaset/__init__.  A number of Z[phi]
@@ -71,3 +72,46 @@ def test_no_second_representation():
     lines = _point_view_lines()
     assert {name for _, _, name in found} == {"CycInt"}  # the guard sees PointRecord.z
     assert sorted(f for f in found if f[0] != "modelset.py" or f[1] not in lines) == []
+
+
+def _floats_reached(*roots: str) -> tuple[set[str], list[str]]:
+    """The top-level functions, classes and constants of modelset and
+    cyclotomic that the named functions reach by name, and each float
+    literal, float() call or math.sqrt/ceil/floor call among them."""
+    defs = {}
+    for name in ("cyclotomic.py", "modelset.py"):  # modelset's names win
+        for node in ast.parse((PACKAGE / name).read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[node.name] = node
+            elif isinstance(node, ast.Assign):
+                for target in node.targets:
+                    for t in ast.walk(target):
+                        if isinstance(t, ast.Name):
+                            defs[t.id] = node.value
+    seen, todo, found = set(), list(roots), []
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for n in ast.walk(defs[name]):
+            if isinstance(n, ast.Name) and n.id in defs:
+                todo.append(n.id)
+            if isinstance(n, ast.Constant) and isinstance(n.value, (float, complex)):
+                found.append(f"{name}: {n.value!r}")
+            if isinstance(n, ast.Call) and (
+                    isinstance(n.func, ast.Name) and n.func.id == "float"
+                    or isinstance(n.func, ast.Attribute) and isinstance(n.func.value, ast.Name)
+                    and n.func.value.id == "math" and n.func.attr in ("sqrt", "ceil", "floor")):
+                found.append(f"{name}: {ast.unparse(n)}")
+    return seen, found
+
+
+def test_no_float_in_the_search():
+    # the row search and every helper it calls decide in integers alone
+    reached, floats = _floats_reached("_members", "_rows")
+    assert {"_floor_sqrt5", "_PHI_S", "_membership", "_at_most", "golden_cmp", "sqrt5_sign",
+            "abs_sq_coords"} <= reached
+    assert floats == []
+    # the guard sees a float where there is one: the places enumerate_points writes
+    assert _floats_reached("enumerate_points")[1]

@@ -71,7 +71,7 @@ class TestParsing:
         code = run_cli(["generate", "--radius-sq", "1", "--window-sq", "10000000"])
         captured = capsys.readouterr()
         assert code == EXIT_USAGE and captured.out == ""
-        assert "proven complete" in captured.err
+        assert "range the enumeration accepts" in captured.err
 
     @pytest.mark.parametrize("argv, one_point", [
         (["stats"], lambda out: json.loads(out)["classes"] == {
@@ -84,7 +84,7 @@ class TestParsing:
     ], ids=["stats", "render-color-classes", "verify-rotation", "verify"])
     def test_one_point_set_builds_no_displacement_list(self, capsys, argv, one_point):
         # the set is the origin alone, which no walk starts from; the list of
-        # w = 300000, which it would leave unused, is outside its proven range
+        # w = 300000, which it would leave unused, is outside the accepted range
         code, out = run(capsys, *argv, "--radius-sq", "1/1000000", "--window-sq", "300000")
         assert code == EXIT_OK and one_point(out)
 
@@ -112,11 +112,11 @@ class TestParsing:
             assert "more than 4300 digits" in captured.err
 
     def test_long_rational_is_abbreviated_in_messages(self, capsys):
-        # accepted, but outside the proven range: the banner and the error
+        # parsed, but outside the range the search accepts: the banner and the error
         # give R^2 by its leading digits and digit count
         code = run_cli(["stats", "--radius-sq", "1e4299"])
         err = capsys.readouterr().err
-        assert code == EXIT_USAGE and "proven complete" in err
+        assert code == EXIT_USAGE and "range the enumeration accepts" in err
         assert len(err.encode()) < 500 and "(4300 digits)" in err
 
     def test_reused_parser_keeps_no_state(self, capsys):

@@ -199,7 +199,7 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("r_sq, w", [(10 ** 7, 1), (1, 10 ** 7), (10 ** 13, 10 ** 12)])
     def test_outside_proven_range_rejected(self, r_sq, w):
-        with pytest.raises(SearchRangeError, match="proven complete"):
+        with pytest.raises(SearchRangeError, match="range the enumeration accepts"):
             enumerate_points(r_sq, Window(w))
 
     def test_displacement_list_outside_proven_range_names_w(self):
@@ -383,51 +383,94 @@ class TestRowOracle:
     @pytest.mark.parametrize("s", [1, -1])
     @pytest.mark.parametrize("which", [0, 1], ids=["disc", "window"])
     def test_near_tangent_rows_at_the_range_edge(self, which, s):
-        # beta = 2 phi^25 with alpha = s - phi^24 (disc), or beta = -2 psi^25
-        # with alpha = -(s + psi^26) (window), puts z one unit from where its
+        # beta = 2 phi^K with alpha = s - phi^(K-1) (disc), or beta = -2 psi^K
+        # with alpha = -(s + psi^(K+1)) (window), puts z one unit from where its
         # row touches the circle: alpha + beta c = s, or alpha' + beta' c' = -s.
-        # R^2, or w, is set 10^-40 above |z|^2 ~ 1e11, or |sigma z|^2 ~ 4e10,
-        # the other at 10^6, so z ends its row; there D is 0.2 to 0.3, and
-        # with D = 0 these rows lose z
+        # R^2, or w, is set 10^-40 above |z|^2, or |sigma z|^2, the other at
+        # 10^6, so z ends its row.  At K = 25 that is |z|^2 ~ 1e11, at K = 55
+        # ~ 4e23, and the rows keep the same precision: a rounded sqrt(5) in h
+        # would widen them with |beta|^2
         f = [0, 1]
-        while len(f) < 28:
+        while len(f) < 58:
             f.append(f[-1] + f[-2])
-        n2, m2, n1, m1 = ((2 * f[25], 2 * f[24], -f[24], s - f[23]) if which == 0
-                          else (2 * f[25], -2 * f[26], f[26], -s - f[27]))
-        p, q = abs_sq_coords(m1 + n2, m2 + n2, n2 - n1, -n1)[which]
-        hair = 10 ** 40
-        edge = Fraction(floor_sqrt5((2 * p + q) * hair, q * hair, 2) + 1, hair)
-        r_sq, w = (edge, 10 ** 6) if which == 0 else (10 ** 6, edge)
-        exact = row_runs(r_sq, w, n2, m2)
-        assert m1 in exact[n1]
-        r2, wf = float(r_sq), float(w)
-        rows = {k: (first, last) for k, first, last
-                in modelset._rows(n2, m2, r2, wf, modelset._margin(r2, wf))}
-        for k, (lo, hi) in exact.items():
-            assert rows[k][0] <= lo and hi <= rows[k][1], k
+        for k in (25, 40, 55):
+            n2, m2, n1, m1 = ((2 * f[k], 2 * f[k - 1], -f[k - 1], s - f[k - 2]) if which == 0
+                              else (2 * f[k], -2 * f[k + 1], f[k + 1], -s - f[k + 2]))
+            p, q = abs_sq_coords(m1 + n2, m2 + n2, n2 - n1, -n1)[which]
+            hair = 10 ** 40
+            edge = Fraction(floor_sqrt5((2 * p + q) * hair, q * hair, 2) + 1, hair)
+            r_sq, w = (edge, 10 ** 6) if which == 0 else (10 ** 6, edge)
+            exact = row_runs(r_sq, w, n2, m2)
+            assert m1 in exact[n1]
+            rows = _search_rows(r_sq, w, n2, m2)
+            assert len(rows) == len(exact), k
+            _assert_rows_hold_runs(rows, exact)
 
     @pytest.mark.parametrize("r_sq, w", [(10 ** 12, 10 ** 6), (10 ** 6, 10 ** 12),
-                                         (10 ** 12, 10 ** 12)])
-    def test_float_rows_hold_the_exact_rows_at_the_range_edges(self, r_sq, w):
-        # at the corners of the range the search accepts, D is 1 to 2; the
-        # three largest n2 hold the betas nearest both rims, and the ends of
-        # their m2 runs the near-tangent rows
-        r2, wf = float(r_sq), float(w)
-        d = modelset._margin(r2, wf)
-        n2 = math.floor((math.sqrt(r2 / modelset._S2) + math.sqrt(wf / modelset._S2_I))
-                        / math.sqrt(5)) + 3
-        checked = 0
+                                         (10 ** 12, 10 ** 12)],
+                             ids=["1e12-1e6", "1e6-1e12", "1e12-1e12"])
+    def test_rows_hold_the_exact_rows_at_the_range_edges(self, r_sq, w):
+        # at the corners of the range the search accepts, the three largest n2
+        # with a beta hold the betas nearest both rims, and the ends of their
+        # m2 runs the near-tangent rows; n2 < (R/s + sqrt(w)/s')/sqrt(5)
+        bound = math.isqrt(floor_sqrt5(10 * r_sq, -2 * r_sq, 5)) + \
+            math.isqrt(floor_sqrt5(10 * w, 2 * w, 5)) + 2
+        n2, checked = math.isqrt(bound * bound // 5) + 1, 0
         while checked < 3:
             betas = beta_run(r_sq, w, n2)
             for m2 in sorted(set(betas or ())):
                 exact = row_runs(r_sq, w, n2, m2)
-                rows = {n1: (first, last)
-                        for n1, first, last in modelset._rows(n2, m2, r2, wf, d)}
-                assert exact and exact.keys() <= rows.keys()
-                for n1, (lo, hi) in exact.items():
-                    assert rows[n1][0] <= lo and hi <= rows[n1][1], (n2, m2, n1)
+                assert exact
+                _assert_rows_hold_runs(_search_rows(r_sq, w, n2, m2), exact)
             checked += betas is not None
             n2 -= 1
+
+    @given(st.integers(-10 ** 40, 10 ** 40))
+    def test_floor_sqrt5_is_exact(self, b):
+        r = modelset._floor_sqrt5(b)  # r <= b sqrt(5) < r + 1
+        assert sqrt5_sign(-r, b) >= 0 and sqrt5_sign(-r - 1, b) < 0
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_hold_the_exact_runs(self, data):
+        # numerators and denominators up to 10^40, values below 10^4 so that a
+        # beta has at most about 90 rows; |n2| < R/2 + sqrt(w), and m2 near
+        # the run of beta_run
+        def rational(low):
+            den = data.draw(st.integers(0, 35).flatmap(
+                lambda e: st.integers(10 ** e, 10 ** (e + 1))))
+            return data.draw(st.integers(low, 9999)) + Fraction(
+                data.draw(st.integers(0, den - 1)), den)
+
+        r_sq, w = rational(0), rational(1)
+        top = math.isqrt(math.ceil(r_sq)) // 2 + math.isqrt(math.ceil(w)) + 1
+        n2 = data.draw(st.integers(-top, top))
+        betas = beta_run(r_sq, w, n2) or (0, 0)
+        m2 = data.draw(st.integers(betas[0] - 2, betas[1] + 2).filter(
+            lambda m: (n2, m) != (0, 0)))
+        _assert_rows_hold_runs(_search_rows(r_sq, w, n2, m2), row_runs(r_sq, w, n2, m2))
+
+    @given(st.fractions(Fraction(1, 10), 100, max_denominator=20), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_members_match_row_oracle_on_random_parameters(self, w, data):
+        r_sq = data.draw(st.fractions(0, math.floor(4000 / w), max_denominator=20))
+        assert _members_pm(r_sq, w) == row_enumerate(r_sq, Window(w))
+
+
+def _search_rows(r_sq, w, n2: int, m2: int) -> dict:
+    """{n1: (first, last)} of modelset._rows for beta = m2 + n2*phi, given
+    S^2 R^2 and S^2 w rounded down, plus one, as _members gives them."""
+    scale = 4 ** modelset._P
+    rq, wq = (math.floor(Fraction(x) * scale) + 1 for x in (r_sq, w))
+    return {n1: (first, last) for n1, first, last in modelset._rows(n2, m2, rq, wq)}
+
+
+def _assert_rows_hold_runs(rows: dict, exact: dict):
+    """Each exact run (row_runs) lies in the search's row, and neither end of
+    the row is off by more than one candidate."""
+    for n1, (lo, hi) in exact.items():
+        first, last = rows[n1]
+        assert 0 <= lo - first <= 1 and 0 <= last - hi <= 1, (n1, rows[n1], (lo, hi))
 
 
 def _record(z: tuple) -> PointRecord:

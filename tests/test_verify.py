@@ -333,7 +333,7 @@ class TestWorkBound:
                                                window_sq, n, calls):
         # analyze walks the list from inner points only (none while R < 1),
         # and separation only when there is a second point to reach; at
-        # w = 300000 the list is outside its proven range, and building it raises
+        # w = 300000 the list is outside the accepted range, and building it raises
         snap = enumerate_points(radius_sq, Window(window_sq))
         assert len(snap.points) == n
         seen, real = [], modelset.displacement_candidates
