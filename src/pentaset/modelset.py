@@ -299,7 +299,7 @@ def _keep_split(snapshot: Snapshot, phys: list, keys: list[int], b: int) -> Snap
 # |k| <= 2M (B^4 - 1)/(B - 1) = (B^4 - 1)/3 < N/2.  So k(+-zeta^j c) is the
 # balanced residue of +-B^-j k(c) mod N, in (-N/2, N/2), and by the
 # injectivity below it is a point's key only if +-zeta^j c is that point
-# (verify_rotation).
+# (_turn, and verify_rotation's walk).
 def _split(snapshot: Snapshot):
     """(coords, phys, keys, good, bad, b) of a snapshot: each point's
     coordinates, |z|^2 as a (p, q) pair and key k(c); good, mapping the key
@@ -335,6 +335,18 @@ def _split(snapshot: Snapshot):
     bad = [i for i in range(len(coords)) if keys[i] not in good]
     snapshot._split_memo = radius_sq, w, (coords, [p for p, _ in moduli], keys, good, bad, b)
     return snapshot._split_memo[2]
+
+
+def _turn(split) -> list[int] | None:
+    """The index of -zeta^4 c for each point c of a split with no bad point;
+    None if the split has a bad point or some -zeta^4 c is not a point.  The
+    key of -zeta^4 c is c0 N - B k(c) (above _split), its balanced residue."""
+    coords, _, keys, good, bad, b = split
+    if bad:
+        return None
+    n = (((b + 1) * b + 1) * b + 1) * b + 1
+    turned = [c[0] * n - b * k for c, k in zip(coords, keys)]
+    return list(map(good.__getitem__, turned)) if all(map(good.__contains__, turned)) else None
 
 
 def _walk(ds: list, b: int) -> list:
@@ -409,22 +421,31 @@ def analyze(snapshot: Snapshot) -> Snapshot:
     Inner means |z| <= R - 1 (exact); other points get "unknown", as does an
     inner point that is the snapshot's only point.  min_dist_sq is the exact
     squared distance to the nearest other point of this snapshot, whatever
-    the snapshot holds, from one _nearest pass over the inner points.  A
+    the snapshot holds, from one _nearest pass over inner points (below).  A
     repeated inner point, at distance 0 from its copy, raises ValueError
     before any record is written.  Each distinct |z|^2 and min_dist_sq is
     tested once.  min_dist_sq is the (p, q) pair _nearest returns, so the
     records share the displacement list's pairs.
+
+    When _turn maps the points, the pass takes one inner point per orbit of
+    -zeta^4, whose result fills the orbit: z -> -zeta^4 z maps the finite set
+    P injectively into P, so onto P; an isometry fixing 0, it keeps |z|, so
+    the inner status, and the distance to the nearest other point of P; it
+    generates the ten units; and a squared distance has one (p, q) pair.
     """
     radius_sq = snapshot.radius_sq
     split = coords, phys, _, _, _, b = _split(snapshot)
     inner = _Memo(lambda p, q: _is_inner(p, q, radius_sq.numerator, radius_sq.denominator))
     classes = _Memo(lambda p, q: classify_distance((p, q)))
     classes[None] = DIST_UNKNOWN  # not inner, or no other point
-    inners = [i for i, m in enumerate(phys) if inner[m]]  # only these walk the list
+    turn, rep = _turn(split), list(range(len(coords)))  # rep[i]: the first point of i's orbit
+    for i, j in enumerate(turn or ()):
+        while rep[j] > i:
+            rep[j], j = i, turn[j]
+    inners = [i for i, r in enumerate(rep) if r == i and inner[phys[i]]]  # these walk the list
     walk = _walk(displacement_candidates(snapshot.window), b) if inners else []
-    found = [None] * len(coords)
-    for i, best in zip(inners, _nearest(split, walk, inners)):
-        found[i] = best
+    by_rep = dict(zip(inners, _nearest(split, walk, inners)))
+    found = [by_rep.get(r) for r in rep]
     if (0, 0) in found:
         raise ValueError(f"point {coords[found.index((0, 0))]} appears more than once "
                          "in the snapshot")

@@ -30,6 +30,7 @@ from .modelset import (
     _members,
     _nearest,
     _split,
+    _turn,
     _walk,
     displacement_candidates,
 )
@@ -126,21 +127,17 @@ def verify_rotation(snapshot: Snapshot) -> VerificationReport:
     -zeta^4 is a primitive tenth root, so it alone generates the ten units,
     and multiplying by it is injective: for the finite set S of points,
     -zeta^4 S <= S forces -zeta^4 S = S, and every +-zeta^k maps S onto S.
-    So n integer lookups decide the verdict; tested_count is the 10n
-    memberships it covers.  k(-zeta^4 c) is the balanced residue of
-    -B k(c) mod N = Phi_5(B) (the comment above _split), and a key names one
-    point, so it is among the points' keys only if -zeta^4 c is a point.  On
-    a split with no bad point, good holds those keys.  A failure walks the ten
-    multipliers on keys, k(zeta^(j+1) c) the residue of B^4 k(zeta^j c), in
-    key order, which is coordinate order as keys are balanced base-B
-    numerals."""
-    coords, _, keys, good, bad, b = _split(snapshot)
+    So on a split with no bad point (_split) the n key lookups of _turn
+    decide the verdict; tested_count is the 10n memberships it covers, n the
+    distinct points.  Otherwise the check walks the ten multipliers on keys,
+    k(zeta c) the residue of B^4 k(c) mod Phi_5(B), in key order, which is
+    coordinate order as keys are balanced base-B numerals."""
+    split = coords, _, keys, good, bad, b = _split(snapshot)
     present = set(keys) if bad else good
-    n = (((b + 1) * b + 1) * b + 1) * b + 1
-    half, nb = n // 2, -b
     violations = []
-    if not all((r if (r := nb * k % n) <= half else r - n) in present for k in present):
-        point, b4 = dict(zip(keys, coords)), b ** 4
+    if _turn(split) is None:
+        n = (((b + 1) * b + 1) * b + 1) * b + 1
+        half, point, b4 = n // 2, dict(zip(keys, coords)), b ** 4
         for k in sorted(present):
             t = k
             for m in range(0, 10, 2):  # t = k(zeta^j c), j = m/2; m is zeta^j, m + 1 is -zeta^j

@@ -358,16 +358,17 @@ def snapshot_header(snapshot: Snapshot, fmt: str) -> str:
     return buf.getvalue()
 
 
-def nearest_in_snapshot(snapshot: Snapshot) -> list[tuple[tuple[int, int] | None, str]]:
-    """(min_dist_sq, dist_class) per point, from every pair: the exact squared
-    distance from each inner point to the nearest other point of the
-    snapshot; other points, and an inner point with no other point, get
-    (None, "unknown")."""
+def nearest_in_snapshot(snapshot: Snapshot,
+                        indices=None) -> list[tuple[tuple[int, int] | None, str]]:
+    """(min_dist_sq, dist_class) per point, or per point of indices, from
+    every pair: the exact squared distance from each inner point to the
+    nearest other point of the snapshot; other points, and an inner point
+    with no other point, get (None, "unknown")."""
     coords = [p.coords for p in snapshot.points]
     r = snapshot.radius_sq
     out = []
-    for i, c in enumerate(coords):
-        best = None
+    for i in range(len(coords)) if indices is None else indices:
+        c, best = coords[i], None
         if _is_inner(*abs_sq_coords(*c)[0], r.numerator, r.denominator):
             best = nearest_dist_sq(coords, i)
         if best is None:

@@ -683,6 +683,96 @@ class TestReaderSplit:
         assert calls == []
 
 
+def _records(snap: Snapshot) -> list:
+    return [(p.min_dist_sq, p.dist_class) for p in snap.points]
+
+
+def _drop_one(snap: Snapshot) -> Snapshot:
+    """snap without its eighth point (not the origin): no longer closed
+    under -zeta^4, so analyze passes every inner point."""
+    return Snapshot(snap.window, snap.radius_sq, snap.points[:7] + snap.points[8:])
+
+
+def _orbit(c: tuple) -> frozenset:
+    return frozenset(ring_mul(mu, c) for mu in TENTH_ROOTS)
+
+
+class TestOrbitPass:
+    """analyze passes one point of each orbit of -zeta^4 on a split that
+    modelset._turn maps into itself, and every inner point on any other;
+    the records are those of the per-point pass and of the all-pairs
+    oracle."""
+
+    @staticmethod
+    def _check(monkeypatch, snap: Snapshot, orbits: bool):
+        assert (modelset._turn(modelset._split(snap)) is not None) == orbits
+        got = _records(analyze(snap))
+        with monkeypatch.context() as m:
+            m.setattr(modelset, "_turn", lambda split: None)
+            assert _records(analyze(snap)) == got
+        # the all-pairs oracle on every point of a small snapshot, and on
+        # every k-th point of a large one, copied records included
+        step = -(-len(got) // 300)
+        assert got[::step] == nearest_in_snapshot(snap, range(0, len(got), step))
+
+    def test_turn_is_multiplication_by_minus_zeta4(self):
+        snap = enumerate_points(Fraction(73, 2), Window(Fraction(49, 4)))
+        turn = modelset._turn(modelset._split(snap))
+        unit = tuple(-a for a in ring_mul(ZETA, ring_mul(ZETA, ring_mul(ZETA, ZETA))))
+        coords = [p.coords for p in snap.points]
+        assert [coords[j] for j in turn] == [ring_mul(unit, c) for c in coords]
+        # a bad point, or a point whose turn is missing, gives no map
+        assert modelset._turn(modelset._split(_stray())) is None
+        assert modelset._turn(modelset._split(_drop_one(snap))) is None
+
+    @pytest.mark.parametrize("w", ["1/5", "1/4", "1", "2", "4", "49/4"])
+    @pytest.mark.parametrize("radius_sq", ["0", "1", "9", "25", "73/2", "100"])
+    def test_enumerations_match_the_per_point_pass(self, monkeypatch, radius_sq, w):
+        self._check(monkeypatch, enumerate_points(Fraction(radius_sq), Window(Fraction(w))), True)
+
+    @pytest.mark.parametrize("case", ["missing-orbit", "missing-point"])
+    def test_holed_snapshots_match_the_per_point_pass(self, monkeypatch, case):
+        # without the ten roots the set is still closed, so it takes the
+        # orbit path; without one point it is not
+        snap = _missing_orbit() if case == "missing-orbit" else _drop_one(enumerate_points(25))
+        self._check(monkeypatch, snap, case == "missing-orbit")
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("radius_sq, w", [("25", "1"), ("73/2", "49/4")])
+    def test_read_snapshots_match_the_per_point_pass(self, monkeypatch, fmt, radius_sq, w):
+        snap = enumerate_points(Fraction(radius_sq), Window(Fraction(w)))
+        self._check(monkeypatch, _read_back(snap, fmt), True)
+
+    @staticmethod
+    def _passed(monkeypatch, snap: Snapshot) -> tuple[list, list]:
+        """The indices analyze passes to modelset._nearest, and its inner points."""
+        seen, real = [], modelset._nearest
+        monkeypatch.setattr(modelset, "_nearest",
+                            lambda split, walk, points: seen.append(list(points))
+                            or real(split, walk, points))
+        analyze(snap)
+        r = snap.radius_sq
+        inner = [i for i, p in enumerate(snap.points)
+                 if _is_inner(*abs_sq_coords(*p.coords)[0], r.numerator, r.denominator)]
+        assert len(seen) == 1
+        return seen[0], inner
+
+    def test_one_point_per_inner_orbit(self, monkeypatch):
+        snap = enumerate_points(400)
+        assert len(snap.points) == 1411
+        passed, inner = self._passed(monkeypatch, snap)
+        assert len(passed) == (len(inner) - 1) // 10 + 1
+        coords = [p.coords for p in snap.points]
+        orbits = [_orbit(coords[i]) for i in passed]
+        assert len(set(orbits)) == len(orbits)
+        assert set().union(*orbits) == {coords[i] for i in inner}
+
+    def test_every_inner_point_off_a_closed_set(self, monkeypatch):
+        snap = _drop_one(enumerate_points(400))
+        passed, inner = self._passed(monkeypatch, snap)
+        assert len(snap.points) == 1410 and passed == inner
+
+
 class TestNoRingObjectPerPoint:
     """Points travel as coordinate tuples and distances as (p, q) pairs:
     enumerating, analysing, reading and writing build no CycInt or GoldenInt."""

@@ -547,6 +547,18 @@ class TestRotation:
                 ring_add(ONE, EPS3) if name == "eps3" else snap.points[5].coords))
         assert bool(_assert_rotation_report(snap)) == (name != "duplicate")
 
+    def test_closed_set_with_a_repeated_point_passes(self):
+        # the repeated record is a bad point, so modelset._turn gives no map
+        # and the ten-multiplier walk decides; tested_count counts each
+        # distinct point once
+        snap = enumerate_points(25)
+        dup = Snapshot(snap.window, snap.radius_sq,
+                       snap.points + [make_record(snap.points[5].coords)])
+        assert modelset._turn(modelset._split(dup)) is None
+        r = verify_rotation(dup)
+        assert r.passed and r.violations == []
+        assert r.tested_count == 10 * len(snap.points)
+
     @given(st.integers(1, 12), st.lists(st.tuples(*[st.integers(-12, 12)] * 4), max_size=20))
     def test_key_of_a_unit_multiple_is_a_residue(self, m, cs):
         # on [-M, M]^4, k(zeta c) is the balanced residue of B^4 k(c) and
