@@ -131,13 +131,9 @@ def _dispatch(cfg: argparse.Namespace) -> int:
     print(f"pentaset {cfg.subcommand}: radius_sq={brief_rational(cfg.radius_sq)} "
           f"window_sq={brief_rational(cfg.window_sq)}", file=sys.stderr)
 
-    # one enumeration, analysed only where the output reads the classes; off
-    # the unit window two-distance reports skipped without reading them
+    # one enumeration, analysed only where the output reads the classes
     snap = enumerate_points(cfg.radius_sq, Window(cfg.window_sq))
-    if (cfg.subcommand in ("analyze", "stats")
-            or cfg.subcommand == "verify" and cfg.check in ("all", "two-distance")
-            and cfg.window_sq == 1
-            or cfg.subcommand == "render" and cfg.color_classes):
+    if cfg.subcommand in ("analyze", "stats") or cfg.subcommand == "render" and cfg.color_classes:
         analyze(snap)
     doc, all_pass = None, True  # doc: the JSON line verify and stats write
     if cfg.subcommand == "verify":

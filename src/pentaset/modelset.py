@@ -66,7 +66,7 @@ class PointRecord(_Value):
 
 
 class Snapshot(_Value):
-    __slots__ = ("window", "radius_sq", "points", "_split_memo")
+    __slots__ = ("window", "radius_sq", "points", "_split_memo", "_turn_memo")
 
     def __init__(self, window: Window, radius_sq: Fraction,
                  points: list[PointRecord] | None = None):
@@ -74,6 +74,8 @@ class Snapshot(_Value):
         self.points = [] if points is None else points
         #: (radius_sq, w, split) of the last split (_split), kept for reuse
         self._split_memo = None
+        #: (split, turn) of the last split turned (_turned), kept for reuse
+        self._turn_memo = None
 
 
 class _Memo(dict):
@@ -116,7 +118,7 @@ def _membership(radius_sq: Fraction, w: Fraction) -> _Memo:
 # or beta = 0 and (n1, m1) > (0, 0), lexicographically.  Each end is an integer
 # bound in units of 1/S rounded outward, and the exact _membership memo decides
 # every candidate.
-_MAX_RATIO, _MAX_SQ = 10 ** 6, 10 ** 12
+_MAX_RATIO, _MAX_PRODUCT = 10 ** 6, 250000
 _P = 24
 
 
@@ -176,11 +178,11 @@ def _members(radius_sq: Fraction, w: Fraction):
     if radius_sq * w < 1:  # z != 0 has |z|^2 |sigma z|^2 = N(z) >= 1
         return
     if not (radius_sq <= _MAX_RATIO * w and w <= _MAX_RATIO * radius_sq
-            and radius_sq <= _MAX_SQ and w <= _MAX_SQ):
+            and radius_sq * w <= _MAX_PRODUCT):
         raise SearchRangeError(
             f"R^2 = {brief_rational(radius_sq)}, w = {brief_rational(w)} is outside the "
             f"range the enumeration accepts (R^2/w and w/R^2 <= {_MAX_RATIO}, "
-            f"R^2 and w <= {_MAX_SQ})")
+            f"R^2 w <= {_MAX_PRODUCT})")
     rq, wq = ((b.numerator << 2 * _P) // b.denominator + 1 for b in (radius_sq, w))
     bp = math.isqrt((10 * rq + _floor_sqrt5(-2 * rq)) // 5) + 1  # above S R/s
     bw = math.isqrt((10 * wq + _floor_sqrt5(2 * wq)) // 5) + 1  # above S sqrt(w)/s'
@@ -247,7 +249,8 @@ def displacement_candidates(window: Window) -> list[tuple[Coords, tuple[int, int
     squared distance is at most phi^2k < L_2k (Lucas); L is the least such
     L_2k, capped at 4w * _MAX_RATIO (accepted range) and at least 1.  A point
     with no hit is compared with every point, so L affects only the time.
-    Its search leaves the accepted range exactly when w > _MAX_RATIO / 4 (L = 1).
+    Its search leaves the accepted range exactly when w > _MAX_PRODUCT / 4 (L = 1):
+    for w < 1, 4w L < 12 (w + 1), as L < 3 L_2k-2 < 3 (1 + 1/w).
     The lists of the last eight windows are kept, so that the calls at one
     window build the list once.
     """
@@ -261,7 +264,7 @@ def displacement_candidates(window: Window) -> list[tuple[Coords, tuple[int, int
     except SearchRangeError as e:  # name the caller's w, not this search's (L, 4w)
         raise SearchRangeError(
             f"w = {brief_rational(w)} is outside the range the search for its "
-            f"displacement list accepts (w <= {_MAX_RATIO // 4})") from e
+            f"displacement list accepts (w <= {_MAX_PRODUCT // 4})") from e
 
     out.sort(key=lambda e: (_golden_key(e[1]), e[0]))
     return out
@@ -349,6 +352,16 @@ def _turn(split) -> list[int] | None:
     return list(map(good.__getitem__, turned)) if all(map(good.__contains__, turned)) else None
 
 
+def _turned(snapshot: Snapshot):
+    """(split, turn): _split(snapshot) and its _turn, kept in
+    snapshot._turn_memo and computed again only when _split returns another
+    split object, so the passes over one split share one turn."""
+    split = _split(snapshot)
+    if (memo := snapshot._turn_memo) is None or memo[0] is not split:
+        memo = snapshot._turn_memo = split, _turn(split)
+    return memo
+
+
 def _walk(ds: list, b: int) -> list:
     """(k(d), x) for each (d, x) of ds that can join two good points of a
     split with key base b = 6M + 1 (_split): the d with every |d_i| <= 2M."""
@@ -415,17 +428,13 @@ def _nearest(split, walk: list, points) -> list:
     return out
 
 
-def analyze(snapshot: Snapshot) -> Snapshot:
-    """Fill min_dist_sq and dist_class of each record in place; return the snapshot.
-
-    Inner means |z| <= R - 1 (exact); other points get "unknown", as does an
-    inner point that is the snapshot's only point.  min_dist_sq is the exact
-    squared distance to the nearest other point of this snapshot, whatever
-    the snapshot holds, from one _nearest pass over inner points (below).  A
-    repeated inner point, at distance 0 from its copy, raises ValueError
-    before any record is written.  Each distinct |z|^2 and min_dist_sq is
-    tested once.  min_dist_sq is the (p, q) pair _nearest returns, so the
-    records share the displacement list's pairs.
+def _inner_nearest(snapshot: Snapshot) -> list:
+    """The exact squared distance from each inner point, |z| <= R - 1
+    (exact), to the nearest other point of the snapshot, whatever the
+    snapshot holds, as a (p, q) pair, in point order; None for a point that
+    is not inner, or is the snapshot's only point.  A repeated inner point
+    gets (0, 0).  One _nearest pass over inner points (below); each distinct
+    |z|^2 is tested once, and the pairs are the displacement list's own.
 
     When _turn maps the points, the pass takes one inner point per orbit of
     -zeta^4, whose result fills the orbit: z -> -zeta^4 z maps the finite set
@@ -433,24 +442,34 @@ def analyze(snapshot: Snapshot) -> Snapshot:
     the inner status, and the distance to the nearest other point of P; it
     generates the ten units; and a squared distance has one (p, q) pair.
     """
-    radius_sq = snapshot.radius_sq
-    split = coords, phys, _, _, _, b = _split(snapshot)
-    inner = _Memo(lambda p, q: _is_inner(p, q, radius_sq.numerator, radius_sq.denominator))
-    classes = _Memo(lambda p, q: classify_distance((p, q)))
-    classes[None] = DIST_UNKNOWN  # not inner, or no other point
-    turn, rep = _turn(split), list(range(len(coords)))  # rep[i]: the first point of i's orbit
+    split, turn = _turned(snapshot)
+    coords, phys, _, _, _, b = split
+    inner = _Memo(lambda p, q: _is_inner(p, q, *snapshot.radius_sq.as_integer_ratio()))
+    rep = list(range(len(coords)))  # rep[i]: the first point of i's orbit
     for i, j in enumerate(turn or ()):
         while rep[j] > i:
             rep[j], j = i, turn[j]
     inners = [i for i, r in enumerate(rep) if r == i and inner[phys[i]]]  # these walk the list
     walk = _walk(displacement_candidates(snapshot.window), b) if inners else []
     by_rep = dict(zip(inners, _nearest(split, walk, inners)))
-    found = [by_rep.get(r) for r in rep]
+    return [by_rep.get(r) for r in rep]
+
+
+def analyze(snapshot: Snapshot) -> Snapshot:
+    """Fill min_dist_sq and dist_class of each record in place from
+    _inner_nearest; return the snapshot.  Points that are not inner get
+    "unknown", as does an inner point that is the snapshot's only point.  A
+    repeated inner point, at distance 0 from its copy, raises ValueError
+    before any record is written.  Each distinct min_dist_sq is classified
+    once.
+    """
+    found = _inner_nearest(snapshot)
     if (0, 0) in found:
-        raise ValueError(f"point {coords[found.index((0, 0))]} appears more than once "
-                         "in the snapshot")
+        raise ValueError(f"point {snapshot.points[found.index((0, 0))].coords} appears "
+                         "more than once in the snapshot")
+    classes = _Memo(lambda p, q: classify_distance((p, q)))
     for rec, best in zip(snapshot.points, found):
-        rec.min_dist_sq, rec.dist_class = best, classes[best]
+        rec.min_dist_sq, rec.dist_class = best, classes[best] if best else DIST_UNKNOWN
     return snapshot
 
 

@@ -27,10 +27,11 @@ from .modelset import (
     Window,
     _Memo,
     _at_most,
+    _inner_nearest,
     _members,
     _nearest,
     _split,
-    _turn,
+    _turned,
     _walk,
     displacement_candidates,
 )
@@ -132,10 +133,10 @@ def verify_rotation(snapshot: Snapshot) -> VerificationReport:
     distinct points.  Otherwise the check walks the ten multipliers on keys,
     k(zeta c) the residue of B^4 k(c) mod Phi_5(B), in key order, which is
     coordinate order as keys are balanced base-B numerals."""
-    split = coords, _, keys, good, bad, b = _split(snapshot)
+    (coords, _, keys, good, bad, b), turn = _turned(snapshot)
     present = set(keys) if bad else good
     violations = []
-    if _turn(split) is None:
+    if turn is None:
         n = (((b + 1) * b + 1) * b + 1) * b + 1
         half, point, b4 = n // 2, dict(zip(keys, coords)), b ** 4
         for k in sorted(present):
@@ -268,22 +269,26 @@ def verify_two_distance(snapshot: Snapshot) -> VerificationReport:
     |u + v| <= 1, because |u| <= 1 < 2 cos 18 deg, so every member z has a
     neighbor z + mu at distance 1 (step existence).  So the nearest
     neighbor of every member is a hit along the list, at 2 - phi or 1.
+
+    The distances come from the points alone, by analyze's pass
+    (modelset._inner_nearest), not from the records, so a snapshot read
+    from a file is checked as a fresh one; a repeated inner point, at 0
+    from its copy, counts as other.
     """
     if snapshot.window.w != 1:
         return _skipped("two-distance", snapshot)
     violations = []
     counts = dict.fromkeys(DIST_CLASSES[:3], 0)  # short, long, other
     tested = 0
-    for p in snapshot.points:
-        if p.min_dist_sq is None:
+    for p, best in zip(snapshot.points, _inner_nearest(snapshot)):
+        if best is None:
             continue
         tested += 1
         # not classify_distance, which rejects a nonpositive distance
-        cls = DIST_CLASS_OF.get(p.min_dist_sq, DIST_OTHER)
+        cls = DIST_CLASS_OF.get(best, DIST_OTHER)
         counts[cls] += 1
         if cls == DIST_OTHER:
-            violations.append({"point": list(p.coords),
-                               "min_dist_sq": list(p.min_dist_sq)})
+            violations.append({"point": list(p.coords), "min_dist_sq": list(best)})
     both_required = snapshot.radius_sq >= 4
     both_present = all(counts[c] > 0 for c in DIST_CLASS_OF.values())
     if both_required and not both_present:

@@ -392,16 +392,22 @@ def nearest_dist_sq(coords: list, i: int) -> tuple[int, int] | None:
 
 def two_distance(snapshot: Snapshot) -> VerificationReport:
     """verify_two_distance at the unit window, with each inner point's
-    nearest distance from nearest_in_snapshot (every pair), not from the
-    snapshot's records."""
+    nearest distance from nearest_dist_sq (every pair), not from the
+    snapshot's records; a repeated inner point's 0 is other."""
+    coords = [p.coords for p in snapshot.points]
+    r = snapshot.radius_sq
     counts = dict.fromkeys(DIST_CLASSES[:3], 0)
     violations, tested = [], 0
-    for p, (best, cls) in zip(snapshot.points, nearest_in_snapshot(snapshot)):
+    for i, c in enumerate(coords):
+        if not _is_inner(*abs_sq_coords(*c)[0], r.numerator, r.denominator):
+            continue
+        best = nearest_dist_sq(coords, i)
         if best is not None:
             tested += 1
+            cls = DIST_CLASS_OF.get(best, DIST_OTHER)
             counts[cls] += 1
             if cls == DIST_OTHER:
-                violations.append({"point": list(p.coords), "min_dist_sq": list(best)})
+                violations.append({"point": list(c), "min_dist_sq": list(best)})
     both_present = all(counts[c] > 0 for c in DIST_CLASS_OF.values())
     if snapshot.radius_sq >= 4 and not both_present:
         violations.append({"clause": "missing-distance-class", "counts": dict(counts)})

@@ -13,6 +13,8 @@ import io
 import tokenize
 from pathlib import Path
 
+from pentaset import verify
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "pentaset"
 INIT = PACKAGE / "__init__.py"
@@ -75,11 +77,11 @@ def test_no_second_representation():
 
 
 def _floats_reached(*roots: str) -> tuple[set[str], list[str]]:
-    """The top-level functions, classes and constants of modelset and
-    cyclotomic that the named functions reach by name, and each float
+    """The top-level functions, classes and constants of verify, modelset
+    and cyclotomic that the named functions reach by name, and each float
     literal, float() call or math.sqrt/ceil/floor call among them."""
     defs = {}
-    for name in ("cyclotomic.py", "modelset.py"):  # modelset's names win
+    for name in ("cyclotomic.py", "modelset.py", "verify.py"):  # the later module's names win
         for node in ast.parse((PACKAGE / name).read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs[node.name] = node
@@ -115,3 +117,14 @@ def test_no_float_in_the_search():
     assert floats == []
     # the guard sees a float where there is one: the places enumerate_points writes
     assert _floats_reached("enumerate_points")[1]
+
+
+def test_no_float_in_the_checks_or_analyze():
+    # every check and analyze decide in integers alone, on the neighbour
+    # primitive, the split and its turn
+    checks = [f.__name__ for f in verify._CHECKS.values()]
+    assert len(checks) == 5
+    reached, floats = _floats_reached(*checks, "analyze")
+    assert {"_inner_nearest", "_nearest", "_split", "_turned", "_turn", "_walk", "_is_inner",
+            "displacement_candidates", "_unit_lemma_list", "golden_cmp"} <= reached
+    assert floats == []

@@ -2,12 +2,16 @@
 
 import gc
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 from xml.etree import ElementTree
 
 import pytest
 
-from pentaset import cli
+from pentaset import cli, modelset
 from pentaset.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -66,6 +70,25 @@ class TestParsing:
         captured = capsys.readouterr()
         assert code == EXIT_USAGE and captured.out == ""
         assert "radius must be nonnegative" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["stats", "--radius-sq", "1000000000000", "--window-sq", "1000000"],
+        ["generate", "--radius-sq", "1", "--window-sq", "250001"],
+        ["analyze", "--radius", "1000"],
+    ], ids=" ".join)
+    def test_too_many_points_is_usage_error_at_once(self, argv):
+        # about 3.5e18, 8.8e5 and 3.5e6 points (n ~ 3.53 R^2 w), refused
+        # before any search, in a child that limits its own address space,
+        # so that a search let through fails here and exhausts no memory
+        code = ("import resource, sys\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))\n"
+                "from pentaset.cli import run_cli\n"
+                "sys.exit(run_cli(sys.argv[1:]))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                              text=True, env=env, timeout=5)
+        assert proc.returncode == EXIT_USAGE and proc.stdout == ""
+        assert "range the enumeration accepts" in proc.stderr
 
     def test_parameters_outside_proven_range_are_usage_error(self, capsys):
         code = run_cli(["generate", "--radius-sq", "1", "--window-sq", "10000000"])
@@ -337,11 +360,9 @@ class TestLayerCalls:
         (["analyze", "--format", "csv"], {"cli.enumerate_points": 1, "cli.analyze": 1}),
         (["stats"], {"cli.enumerate_points": 1, "cli.analyze": 1}),
         (["render", "--color-classes"], {"cli.enumerate_points": 1, "cli.analyze": 1}),
-        (["verify"], {"cli.enumerate_points": 1, "cli.analyze": 1}),
-        (["verify", "--check", "two-distance"], {"cli.enumerate_points": 1, "cli.analyze": 1}),
-        *((["verify", "--check", name], {"cli.enumerate_points": 1})
-          for name in CHECK_NAMES if name != "two-distance"),
-        # off the unit window two-distance is skipped, and nothing reads the classes
+        # verify reads no class: two-distance derives its distances from the points
+        (["verify"], {"cli.enumerate_points": 1}),
+        *((["verify", "--check", name], {"cli.enumerate_points": 1}) for name in CHECK_NAMES),
         *((["verify", "--check", name, "--window-sq", "4"], {"cli.enumerate_points": 1})
           for name in ("all",) + CHECK_NAMES),
     ], ids=" ".join)
@@ -356,3 +377,11 @@ class TestLayerCalls:
         code, out = run(capsys, *argv, "--radius-sq", "9")
         assert code == EXIT_OK and out
         assert seen == Counter(calls)
+
+    def test_verify_turns_the_split_once(self, capsys, monkeypatch):
+        # rotation and two-distance share the turn kept beside the split
+        turns, real = [], modelset._turn
+        monkeypatch.setattr(modelset, "_turn", lambda split: turns.append(split) or real(split))
+        code, out = run(capsys, "verify", "--check", "all", "--radius-sq", "25")
+        assert code == EXIT_OK and json.loads(out)["all_pass"]
+        assert len(turns) == 1

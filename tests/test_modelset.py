@@ -32,7 +32,7 @@ from pentaset.modelset import (
 )
 from pentaset.io_render import read_snapshot, write_snapshot
 from pentaset.modelset import SearchRangeError, _is_inner, _members
-from pentaset.verify import verify_separation, verify_step_existence
+from pentaset.verify import verify_rotation, verify_separation, verify_step_existence
 
 from oracles import (
     EPSILON,
@@ -152,7 +152,7 @@ class TestEnumerate:
 
     def test_search_is_output_sensitive(self, monkeypatch):
         # the row search decides one candidate per pair +-z, plus the few
-        # that end rows: at R = 40 it visits 1836 rows and makes 2822 exact
+        # that end rows: at R = 40 it visits 1836 rows and makes 2820 exact
         # tests for the 2820 pairs
         rows, tests = [], 0
         visit, membership = modelset._rows, modelset._membership
@@ -203,7 +203,7 @@ class TestEnumerate:
             enumerate_points(r_sq, Window(w))
 
     def test_displacement_list_outside_proven_range_names_w(self):
-        with pytest.raises(SearchRangeError, match=r"^w = 250001 .*\(w <= 250000\)$") as e:
+        with pytest.raises(SearchRangeError, match=r"^w = 250001 .*\(w <= 62500\)$") as e:
             displacement_candidates(Window(250001))
         assert isinstance(e.value.__cause__, SearchRangeError)
         assert "w = 1000004" in str(e.value.__cause__)
@@ -211,7 +211,7 @@ class TestEnumerate:
     def test_analyze_names_w_when_an_inner_point_needs_the_list(self):
         # the origin is inner at R^2 = 1, so analyze walks the list of w = 250001
         origin = PointRecord((0, 0, 0, 0), (0, 0), 0.0, 0.0)
-        with pytest.raises(SearchRangeError, match=r"^w = 250001 .*\(w <= 250000\)$"):
+        with pytest.raises(SearchRangeError, match=r"^w = 250001 .*\(w <= 62500\)$"):
             analyze(Snapshot(Window(250001), Fraction(1), [origin]))
 
     def test_unit_scaling_maps_into_larger_disc(self):
@@ -708,8 +708,9 @@ class TestOrbitPass:
         assert (modelset._turn(modelset._split(snap)) is not None) == orbits
         got = _records(analyze(snap))
         with monkeypatch.context() as m:
+            # a copy, split and turned anew: snap keeps the turn it was given
             m.setattr(modelset, "_turn", lambda split: None)
-            assert _records(analyze(snap)) == got
+            assert _records(analyze(_memo_free(snap))) == got
         # the all-pairs oracle on every point of a small snapshot, and on
         # every k-th point of a large one, copied records included
         step = -(-len(got) // 300)
@@ -736,6 +737,14 @@ class TestOrbitPass:
         # orbit path; without one point it is not
         snap = _missing_orbit() if case == "missing-orbit" else _drop_one(enumerate_points(25))
         self._check(monkeypatch, snap, case == "missing-orbit")
+
+    def test_turn_is_kept_only_for_its_split(self, monkeypatch):
+        # the snapshot keeps the turn analyze made; once a point is removed
+        # in place, _split makes another split, and the turn is made again
+        snap = analyze(enumerate_points(25))
+        del snap.points[7]
+        self._check(monkeypatch, snap, False)
+        assert not verify_rotation(snap).passed
 
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     @pytest.mark.parametrize("radius_sq, w", [("25", "1"), ("73/2", "49/4")])

@@ -11,7 +11,8 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 import oracles
-from oracles import EPSILON, EPSILON_INV, ONE, ZETA, ring_add, ring_mul, ring_neg, ring_sub
+from oracles import (EPSILON, EPSILON_INV, ONE, ZERO, ZETA, ring_add, ring_mul, ring_neg,
+                     ring_sub)
 from pentaset import modelset, verify
 from pentaset.cyclotomic import (
     TENTH_ROOTS,
@@ -228,7 +229,8 @@ class TestAgainstAllPairsOracle:
         for check, oracle in ((verify_separation, oracles.separation),
                               (verify_unit_lemma, oracles.unit_lemma),
                               (verify_rotation, oracles.rotation),
-                              (verify_step_existence, oracles.step_existence)):
+                              (verify_step_existence, oracles.step_existence),
+                              (verify_two_distance, oracles.two_distance)):
             assert check(snap).to_json_dict() == oracle(snap).to_json_dict()
         try:
             expected = oracles.nearest_in_snapshot(snap)
@@ -238,8 +240,6 @@ class TestAgainstAllPairsOracle:
         else:
             analyze(snap)
             assert [(p.min_dist_sq, p.dist_class) for p in snap.points] == expected
-            assert verify_two_distance(snap).to_json_dict() == \
-                oracles.two_distance(snap).to_json_dict()
 
     def test_norm_gap_clause(self, snap25, monkeypatch):
         # no difference has norm 2, 3 or 4, so pretend +-2 has norm 4 in both
@@ -667,27 +667,27 @@ class TestTwoDistance:
         assert not r.passed
         assert {"point": [0, 0, 0, 0], "min_dist_sq": [1, 1]} in r.violations
 
-    def test_missing_short_class_fails(self, snap4):
-        # the short-class points removed and the rest not re-analyzed: the
-        # origin keeps its long distance and no short one is left
-        pts = [p for p in snap4.points if p.dist_class != "short"]
-        r = verify_two_distance(Snapshot(snap4.window, snap4.radius_sq, pts))
+    def test_missing_short_class_fails(self):
+        # the origin and the five fifth roots at R^2 = 4, all inner: each
+        # root's nearest point is the origin, at 1, as two roots are
+        # sqrt(3 - phi) apart, so every distance is long
+        roots = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-1, -1, -1, -1)]
+        snap = Snapshot(Window(), Fraction(4), [make_record(c) for c in [ZERO] + roots])
+        r = verify_two_distance(snap)
         assert not r.passed
         assert r.violations == [{"clause": "missing-distance-class",
-                                 "counts": {"short": 0, "long": 1, "other": 0}}]
+                                 "counts": {"short": 0, "long": 6, "other": 0}}]
+        assert r.to_json_dict() == oracles.two_distance(snap).to_json_dict()
 
-    @pytest.mark.parametrize("pq", [(0, 0), (-1, 0)])
+    @pytest.mark.parametrize("pq", [(0, 0)])
     def test_nonpositive_distance_is_other(self, pq):
-        # a hand-built record; classify_distance would reject the value
-        rec = make_record((0, 0, 0, 0))
-        rec.min_dist_sq = pq
-        r = verify_two_distance(Snapshot(Window(), Fraction(0), [rec]))
-        assert r.violations == [{"point": [0, 0, 0, 0], "min_dist_sq": list(pq)}]
-        assert r.details["counts"] == {"short": 0, "long": 0, "other": 1}
+        # the origin twice at R^2 = 1, where it is inner: each copy is at
+        # squared distance 0 from the other, which classify_distance rejects
+        snap = Snapshot(Window(), Fraction(1), [make_record(ZERO), make_record(ZERO)])
+        r = verify_two_distance(snap)
+        assert r.violations == [{"point": [0, 0, 0, 0], "min_dist_sq": list(pq)}] * 2
+        assert r.details["counts"] == {"short": 0, "long": 0, "other": 2}
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="the reader does not restore min_dist_sq, so a snapshot "
-                              "read from disk fails with missing-distance-class")
     def test_clean_snapshot_read_from_disk_passes(self, snap25):
         passed = []
         for fmt in ("jsonl", "csv"):
@@ -696,6 +696,49 @@ class TestTwoDistance:
             buf.seek(0)
             passed.append(run_check("two-distance", read_snapshot(buf)).passed)
         assert passed == [True, True]
+
+    @staticmethod
+    def _changed(snap: Snapshot, change: str) -> Snapshot:
+        """snap with the ten roots removed, its eighth point dropped, a
+        stray point 1 + eps^3 (outside the window, eps^3 from 1) added or
+        its first point, the origin, repeated; the records are copied."""
+        pts = [make_record(p.coords) for p in snap.points]
+        if change == "no-roots":
+            pts = [p for p in pts if p.coords not in set(TENTH_ROOTS)]
+        elif change == "drop-one":
+            del pts[7:8]
+        elif change == "stray":
+            pts.append(make_record(ring_add(ONE, EPS3)))
+        elif change == "repeat":
+            pts.append(make_record(pts[0].coords))
+        return Snapshot(snap.window, snap.radius_sq, pts)
+
+    @pytest.mark.parametrize("change", [None, "no-roots", "drop-one", "stray", "repeat"])
+    @pytest.mark.parametrize("source", ["fresh", "jsonl", "csv"])
+    @pytest.mark.parametrize("radius_sq", ["0", "1", "4", "9", "25", "73/2", "100"])
+    def test_unanalysed_snapshots_match_the_oracle(self, monkeypatch, radius_sq, source,
+                                                   change):
+        # the check derives each inner point's distance from the points, and
+        # neither calls analyze nor writes a record
+        monkeypatch.setattr(modelset, "analyze", None)
+        snap = enumerate_points(Fraction(radius_sq))
+        if source != "fresh":
+            buf = io.StringIO()
+            write_snapshot(snap, source, buf)
+            buf.seek(0)
+            snap = read_snapshot(buf)
+        if change:
+            snap = self._changed(snap, change)
+        records = [(p.min_dist_sq, p.dist_class) for p in snap.points]
+        r = verify_two_distance(snap)
+        assert r.to_json_dict() == oracles.two_distance(snap).to_json_dict()
+        # clean snapshots pass, fresh or read back, and so do those without
+        # their eighth point.  From R^2 = 4 on, the origin without the roots
+        # has its nearest point phi away, and 1, now inner, has the stray
+        # point eps^3 away; a repeated origin fails once it is inner (R^2 >= 1)
+        fails_from = {"no-roots": 4, "stray": 4, "repeat": 1}.get(change)
+        assert r.passed == (fails_from is None or Fraction(radius_sq) < fails_from)
+        assert records == [(p.min_dist_sq, p.dist_class) for p in snap.points]
 
 
 class TestStepExistence:
