@@ -3,7 +3,7 @@
 The point set is S = {z in Z[zeta_5] : |sigma(z)|^2 <= w} intersected with a
 physical disc |z|^2 <= R^2; both constraints are tested exactly.  As
 z = alpha + beta*zeta, alpha, beta in Z[phi], S is a stack of 1-dimensional
-model sets; the search visits its rows for one z of each pair +-z (below).
+model sets; the search visits its rows for one z of each orbit of ten (below).
 """
 
 from __future__ import annotations
@@ -105,19 +105,33 @@ def _membership(radius_sq: Fraction, w: Fraction) -> _Memo:
 # Z[phi], has coordinates (m1 + n2, m2 + n2, n2 - n1, -n1), a unimodular
 # change of basis.  With c = cos 72 deg = (phi - 1)/2 and s^2 = (2 + phi)/4,
 # |z|^2 = (alpha + beta c)^2 + beta^2 s^2, and |sigma z|^2 is its conjugate
-# (phi -> psi = 1 - phi).  So for fixed beta and n1 the disc holds the m1
-# within sqrt(h), h = R^2 - beta^2 s^2, of a centre, and the window those
-# within sqrt(h'), h' = w - beta'^2 s'^2, of another.  With t = m2 + 2 n1 and
-# S = 2^_P the centres times 4S are (2m2 - 2n2 - t)S - t sqrt(5) S and
-# (t - 2n2 - 4n1)S + t sqrt(5) S, t sqrt(5)/2 apart, so a row with a member
-# has |t| <= 2(sqrt(h) + sqrt(h'))/sqrt(5); along n1 they move by -phi and
-# -psi.  With beta^2 = u + v phi, 8 beta^2 s^2 = 5(u + v) + (u + 3v) sqrt(5),
-# conjugated for beta'.  R^2/s^2 = R^2 (10 - 2 sqrt(5))/5 and w/s'^2 =
-# w (10 + 2 sqrt(5))/5 bound |beta| and |beta'|, so n2 = (beta - beta')/sqrt(5),
-# then m2.  Of each pair +-z the search visits the one with (n2, m2) > (0, 0),
-# or beta = 0 and (n1, m1) > (0, 0), lexicographically.  Each end is an integer
-# bound in units of 1/S rounded outward, and the exact _membership memo decides
-# every candidate.
+# (phi -> psi = 1 - phi).  The ten units +-zeta^k keep |z| and |sigma z|, so
+# the set is 0 and whole orbits of ten, and the search visits one point of
+# each orbit.  It is complete, in four steps:
+# (1) The units turn z by the multiples of 36 deg, so the half-open sector
+#     0 <= arg z < 36 deg holds exactly one point of each orbit of z != 0.
+# (2) Im z = beta s, and -zeta^2 turns by -36 deg with Im(-zeta^2 z) =
+#     -sin 36 deg (alpha - beta); so the sector is beta >= 0 and alpha > beta.
+# (3) There alpha + beta c > beta (1 + c) = beta phi^2/2 >= 0, so |z|^2 >=
+#     beta^2 ((1 + c)^2 + s^2) = beta^2 phi^2, and beta <= R/phi.  And
+#     n2 = (beta - beta')/sqrt(5) with |beta'| <= sqrt(w)/s' bounds n2, then m2
+#     by m2 >= -floor(n2 phi) (beta >= 0), R^2/phi^2 = R^2 (3 - sqrt(5))/2 and
+#     w/s'^2 = w (10 + 2 sqrt(5))/5.
+# (4) For fixed beta and n1 the sector and the disc hold the m1 with
+#     alpha + beta c in (beta phi^2/2, sqrt(h)], h = R^2 - beta^2 s^2, and the
+#     window those within sqrt(h'), h' = w - beta'^2 s'^2, of its centre.  With
+#     t = m2 + 2 n1 and S = 2^_P the centres -beta c - n1 phi and
+#     -beta' c' - n1 psi times 4S are (2m2 - 2n2 - t)S -+ t sqrt(5) S, t sqrt(5)/2
+#     apart, so a row with a member has (beta phi^2 - 2 sqrt(h'))/sqrt(5) <= t
+#     <= 2(sqrt(h) + sqrt(h'))/sqrt(5); along n1 they move by -phi and -psi.
+#     With beta^2 = u + v phi, 8 beta^2 s^2 = 5(u + v) + (u + 3v) sqrt(5),
+#     conjugated for beta', and 2 beta phi^2 = (3m2 + 4n2) + (m2 + 2n2) sqrt(5).
+#     In a row alpha > beta is m1 > m2 + (n2 - n1) phi, exactly m1 >= m2 +
+#     floor((n2 - n1) phi) + 1; every other end is an integer bound in units
+#     of 1/S rounded outward, and the exact _membership memo decides every
+#     candidate.
+# _members yields each point found with its images (-zeta^4)^j z, j = 1..4,
+# turned by 108, 216, 324 and 72 deg: with z, one point of each pair +-z.
 _MAX_RATIO, _MAX_PRODUCT = 10 ** 6, 250000
 _P = 24
 
@@ -143,26 +157,28 @@ _PHI_S = ((1 << _P) + _floor_sqrt5(1 << _P)) // 2  # floor(phi S), S = 2^_P
 
 
 def _rows(n2: int, m2: int, rq: int, wq: int):
-    """(n1, first, last) for each row of beta = m2 + n2*phi in the search at
-    S^2 R^2 < rq and S^2 w < wq: every member m1 + n1*phi + beta*zeta has
-    first <= m1 <= last."""
+    """(n1, first, last) for each row of beta = m2 + n2*phi >= 0 in the search
+    at S^2 R^2 < rq and S^2 w < wq: every member m1 + n1*phi + beta*zeta in
+    the sector (above) has first <= m1 <= last."""
     u, v = m2 * m2 + n2 * n2, (2 * m2 + n2) * n2  # beta^2 = u + v phi
     e, r = 5 * (u + v) << 2 * _P - 3, _floor_sqrt5((u + 3 * v) << 2 * _P - 3)
     h, h_i = rq - e - r, wq + 1 - e + r  # above S^2 h and S^2 h'
     if h <= 0 or h_i <= 0:  # h < 0 or h' < 0: no member
         return
     rh, rw = math.isqrt(h) + 1, math.isqrt(h_i) + 1  # above S sqrt(h), S sqrt(h')
-    k = math.isqrt(4 * (rh + rw) ** 2 // (5 << 2 * _P))  # |t| <= k
-    start = -((k + m2) // 2) if n2 or m2 else 0  # beta = 0: only (n1, m1) > (0, 0)
+    b2 = ((3 * m2 + 4 * n2 << _P) + _floor_sqrt5(m2 + 2 * n2 << _P)) >> 1  # <= beta phi^2 S
+    # t from ceil((beta phi^2 - 2 sqrt(h'))/sqrt(5)) to floor(2(sqrt(h) + sqrt(h'))/sqrt(5)),
+    # each rounded outward
+    start = -((m2 + _floor_sqrt5(2 * rw - b2) // (5 << _P)) // 2)
     t = m2 + 2 * start
     a, c = (2 * m2 - 2 * n2 - t) << _P - 2, _floor_sqrt5(t << _P - 2)
-    # ends times S, lower ones negated; a row moves the centres by -phi S, phi S - S
-    nlo, hi, nlo_i, hi_i = c + 1 + rh - a, a - c + rh, rw - a - c, a + c + 1 + rw
-    p, f, f1, g, g1 = _P, _PHI_S, _PHI_S + 1, _PHI_S - (1 << _P), _PHI_S + 1 - (1 << _P)
-    for n1 in range(start, (k - m2) // 2 + 1):
-        first = -(min(nlo, nlo_i) >> p)
-        yield n1, first if n1 or n2 or m2 else max(first, 1), min(hi, hi_i) >> p
-        nlo += f1
+    # ends times S, the window's lower one negated; a row moves the centres by
+    # -phi S, phi S - S
+    hi, nlo_i, hi_i = a - c + rh, rw - a - c, a + c + 1 + rw
+    p, f, g, g1 = _P, _PHI_S, _PHI_S - (1 << _P), _PHI_S + 1 - (1 << _P)
+    for n1 in range(start, (_floor_sqrt5(2 * (rh + rw)) // (5 << _P) - m2) // 2 + 1):
+        j = n2 - n1  # the sector's alpha > beta: m1 > m2 + j phi
+        yield n1, max(-(nlo_i >> p), m2 + (j + _floor_sqrt5(j) >> 1) + 1), min(hi, hi_i) >> p
         hi -= f
         nlo_i -= g
         hi_i += g1
@@ -171,8 +187,10 @@ def _rows(n2: int, m2: int, rq: int, wq: int):
 def _members(radius_sq: Fraction, w: Fraction):
     """(coords, |z|^2, |sigma z|^2) of every z with |z|^2 <= radius_sq and
     |sigma(z)|^2 <= w, decided exactly, moduli as (p, q) pairs: the origin,
-    then of each pair +-z the one the row search visits (above), in its
-    order; -z, with the same moduli, is the caller's to add."""
+    then of each orbit of ten the point in the sector 0 <= arg z < 36 deg,
+    tested once, followed by its four images (-zeta^4)^j z (above); these are
+    one z of each pair +-z, and -z, with the same moduli, is the caller's to
+    add."""
     inside = _membership(radius_sq, w)
     yield (0, 0, 0, 0), (0, 0), (0, 0)
     if radius_sq * w < 1:  # z != 0 has |z|^2 |sigma z|^2 = N(z) >= 1
@@ -184,21 +202,25 @@ def _members(radius_sq: Fraction, w: Fraction):
             f"range the enumeration accepts (R^2/w and w/R^2 <= {_MAX_RATIO}, "
             f"R^2 w <= {_MAX_PRODUCT})")
     rq, wq = ((b.numerator << 2 * _P) // b.denominator + 1 for b in (radius_sq, w))
-    bp = math.isqrt((10 * rq + _floor_sqrt5(-2 * rq)) // 5) + 1  # above S R/s
+    bp = math.isqrt((3 * rq + _floor_sqrt5(-rq)) // 2) + 1  # above S R/phi
     bw = math.isqrt((10 * wq + _floor_sqrt5(2 * wq)) // 5) + 1  # above S sqrt(w)/s'
-    for n2 in range(math.isqrt((bp + bw) ** 2 // (5 << 2 * _P)) + 1):
+    for n2 in range(-(_floor_sqrt5(bw) // (5 << _P)), _floor_sqrt5(bp + bw) // (5 << _P) + 1):
         # -n2 phi S lies in [-c - 1, -c], and -n2 psi S = n2 phi S - n2 S in [c_i, c_i + 1]
         c = ((n2 << _P) + _floor_sqrt5(n2 << _P)) // 2
         c_i = c - (n2 << _P)
-        for m2 in range(-(-max(-c - 1 - bp, c_i - bw) >> _P) if n2 else 0,
-                        (min(bp - c, c_i + 1 + bw) >> _P) + 1):
+        for m2 in range(max(-(c >> _P), -(bw - c_i >> _P)), (min(bp - c, c_i + 1 + bw) >> _P) + 1):
             a1 = m2 + n2
             for n1, first, last in _rows(n2, m2, rq, wq):
                 a2 = n2 - n1
                 for a0 in range(first + n2, last + n2 + 1):
-                    phys, intr = moduli = abs_sq_coords(a0, a1, a2, -n1)
+                    z = a0, a1, a2, -n1
+                    phys, intr = moduli = abs_sq_coords(*z)
                     if inside[moduli]:
-                        yield (a0, a1, a2, -n1), phys, intr
+                        yield z, phys, intr
+                        for _ in range(4):  # z -> -zeta^4 z
+                            c0, c1, c2, c3 = z
+                            z = c0 - c1, c0 - c2, c0 - c3, c0
+                            yield z, phys, intr
 
 
 def enumerate_points(radius_sq: Fraction | int, window: Window | None = None) -> Snapshot:
@@ -212,7 +234,7 @@ def enumerate_points(radius_sq: Fraction | int, window: Window | None = None) ->
     radius_sq = Fraction(radius_sq)
     if radius_sq < 0:
         raise ValueError(f"radius_sq must be nonnegative, got {radius_sq}")
-    # the origin, then of each pair +-z the z the search visited
+    # the origin, then of each pair +-z the z the search yielded
     (origin, phys, intr), *half = _members(radius_sq, window.w)
     # the split (_split) by the search's exact decisions: each point is in the
     # disc and the window once, so all are good; and as S = -S, M = max |c_i|
@@ -258,7 +280,7 @@ def displacement_candidates(window: Window) -> list[tuple[Coords, tuple[int, int
     while w * (lucas - 1) < 1:
         lucas, step = step, 3 * step - lucas
     length = Fraction(max(1, min(lucas, 4 * w * _MAX_RATIO)) if w < 1 else 1)
-    try:  # each z the search visits, and -z
+    try:  # each z the search yields, and -z
         out = [(c, phys) for z, phys, _ in _members(length, window.diam_sq) if any(z)
                for c in (z, tuple(-a for a in z))]
     except SearchRangeError as e:  # name the caller's w, not this search's (L, 4w)

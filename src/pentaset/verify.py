@@ -173,7 +173,7 @@ def _judge(d: Coords) -> tuple[bool, dict | None]:
 @cache
 def _norm_gap_seeds() -> tuple[Coords, ...]:
     """The 60 nonzero x with |x|^2 <= 4 and |sigma(x)|^2 <= 4: each x the
-    search visits (modelset._members), and -x."""
+    search yields (modelset._members), and -x."""
     return tuple(s for x, _, _ in _members(Fraction(4), Fraction(4)) if any(x)
                  for s in (x, tuple(-a for a in x)))
 

@@ -241,10 +241,14 @@ def _parts(r) -> tuple[int, int]:
     return r.numerator, r.denominator
 
 
-def row_runs(radius_sq, w, n2: int, m2: int) -> dict[int, tuple[int, int]]:
+def row_runs(radius_sq, w, n2: int, m2: int,
+             sector: bool = False) -> dict[int, tuple[int, int]]:
     """{n1: (lo, hi)} for every row of beta = m2 + n2*phi that holds a
     member z = alpha + beta*zeta, alpha = m1 + n1*phi, of the set at
     (radius_sq, w): its members are the m1 in [lo, hi].  No floats.
+    With sector, only the members in 0 <= arg z < 36 deg, where beta >= 0
+    and alpha > beta (Im z = beta sin 72 deg, Im(-zeta^2 z) = (beta - alpha)
+    sin 36 deg): each run is cut to m1 > m2 + (n2 - n1) phi.
 
     4|z|^2 = X^2 + beta^2 (2 + phi) with X = 2 alpha + beta (phi - 1) =
     x + y*phi, x = 2 m1 - m2 + n2, y = 2 n1 + m2, and 4|sigma z|^2 is its
@@ -263,8 +267,18 @@ def row_runs(radius_sq, w, n2: int, m2: int) -> dict[int, tuple[int, int]]:
         return {}
     root, root_i = math.isqrt(h), math.isqrt(h_i)
     k = (root + root_i + 2) // 2  # > (sqrt(H) + sqrt(H'))/2
+    n1s = range(-((k + m2) // 2), (k - m2) // 2 + 1)
+    if sector:
+        if floor_sqrt5(2 * m2 + n2, n2, 2) < 0:  # beta < 0
+            return {}
+        # n1 sqrt(5) = alpha - sigma(alpha), and a member has beta < alpha <=
+        # sqrt(H)/2 - beta c and |sigma(alpha) + beta' c'| <= sqrt(H')/2, where
+        # c = (phi - 1)/2, c' = -phi/2, 4(beta + beta' c') = (3 m2 + 4 n2) +
+        # (2 n2 - m2) sqrt(5) and beta' c' - beta c = -m2 sqrt(5)/2
+        n1s = range(floor_sqrt5(5 * (2 * n2 - m2), 3 * m2 + 4 * n2 - 2 * root_i - 2, 20),
+                    floor_sqrt5(-5 * m2, root + root_i + 2, 10) + 1)
     runs = {}
-    for n1 in range(-((k + m2) // 2), (k - m2) // 2 + 1):
+    for n1 in n1s:
         y = 2 * n1 + m2
         p0, q0 = y * y + 2 * a + b, y * y + a + 3 * b
 
@@ -280,32 +294,53 @@ def row_runs(radius_sq, w, n2: int, m2: int) -> dict[int, tuple[int, int]]:
         c = 2 * (m2 - n2) - y
         run = _overlap(_run(disc, floor_sqrt5(c, -y, 4), root // 2),
                        _run(window, floor_sqrt5(c, y, 4), root_i // 2))
+        if run and sector:
+            j = n2 - n1
+            run = _overlap(run, (m2 + floor_sqrt5(j, j, 2) + 1, run[1]))
         if run:
             runs[n1] = run
     return runs
 
 
-def beta_run(radius_sq, w, n2: int) -> tuple[int, int] | None:
+def beta_run(radius_sq, w, n2: int, sector: bool = False) -> tuple[int, int] | None:
     """(lo, hi), the m2 with s^2 beta^2 <= R^2 and s'^2 beta'^2 <= w for
     beta = m2 + n2*phi (s = sin 72 deg, s' = sin 144 deg), or None: the
-    betas whose rows can hold a member, |z|^2 = (alpha + beta c)^2 + s^2 beta^2."""
+    betas whose rows can hold a member, |z|^2 = (alpha + beta c)^2 + s^2 beta^2.
+    With sector, 0 <= beta <= R/phi in place of s^2 beta^2 <= R^2: the betas
+    whose rows can hold a member z in 0 <= arg z < 36 deg, where alpha > beta
+    >= 0, so alpha + beta c > beta (1 + c) = beta phi^2/2 and |z| >= beta phi."""
     rn, rd = _parts(radius_sq)
     wn, wd = _parts(w)
 
+    def square(m2):  # beta^2 = a + b*phi
+        return m2 * m2 + n2 * n2, 2 * m2 * n2 + n2 * n2
+
     def disc(m2):  # (2 + phi) beta^2 <= 4 R^2
-        a, b = m2 * m2 + n2 * n2, 2 * m2 * n2 + n2 * n2
+        a, b = square(m2)
         return golden_cmp(2 * a + b, a + 3 * b, 4 * rn, rd) <= 0
 
+    def tip(m2):  # phi^2 beta^2 = (a + b) + (a + 2b) phi <= R^2
+        a, b = square(m2)
+        return golden_cmp(a + b, a + 2 * b, rn, rd) <= 0
+
     def window(m2):
-        a, b = m2 * m2 + n2 * n2, 2 * m2 * n2 + n2 * n2
+        a, b = square(m2)
         return golden_cmp(3 * a + 4 * b, -a - 3 * b, 4 * wn, wd) <= 0
 
-    # R^2/s^2 = 2R^2 (5 - sqrt 5)/5, w/s'^2 = 2w (5 + sqrt 5)/5
-    return _overlap(
-        _run(disc, floor_sqrt5(-n2, -n2, 2),
-             math.isqrt(max(floor_sqrt5(10 * rn, -2 * rn, 5 * rd), 0))),
-        _run(window, floor_sqrt5(-n2, n2, 2),
-             math.isqrt(max(floor_sqrt5(10 * wn, 2 * wn, 5 * wd), 0))))
+    if sector:  # from the least m2 with beta >= 0, up by about R/phi, then exact steps
+        lo = -floor_sqrt5(n2, n2, 2)
+        hi = lo + math.isqrt(floor_sqrt5(3 * rn, -rn, 2 * rd))  # R^2/phi^2 = R^2 (3 - sqrt 5)/2
+        while tip(hi + 1):
+            hi += 1
+        while hi >= lo and not tip(hi):
+            hi -= 1
+        run = (lo, hi) if lo <= hi else None
+    else:  # R^2/s^2 = 2R^2 (5 - sqrt 5)/5
+        run = _run(disc, floor_sqrt5(-n2, -n2, 2),
+                   math.isqrt(max(floor_sqrt5(10 * rn, -2 * rn, 5 * rd), 0)))
+    # w/s'^2 = 2w (5 + sqrt 5)/5
+    return _overlap(run, _run(window, floor_sqrt5(-n2, n2, 2),
+                              math.isqrt(max(floor_sqrt5(10 * wn, 2 * wn, 5 * wd), 0))))
 
 
 def row_enumerate(radius_sq, window: Window | None = None) -> set[tuple]:

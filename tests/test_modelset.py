@@ -57,6 +57,10 @@ from oracles import (
 )
 
 
+#: -zeta^4 = 1 + zeta + zeta^2 + zeta^3, which turns by 108 deg
+MINUS_ZETA4 = (1, 1, 1, 1)
+
+
 def coord_list(snapshot):
     return [p.coords for p in snapshot.points]
 
@@ -151,33 +155,21 @@ class TestEnumerate:
                coord_list(box_enumerate(r_sq, Window(w)))
 
     def test_search_is_output_sensitive(self, monkeypatch):
-        # the row search decides one candidate per pair +-z, plus the few
-        # that end rows: at R = 40 it visits 1836 rows and makes 2820 exact
-        # tests for the 2820 pairs
-        rows, tests = [], 0
-        visit, membership = modelset._rows, modelset._membership
-
-        def counted_rows(*args):
-            for row in visit(*args):
-                rows.append(row)
-                yield row
-
-        class Counted(dict):
-            def __init__(self, memo):
-                self.memo = memo
-
-            def __getitem__(self, key):
-                nonlocal tests
-                tests += 1
-                return self.memo[key]
-
-        monkeypatch.setattr(modelset, "_rows", counted_rows)
-        monkeypatch.setattr(modelset, "_membership", lambda r, w: Counted(membership(r, w)))
-        n = len(enumerate_points(1600).points)
+        # the row search decides one candidate per orbit of ten, and no
+        # other: at R = 40 it visits 399 rows and makes 564 exact tests for
+        # the 564 orbits
+        n, rows, tests = _count_search(monkeypatch, 1600, 1)
         assert n == 5641
-        assert tests == sum(max(0, last - first + 1) for _, first, last in rows)
-        assert (n - 1) // 2 <= tests <= 0.5 * n + 50
-        assert len(rows) <= 0.4 * n + 50
+        assert tests == (n - 1) // 10 == 564
+        assert len(rows) <= 0.1 * n
+
+    def test_search_rows_at_a_small_window(self, monkeypatch):
+        # w small next to R^2: the sector cut acts on the disc side, and the
+        # search visits 249 rows for the 35 orbits (1150 rows before it)
+        n, rows, tests = _count_search(monkeypatch, 10 ** 4, Fraction(1, 100))
+        assert n == 351
+        assert tests == (n - 1) // 10
+        assert len(rows) <= 300
 
     @pytest.mark.parametrize("r_sq, w", [(400, 1), (Fraction(73, 2), Fraction(49, 4))])
     def test_places_are_the_embedding_bit_for_bit(self, r_sq, w):
@@ -331,16 +323,53 @@ class TestClassify:
 
 def _members_pm(r_sq, w) -> set:
     """The +-closure of _members' coordinates, checked to be the origin,
-    then one z of each pair +-z, each once, z with (n2, m2, n1, m1) > 0
-    lexicographically in the row coordinates
-    z = (m1 + n1 phi) + (m2 + n2 phi) zeta."""
-    found = [c for c, _, _ in _members(Fraction(r_sq), Fraction(w))]
-    assert found[0] == ZERO
-    for a0, a1, a2, a3 in found[1:]:
-        assert (a2 - a3, a1 - a2 + a3, -a3, a0 - a2 + a3) > (0, 0, 0, 0)
-    closure = set(found) | {ring_neg(c) for c in found}
+    then blocks of five: a point z of the sector 0 <= arg z < 36 deg, beta >= 0
+    and alpha > beta in the row coordinates z = (m1 + n1 phi) + (m2 + n2 phi)
+    zeta, and its images (-zeta^4)^j z, j = 1..4, each with the moduli of z,
+    and no point, or pair +-z, twice."""
+    found = list(_members(Fraction(r_sq), Fraction(w)))
+    assert found[0] == (ZERO, (0, 0), (0, 0))
+    assert len(found) % 5 == 1
+    for i in range(1, len(found), 5):
+        z = found[i][0]
+        a0, a1, a2, a3 = z
+        n2, m2, n1, m1 = a2 - a3, a1 - a2 + a3, -a3, a0 - a2 + a3
+        assert golden_cmp(m2, n2, 0) >= 0 and golden_cmp(m1 - m2, n1 - n2, 0) > 0
+        moduli = abs_sq(z), abs_sq(z, "internal")
+        for c, *rest in found[i:i + 5]:
+            assert (c, tuple(rest)) == (z, moduli)
+            z = ring_mul(MINUS_ZETA4, z)
+    closure = {c for c, _, _ in found} | {ring_neg(c) for c, _, _ in found}
     assert len(closure) == 2 * len(found) - 1  # no repeat, and no pair +-z both
     return closure
+
+
+def _count_search(monkeypatch, r_sq, w) -> tuple[int, list, int]:
+    """(n, rows, tests) of enumerate_points(r_sq, Window(w)): its number of
+    points, the rows modelset._rows yielded, and the exact membership tests
+    made, which are the rows' candidates."""
+    rows, tests = [], 0
+    visit, membership = modelset._rows, modelset._membership
+
+    def counted_rows(*args):
+        for row in visit(*args):
+            rows.append(row)
+            yield row
+
+    class Counted(dict):
+        def __init__(self, memo):
+            self.memo = memo
+
+        def __getitem__(self, key):
+            nonlocal tests
+            tests += 1
+            return self.memo[key]
+
+    monkeypatch.setattr(modelset, "_rows", counted_rows)
+    monkeypatch.setattr(modelset, "_membership", lambda r, w: Counted(membership(r, w)))
+    n = len(enumerate_points(r_sq, Window(w)).points)
+    assert tests == sum(max(0, last - first + 1) for _, first, last in rows)
+    return n, rows, tests
 
 
 class TestRowOracle:
@@ -383,43 +412,59 @@ class TestRowOracle:
     @pytest.mark.parametrize("s", [1, -1])
     @pytest.mark.parametrize("which", [0, 1], ids=["disc", "window"])
     def test_near_tangent_rows_at_the_range_edge(self, which, s):
-        # beta = 2 phi^K with alpha = s - phi^(K-1) (disc), or beta = -2 psi^K
-        # with alpha = -(s + psi^(K+1)) (window), puts z one unit from where its
-        # row touches the circle: alpha + beta c = s, or alpha' + beta' c' = -s.
-        # R^2, or w, is set 10^-40 above |z|^2, or |sigma z|^2, the other at
-        # 10^6, so z ends its row.  At K = 25 that is |z|^2 ~ 1e11, at K = 55
-        # ~ 4e23, and the rows keep the same precision: a rounded sqrt(5) in h
-        # would widen them with |beta|^2
+        # Window: beta = -2 psi^K with alpha = -(s + psi^(K+1)) puts z one unit
+        # from where its row touches the window's circle, alpha' + beta' c' =
+        # -s; z is taken as -z where that makes beta >= 0, and then its row
+        # holds one sector member, z if alpha > beta, else its mirror across
+        # the touch, m1 + 2.  Disc: the sector never holds the touch (at
+        # arg z = 90 deg), and the sector image of such a z has a row of about
+        # |z|/2 candidates, so the disc's edge is the sector's corner: beta =
+        # 2 phi^K and alpha = beta + phi^s put z just right of the 36 deg ray,
+        # where beta is near R/phi.  R^2, or w, is set 10^-40 above |z|^2, or
+        # |sigma z|^2, the other at 10^6, so z ends its row.  At K = 25 that is
+        # |z|^2 ~ 1e11, at K = 55 ~ 4e23, and the rows keep the same
+        # precision: a rounded sqrt(5) in h would widen them with |beta|^2
         f = [0, 1]
         while len(f) < 58:
             f.append(f[-1] + f[-2])
         for k in (25, 40, 55):
-            n2, m2, n1, m1 = ((2 * f[k], 2 * f[k - 1], -f[k - 1], s - f[k - 2]) if which == 0
-                              else (2 * f[k], -2 * f[k + 1], f[k + 1], -s - f[k + 2]))
+            if which == 0:
+                n2, m2 = 2 * f[k], 2 * f[k - 1]
+                n1, m1 = n2 + 1, m2 - (s < 0)  # alpha = beta + phi, or beta + phi - 1
+            else:
+                n2, m2, n1, m1 = 2 * f[k], -2 * f[k + 1], f[k + 1], -s - f[k + 2]
+                if golden_cmp(m2, n2, 0) < 0:
+                    n2, m2, n1, m1 = -n2, -m2, -n1, -m1
             p, q = abs_sq_coords(m1 + n2, m2 + n2, n2 - n1, -n1)[which]
             hair = 10 ** 40
             edge = Fraction(floor_sqrt5((2 * p + q) * hair, q * hair, 2) + 1, hair)
             r_sq, w = (edge, 10 ** 6) if which == 0 else (10 ** 6, edge)
-            exact = row_runs(r_sq, w, n2, m2)
-            assert m1 in exact[n1]
+            exact = row_runs(r_sq, w, n2, m2, sector=True)
+            if which == 0:
+                assert exact[n1][1] == m1
+            else:
+                m = m1 if golden_cmp(m1 - m2, n1 - n2, 0) > 0 else m1 + 2
+                assert exact[n1] == (m, m)
             rows = _search_rows(r_sq, w, n2, m2)
-            assert len(rows) == len(exact), k
+            # the rows with a candidate are the rows with a member
+            assert {n for n, (first, last) in rows.items() if first <= last} == set(exact), k
             _assert_rows_hold_runs(rows, exact)
 
     @pytest.mark.parametrize("r_sq, w", [(10 ** 12, 10 ** 6), (10 ** 6, 10 ** 12),
                                          (10 ** 12, 10 ** 12)],
                              ids=["1e12-1e6", "1e6-1e12", "1e12-1e12"])
     def test_rows_hold_the_exact_rows_at_the_range_edges(self, r_sq, w):
-        # at the corners of the range the search accepts, the three largest n2
-        # with a beta hold the betas nearest both rims, and the ends of their
-        # m2 runs the near-tangent rows; n2 < (R/s + sqrt(w)/s')/sqrt(5)
-        bound = math.isqrt(floor_sqrt5(10 * r_sq, -2 * r_sq, 5)) + \
+        # at R^2 and w up to 10^12 (_rows takes them, past the search's cap on
+        # R^2 w), the three largest n2 with a beta of the sector hold the betas nearest both rims, beta
+        # near R/phi and beta' near -sqrt(w)/s', and the ends of their m2 runs
+        # the near-tangent rows; n2 < (R/phi + sqrt(w)/s')/sqrt(5)
+        bound = math.isqrt(floor_sqrt5(3 * r_sq, -r_sq, 2)) + \
             math.isqrt(floor_sqrt5(10 * w, 2 * w, 5)) + 2
         n2, checked = math.isqrt(bound * bound // 5) + 1, 0
         while checked < 3:
-            betas = beta_run(r_sq, w, n2)
+            betas = beta_run(r_sq, w, n2, sector=True)
             for m2 in sorted(set(betas or ())):
-                exact = row_runs(r_sq, w, n2, m2)
+                exact = row_runs(r_sq, w, n2, m2, sector=True)
                 assert exact
                 _assert_rows_hold_runs(_search_rows(r_sq, w, n2, m2), exact)
             checked += betas is not None
@@ -446,14 +491,24 @@ class TestRowOracle:
         top = math.isqrt(math.ceil(r_sq)) // 2 + math.isqrt(math.ceil(w)) + 1
         n2 = data.draw(st.integers(-top, top))
         betas = beta_run(r_sq, w, n2) or (0, 0)
-        m2 = data.draw(st.integers(betas[0] - 2, betas[1] + 2).filter(
-            lambda m: (n2, m) != (0, 0)))
-        _assert_rows_hold_runs(_search_rows(r_sq, w, n2, m2), row_runs(r_sq, w, n2, m2))
+        low = -floor_sqrt5(n2, n2, 2)  # the least m2 with beta >= 0
+        m2 = data.draw(st.integers(max(betas[0] - 2, low), max(betas[1] + 2, low)))
+        _assert_rows_hold_runs(_search_rows(r_sq, w, n2, m2),
+                               row_runs(r_sq, w, n2, m2, sector=True))
 
     @given(st.fractions(Fraction(1, 10), 100, max_denominator=20), st.data())
     @settings(max_examples=25, deadline=None)
     def test_members_match_row_oracle_on_random_parameters(self, w, data):
         r_sq = data.draw(st.fractions(0, math.floor(4000 / w), max_denominator=20))
+        assert _members_pm(r_sq, w) == row_enumerate(r_sq, Window(w))
+
+    @given(st.integers(-3, 3), st.fractions(1, 10, max_denominator=30))
+    @settings(max_examples=25, deadline=None)
+    def test_members_are_sector_points_and_their_turns(self, e, size):
+        # blocks of five (_members_pm) at R^2/w from 10^-6 to 10^6: the two
+        # ends where the sector's cut, which acts on the disc side, helps
+        # most and least
+        r_sq, w = size * Fraction(10) ** e, size * Fraction(10) ** -e
         assert _members_pm(r_sq, w) == row_enumerate(r_sq, Window(w))
 
 
