@@ -12,7 +12,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, repeat
 
 from .cyclotomic import (CycInt, _Frozen, _golden_key, _Value, abs_sq_coords, embed_approx,
                          golden_cmp, sqrt5_sign)
@@ -66,7 +66,7 @@ class PointRecord(_Value):
 
 
 class Snapshot(_Value):
-    __slots__ = ("window", "radius_sq", "points", "_split_memo", "_turn_memo")
+    __slots__ = ("window", "radius_sq", "points", "_split_memo", "_turn_memo", "_rep_memo")
 
     def __init__(self, window: Window, radius_sq: Fraction,
                  points: list[PointRecord] | None = None):
@@ -76,6 +76,8 @@ class Snapshot(_Value):
         self._split_memo = None
         #: (split, turn) of the last split turned (_turned), kept for reuse
         self._turn_memo = None
+        #: (split, rep) of the last split's orbit representatives (_orbits)
+        self._rep_memo = None
 
 
 class _Memo(dict):
@@ -234,11 +236,16 @@ def enumerate_points(radius_sq: Fraction | int, window: Window | None = None) ->
     radius_sq = Fraction(radius_sq)
     if radius_sq < 0:
         raise ValueError(f"radius_sq must be nonnegative, got {radius_sq}")
-    # the origin, then of each pair +-z the z the search yielded
+    # the origin, then of each pair +-z the z the search yielded, in blocks of
+    # five that each start with an orbit's sector point
     (origin, phys, intr), *half = _members(radius_sq, window.w)
     # the split (_split) by the search's exact decisions: each point is in the
-    # disc and the window once, so all are good; and as S = -S, M = max |c_i|
-    b = _key_base(c for c, _, _ in half)
+    # disc and the window once, so all are good.  Its key base is B = 6M + 1,
+    # M the largest |coordinate| of any point: with c~ = (c0, c1, c2, c3, 0)
+    # and indices mod 5, zeta^k c has the coordinates c~_(j-k) - c~_(4-k),
+    # j = 0..3, and -1 reverses each difference, so over the orbit of c it is
+    # max c~ - min c~, read off the sector points
+    b = 6 * max((max(0, *c) - min(0, *c) for c, _, _ in half[::5]), default=0) + 1
     b4 = b ** 4
     points, moduli, keys, order = [PointRecord(origin, intr, 0.0, 0.0)], [phys], [0], [0]
     for c, phys, intr in half:  # -z at 0.0 - e is embed_approx(-z), never -0.0
@@ -249,11 +256,19 @@ def enumerate_points(radius_sq: Fraction | int, window: Window | None = None) ->
         moduli += phys, phys
         keys += k, -k  # k is linear
         order += q + k, q - k  # Q(a) B^4 + k(c); the phi parts of Q(a) cancel
+    # each point's representative (_orbits) is its orbit's sector point: here,
+    # before the sort, the points 1 + 10t to 10 + 10t are an orbit, the first
+    # its sector point
+    sector = [0, *chain.from_iterable(repeat(k, 10) for k in keys[1::10])]
     # This sorts as (Q(a), coords): B > 2M + 1 makes k on [-M, M]^4 a balanced base-B
     # numeral, ordered lexicographically, and two differ by <= 2M (B^4 - 1)/(B - 1) < B^4.
     order = sorted(range(len(points)), key=order.__getitem__)
-    points, moduli, keys = (list(map(v.__getitem__, order)) for v in (points, moduli, keys))
-    return _keep_split(Snapshot(window, radius_sq, points), moduli, keys, b)
+    points, moduli, keys, sector = (list(map(v.__getitem__, order))
+                                    for v in (points, moduli, keys, sector))
+    snapshot = _keep_split(Snapshot(window, radius_sq, points), moduli, keys, b)
+    split = snapshot._split_memo[2]
+    snapshot._rep_memo = split, list(map(split[3].__getitem__, sector))  # good: key -> index
+    return snapshot
 
 
 @lru_cache(maxsize=8)
@@ -384,6 +399,25 @@ def _turned(snapshot: Snapshot):
     return memo
 
 
+def _orbits(snapshot: Snapshot):
+    """(split, rep): _split(snapshot) and, for each point i, the index rep[i]
+    of the point that stands for i's orbit of ten in the passes that take
+    one point per orbit.  enumerate_points keeps its orbits' sector points.
+    Any other split, on which _turn maps the points, takes the first point
+    of each of the turn's cycles, and on one where _turn gives None each
+    point represents itself.  Kept in snapshot._rep_memo while _split
+    returns the same split object."""
+    split = _split(snapshot)
+    if (memo := snapshot._rep_memo) is None or memo[0] is not split:
+        turn = _turned(snapshot)[1]
+        rep = list(range(len(split[0])))
+        for i, j in enumerate(turn or ()):
+            while rep[j] > i:
+                rep[j], j = i, turn[j]
+        memo = snapshot._rep_memo = split, rep
+    return memo
+
+
 def _walk(ds: list, b: int) -> list:
     """(k(d), x) for each (d, x) of ds that can join two good points of a
     split with key base b = 6M + 1 (_split): the d with every |d_i| <= 2M."""
@@ -458,19 +492,18 @@ def _inner_nearest(snapshot: Snapshot) -> list:
     gets (0, 0).  One _nearest pass over inner points (below); each distinct
     |z|^2 is tested once, and the pairs are the displacement list's own.
 
-    When _turn maps the points, the pass takes one inner point per orbit of
-    -zeta^4, whose result fills the orbit: z -> -zeta^4 z maps the finite set
-    P injectively into P, so onto P; an isometry fixing 0, it keeps |z|, so
-    the inner status, and the distance to the nearest other point of P; it
-    generates the ten units; and a squared distance has one (p, q) pair.
+    It takes one inner point per orbit of ten, its representative
+    (_orbits), whose result fills the orbit; on a split that _turn does not
+    map, each point is its own orbit.  When _turn maps the points, z ->
+    -zeta^4 z maps the finite set P injectively into P, so onto P; an
+    isometry fixing 0, it keeps |z|, so the inner status, and the distance
+    to the nearest other point of P; it generates the ten units; and a
+    squared distance has one (p, q) pair.  The enumerator's set is closed
+    under the units by construction, and its sector points stand for it.
     """
-    split, turn = _turned(snapshot)
-    coords, phys, _, _, _, b = split
+    split, rep = _orbits(snapshot)
+    _, phys, _, _, _, b = split
     inner = _Memo(lambda p, q: _is_inner(p, q, *snapshot.radius_sq.as_integer_ratio()))
-    rep = list(range(len(coords)))  # rep[i]: the first point of i's orbit
-    for i, j in enumerate(turn or ()):
-        while rep[j] > i:
-            rep[j], j = i, turn[j]
     inners = [i for i, r in enumerate(rep) if r == i and inner[phys[i]]]  # these walk the list
     walk = _walk(displacement_candidates(snapshot.window), b) if inners else []
     by_rep = dict(zip(inners, _nearest(split, walk, inners)))

@@ -30,6 +30,7 @@ from .modelset import (
     _inner_nearest,
     _members,
     _nearest,
+    _orbits,
     _split,
     _turned,
     _walk,
@@ -172,23 +173,26 @@ def _judge(d: Coords) -> tuple[bool, dict | None]:
 
 @cache
 def _norm_gap_seeds() -> tuple[Coords, ...]:
-    """The 60 nonzero x with |x|^2 <= 4 and |sigma(x)|^2 <= 4: each x the
-    search yields (modelset._members), and -x."""
-    return tuple(s for x, _, _ in _members(Fraction(4), Fraction(4)) if any(x)
-                 for s in (x, tuple(-a for a in x)))
+    """The 6 sector points of the 60 nonzero x with |x|^2 <= 4 and
+    |sigma(x)|^2 <= 4, one of each orbit of ten: the first of each block of
+    five that modelset._members yields."""
+    return tuple(x for x, _, _ in list(_members(Fraction(4), Fraction(4)))[1::5])
 
 
 def _unit_lemma_list(radius_sq: Fraction) -> list[tuple[Coords, tuple[bool, dict | None]]]:
     """verify_unit_lemma's lookup list, each d > -d with its _judge verdict:
-    the d with |d|^2 <= 1, and each seed of norm 2, 3 or 4 (none, on real
-    norms) times eps^-k, k >= 0, up to |d|^2 <= 4R^2."""
+    the d with |d|^2 <= 1, and each of the ten images of a seed of norm 2, 3
+    or 4 (none, on real norms) times eps^-k, k >= 0, up to |d|^2 <= 4R^2.
+    The norm is the same on an orbit, so a seed's norm is its orbit's."""
     r4 = 4 * radius_sq
     ds = dict.fromkeys(d for d, _ in displacement_candidates(Window()))
-    for d in _norm_gap_seeds():
-        if norm_coords(*d) in (2, 3, 4):
-            while golden_cmp(*abs_sq_coords(*d)[0], r4.numerator, r4.denominator) <= 0:
-                ds[d] = None
-                d = _times_eps_inv(*d)
+    for x in _norm_gap_seeds():
+        if norm_coords(*x) in (2, 3, 4):
+            for _ in range(10):  # x -> -zeta^4 x, a primitive tenth root
+                d = x = (x[0] - x[1], x[0] - x[2], x[0] - x[3], x[0])
+                while golden_cmp(*abs_sq_coords(*d)[0], r4.numerator, r4.denominator) <= 0:
+                    ds[d] = None
+                    d = _times_eps_inv(*d)
     return [(d, _judge(d)) for d in ds if d > tuple(-a for a in d)]
 
 
@@ -200,11 +204,19 @@ def verify_unit_lemma(snapshot: Snapshot) -> VerificationReport:
     |sigma(d)|^2 <= 4, and only the d that are close or have norm 2, 3 or 4
     can change the report; _unit_lemma_list holds all of them, in a list
     that does not grow with R.  It is closed under d -> -d, and -d gets d's
-    judgement, so only the d > -d are kept: each good pair i, j is hit
-    once, along c_j - c_i or c_i - c_j, and kept as (min(i, j), max(i, j)).
-    A close d that flags nothing is only counted, in one pass over the good
-    points; only the flagged d are walked for rows.  A pair with a bad point
-    is judged from its bad end, once: a bad j < i was judged from j.
+    judgement, so it keeps only the d > -d.  A close d that flags nothing
+    is only counted: with D those d and their negatives (k(-d) = -k(d)),
+    and f(x) the number of d in D with x + d good, each good pair is
+    counted from both ends, so close_pairs is half the sum of f over the
+    good points.  The units keep |d|, N(d) and the good points of a split
+    that _turn maps, so f is the same on an orbit: it is computed once per
+    representative (_orbits) and summed over the points it stands for.
+    Where each point represents itself, this is the count over every good
+    point.  Only the flagged d are walked for rows, from every good point,
+    each good pair i, j hit once, along c_j - c_i or c_i - c_j, and kept
+    as (min(i, j), max(i, j)).
+    A pair with a bad point is judged from its bad end, once: a bad j < i
+    was judged from j.
 
     Close: no d with |sigma(d)|^2 <= 4 has 1 < |d|^2 < 5/4 (the tests pin
     this), so every close d is in displacement_candidates(Window()), the d
@@ -216,24 +228,26 @@ def verify_unit_lemma(snapshot: Snapshot) -> VerificationReport:
     some x = eps^k d has a ratio within [1/phi^2, phi^2], and then |x|^2
     and |sigma(x)|^2 are at most phi sqrt(N(d)) <= 2 phi < 4 when
     N(d) <= 4.  If k <= 0, d = eps^-k x has |d|^2 <= |x|^2 < 4 and is
-    itself in _members(4, 4); so every such d is eps^-k x, k >= 0, for a
-    seed x of _members(4, 4) of norm 2, 3 or 4.  eps^-1 scales |d|^2 by
-    phi^2 and |sigma(d)|^2 by 1/phi^2, so the walk from each seed stays in
-    the window until |d|^2 > 4R^2, where it stops.  On real norms there
-    is no such seed: every conjugation fixes the prime (1 - zeta) over 5
-    and d == a0 + a1 + a2 + a3 modulo it, so N(d) == (a0 + a1 + a2 + a3)^4
-    (mod 5), which is 0 or 1 (Kummer; Fermat).  The seeds' norms are still
-    computed on every call, so a faulty norm is caught.
+    itself in _members(4, 4); so every such d is eps^-k x, k >= 0, for an
+    image x of a seed (_norm_gap_seeds) of norm 2, 3 or 4.  eps^-1 scales
+    |d|^2 by phi^2 and |sigma(d)|^2 by 1/phi^2, so the walk from each x
+    stays in the window until |d|^2 > 4R^2, where it stops.  On real norms
+    there is no such seed: every conjugation fixes the prime (1 - zeta)
+    over 5 and d == a0 + a1 + a2 + a3 modulo it, so N(d) ==
+    (a0 + a1 + a2 + a3)^4 (mod 5), which is 0 or 1 (Kummer; Fermat).  The
+    six seeds' norms are still computed on every call, so a faulty norm
+    that the units keep is caught.
     """
     if snapshot.window.w != 1:
         return _skipped("unit-lemma", snapshot)
 
-    coords, _, _, good, bad, b = _split(snapshot)
+    (coords, _, keys, good, bad, b), rep = _orbits(snapshot)
     walk = _walk(_unit_lemma_list(snapshot.radius_sq), b)
     n = len(coords)
-    counted = [kd for kd, (close, v) in walk if close and not v]
+    counted = [s * kd for kd, (close, v) in walk if close and not v for s in (1, -1)]  # D: d, -d
     flagged = [(kd, close, v) for kd, (close, v) in walk if v]
-    close_pairs = len([1 for k in good for kd in counted if k + kd in good])
+    f = {r: len([1 for kd in counted if keys[r] + kd in good]) for r in set(rep)}
+    close_pairs = sum(map(f.__getitem__, map(rep.__getitem__, good.values()))) // 2
     rows = []
     for k, i in good.items() if flagged else ():
         for kd, close, v in flagged:
@@ -312,20 +326,24 @@ def verify_step_existence(snapshot: Snapshot) -> VerificationReport:
     lookup k(c) + k(mu) in good.  _walk keeps the mu with every
     |mu_i| <= 2M (none when M = 0), for which that key is a good point's
     only if c + mu is the point.  A good point was decided exactly to lie in
-    the window, so this adds no float and no decision.  Only the bad points, and the good points
-    with no good neighbour c + mu, try the ten roots by the exact window
-    test, in point order, so the violations and their order are those of the
-    ten-root test at every point.
+    the window, so this adds no float and no decision.  The units map the
+    roots and the good points of a split that _turn maps onto themselves,
+    so c steps to a good point iff every point of its orbit does: only the
+    representatives (_orbits) are looked up, and one with no good
+    neighbour marks its orbit.  Only the bad points and the marked points
+    try the ten roots by the exact window test, in point order, so the
+    violations and their order are those of the ten-root test at every
+    point.
     """
     if snapshot.window.w != 1:
         return _skipped("step-existence", snapshot)
-    coords, _, _, good, bad, b = _split(snapshot)
-    unstepped = good
+    (coords, _, keys, good, bad, b), rep = _orbits(snapshot)
+    unstepped = set(map(rep.__getitem__, good.values()))
     for kd, _ in _walk(_ROOTS, b):
-        unstepped = [k for k in unstepped if k + kd not in good]
+        unstepped = {r for r in unstepped if keys[r] + kd not in good}
     in_window = _at_most(snapshot.window.w)
     violations = []
-    for i in sorted(bad + [good[k] for k in unstepped]):
+    for i in sorted(bad + [i for i, r in enumerate(rep) if r in unstepped] if unstepped else bad):
         a0, a1, a2, a3 = coords[i]
         for m0, m1, m2, m3 in TENTH_ROOTS:
             if in_window[abs_sq_coords(a0 + m0, a1 + m1, a2 + m2, a3 + m3)[1]]:

@@ -385,3 +385,17 @@ class TestLayerCalls:
         code, out = run(capsys, "verify", "--check", "all", "--radius-sq", "25")
         assert code == EXIT_OK and json.loads(out)["all_pass"]
         assert len(turns) == 1
+
+    @pytest.mark.parametrize("argv, calls", [
+        (["analyze"], 0), (["verify", "--check", "two-distance"], 0),
+        (["verify", "--check", "unit-lemma"], 0), (["verify", "--check", "step-existence"], 0),
+        (["verify", "--check", "rotation"], 1)])
+    def test_only_rotation_turns_a_fresh_enumeration(self, capsys, monkeypatch, argv, calls):
+        # the enumerator keeps its orbits' representatives beside its split,
+        # so the passes that take one point per orbit turn nothing; rotation's
+        # n lookups are its closure check
+        turns, real = [], modelset._turn
+        monkeypatch.setattr(modelset, "_turn", lambda split: turns.append(split) or real(split))
+        code, out = run(capsys, *argv, "--radius-sq", "25")
+        assert code == EXIT_OK and out
+        assert len(turns) == calls

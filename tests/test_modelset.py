@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from pentaset import cyclotomic, modelset
+import oracles
+from pentaset import cyclotomic, modelset, verify
 from pentaset.cyclotomic import (
     CycInt,
     GoldenInt,
@@ -32,7 +33,8 @@ from pentaset.modelset import (
 )
 from pentaset.io_render import read_snapshot, write_snapshot
 from pentaset.modelset import SearchRangeError, _is_inner, _members
-from pentaset.verify import verify_rotation, verify_separation, verify_step_existence
+from pentaset.verify import (verify_rotation, verify_separation, verify_step_existence,
+                             verify_unit_lemma)
 
 from oracles import (
     EPSILON,
@@ -321,6 +323,14 @@ class TestClassify:
             classify_distance((-1, 0))
 
 
+def _in_sector(z: tuple) -> bool:
+    """0 <= arg z < 36 deg, exactly: beta >= 0 and alpha > beta in the row
+    coordinates z = (m1 + n1 phi) + (m2 + n2 phi) zeta."""
+    a0, a1, a2, a3 = z
+    n2, m2, n1, m1 = a2 - a3, a1 - a2 + a3, -a3, a0 - a2 + a3
+    return golden_cmp(m2, n2, 0) >= 0 and golden_cmp(m1 - m2, n1 - n2, 0) > 0
+
+
 def _members_pm(r_sq, w) -> set:
     """The +-closure of _members' coordinates, checked to be the origin,
     then blocks of five: a point z of the sector 0 <= arg z < 36 deg, beta >= 0
@@ -332,9 +342,7 @@ def _members_pm(r_sq, w) -> set:
     assert len(found) % 5 == 1
     for i in range(1, len(found), 5):
         z = found[i][0]
-        a0, a1, a2, a3 = z
-        n2, m2, n1, m1 = a2 - a3, a1 - a2 + a3, -a3, a0 - a2 + a3
-        assert golden_cmp(m2, n2, 0) >= 0 and golden_cmp(m1 - m2, n1 - n2, 0) > 0
+        assert _in_sector(z)
         moduli = abs_sq(z), abs_sq(z, "internal")
         for c, *rest in found[i:i + 5]:
             assert (c, tuple(rest)) == (z, moduli)
@@ -662,10 +670,20 @@ def _memo_free(snap: Snapshot) -> Snapshot:
     return Snapshot(snap.window, snap.radius_sq, list(snap.points))
 
 
+def _orbit_partition(rep: list) -> set:
+    """The sets of point indices that share a representative."""
+    groups = {}
+    for i, r in enumerate(rep):
+        groups.setdefault(r, set()).add(i)
+    return {frozenset(g) for g in groups.values()}
+
+
 class TestSplitMemo:
     """enumerate_points keeps its snapshot's split (modelset._split), made
-    from the search's own decisions; _split serves a kept split only while
-    the coordinates, R^2 and w are those it was made from."""
+    from the search's own decisions, and beside it each point's orbit
+    representative (modelset._orbits); _split serves a kept split, and
+    _orbits its representatives, only while the coordinates, R^2 and w are
+    those it was made from."""
 
     @pytest.mark.parametrize("radius_sq, w", [
         (0, 1), (Fraction(1, 1000), 1), (4, 1), (Fraction(73, 2), Fraction(49, 4)),
@@ -676,12 +694,29 @@ class TestSplitMemo:
         kept = snap._split_memo
         assert modelset._split(snap) is kept[2]
         assert kept[2] == modelset._split(_memo_free(snap))
+        # the kept representatives give the orbits of _turn's cycles, each
+        # represented by its sector point
+        split, rep = modelset._orbits(snap)
+        assert split is kept[2] and rep is snap._rep_memo[1]
+        copy = _memo_free(snap)
+        assert modelset._turn(modelset._split(copy)) is not None
+        assert _orbit_partition(rep) == _orbit_partition(modelset._orbits(copy)[1])
+        coords = coord_list(snap)
+        assert all(_in_sector(coords[r]) for r in set(rep) if any(coords[r]))
+
+    @given(st.tuples(*[st.integers(-10 ** 6, 10 ** 6)] * 4))
+    def test_largest_coordinate_of_an_orbit(self, c):
+        # the key base enumerate_points reads off the sector points: with
+        # c~ = (c0, c1, c2, c3, 0), max c~ - min c~ is the largest |coordinate|
+        # of the ten unit multiples of c
+        assert max(abs(a) for mu in TENTH_ROOTS for a in ring_mul(mu, c)) == \
+               max(0, *c) - min(0, *c)
 
     @pytest.mark.parametrize("change", [
         "append", "swap", "assign-coords", "reverse", "radius", "window"])
     def test_changed_snapshot_takes_the_general_path(self, change):
         snap = enumerate_points(400)
-        kept, pts = snap._split_memo[2], snap.points
+        kept, kept_rep, pts = snap._split_memo[2], snap._rep_memo[1], snap.points
         if change == "append":
             pts.append(_record((5, 0, 0, 0)))
         elif change == "swap":
@@ -697,6 +732,10 @@ class TestSplitMemo:
         split = modelset._split(snap)
         assert split != kept
         assert split == modelset._split(_memo_free(snap))
+        # the representatives are made again, as for a copy
+        assert modelset._orbits(snap)[0] is split
+        assert snap._rep_memo[1] is not kept_rep
+        assert snap._rep_memo[1] == modelset._orbits(_memo_free(snap))[1]
 
 
 def _read_back(snap: Snapshot, fmt: str) -> Snapshot:
@@ -806,6 +845,47 @@ class TestOrbitPass:
     def test_read_snapshots_match_the_per_point_pass(self, monkeypatch, fmt, radius_sq, w):
         snap = enumerate_points(Fraction(radius_sq), Window(Fraction(w)))
         self._check(monkeypatch, _read_back(snap, fmt), True)
+
+    @pytest.mark.parametrize("case", [
+        "clean-25", "clean-37", "missing-orbit", "missing-point", "stray", "jsonl", "csv",
+        "every-third-orbit"])
+    def test_checks_match_the_per_point_pass(self, monkeypatch, case):
+        # the unit lemma and step existence on the enumerator's, the turn's
+        # and no representatives give the reports of every point representing
+        # itself, and of the all-pairs and ten-root oracles
+        if case == "every-third-orbit":  # orbits without a neighbour a root away
+            snap = enumerate_points(100)
+            rep = modelset._orbits(snap)[1]
+            keep = sorted(set(rep))[::3]
+            snap = Snapshot(snap.window, snap.radius_sq,
+                            [p for p, r in zip(snap.points, rep) if r in keep])
+        elif case in ("jsonl", "csv"):
+            snap = _read_back(enumerate_points(25), case)
+        else:
+            snap = {"clean-25": lambda: enumerate_points(25),
+                    "clean-37": lambda: enumerate_points(37),
+                    "missing-orbit": _missing_orbit,
+                    "missing-point": lambda: _drop_one(enumerate_points(25)),
+                    "stray": _stray}[case]()
+        checks = (verify_unit_lemma, verify_step_existence)
+        tested = []
+        real = verify.abs_sq_coords
+        monkeypatch.setattr(verify, "abs_sq_coords", lambda *c: tested.append(c) or real(*c))
+        got = [check(snap).to_json_dict() for check in checks]
+        per_orbit, tested[:] = list(tested), []
+        with monkeypatch.context() as m:
+            m.setattr(modelset, "_turn", lambda split: None)
+            copy = _memo_free(snap)
+            assert modelset._orbits(copy)[1] == list(range(len(copy.points)))
+            assert [check(copy).to_json_dict() for check in checks] == got
+        # on a closed set a point has no good neighbour a root away iff its
+        # orbit's representative has none, so an unstepped representative
+        # marks its orbit, and the exact tests are those of the per-point pass
+        assert tested == per_orbit
+        if case == "every-third-orbit":
+            assert modelset._turn(modelset._split(snap)) is not None and tested
+        assert got == [oracles.unit_lemma(snap).to_json_dict(),
+                       oracles.step_existence(snap).to_json_dict()]
 
     @staticmethod
     def _passed(monkeypatch, snap: Snapshot) -> tuple[list, list]:

@@ -348,9 +348,15 @@ class TestUnitLemmaList:
     """The unit lemma looks up a fixed list instead of the difference window."""
 
     def test_no_seed_has_norm_2_3_or_4(self):
+        # one seed per orbit of ten, whose ten images are the 60 nonzero x
+        # with |x|^2 <= 4 and |sigma(x)|^2 <= 4
         seeds = verify._norm_gap_seeds()
-        assert len(seeds) == 60
-        assert not [x for x in seeds if norm_coords(*x) in (2, 3, 4)]
+        assert len(seeds) == 6
+        images = {ring_mul(mu, x) for x in seeds for mu in TENTH_ROOTS}
+        box = oracles.box_enumerate(4, Window(4))
+        assert images == {p.coords for p in box.points if any(p.coords)}
+        assert len(images) == 60
+        assert not [x for x in images if norm_coords(*x) in (2, 3, 4)]
 
     def test_list_does_not_grow_with_radius(self):
         units = [d for d, _ in displacement_candidates(Window()) if d > ring_neg(d)]
@@ -628,6 +634,41 @@ class TestUnitLemma:
         r = verify_unit_lemma(bad)
         assert not r.passed
         assert any(v["clause"] == "close-pair-not-unit" for v in r.violations)
+
+
+class TestOneLookupPerOrbit:
+    """On the closed split of a fresh enumeration the unit lemma's close-pair
+    count and step existence look up one point of each orbit of ten, where
+    the per-point passes make 10n and up to 10n lookups."""
+
+    @staticmethod
+    def _counting(snap: Snapshot) -> list:
+        """The keys looked up in snap's kept good map from now on."""
+        lookups = []
+
+        class CountingDict(dict):
+            def __contains__(self, k):
+                lookups.append(k)
+                return super().__contains__(k)
+
+        radius_sq, w, split = snap._split_memo
+        split = (*split[:3], CountingDict(split[3]), *split[4:])
+        snap._split_memo = radius_sq, w, split
+        snap._rep_memo = split, snap._rep_memo[1]
+        return lookups
+
+    @pytest.mark.parametrize("check, per_orbit", [
+        (verify_unit_lemma, 20), (verify_step_existence, 10)], ids=["unit-lemma", "step"])
+    def test_lookups_per_orbit(self, check, per_orbit):
+        snap = enumerate_points(400)
+        orbits = len(set(snap._rep_memo[1]))
+        assert (len(snap.points), orbits) == (1411, 142)
+        lookups = self._counting(snap)
+        r = check(snap)
+        assert r.passed and r.to_json_dict() == check(enumerate_points(400)).to_json_dict()
+        assert 0 < len(lookups) <= per_orbit * orbits
+        if check is verify_unit_lemma:
+            assert r.details["close_pairs"] == 3330
 
 
 class TestTwoDistance:
